@@ -75,27 +75,45 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
+#: relative width of the band around the target epsilon that random_near_normal hits
+TARGET_BAND = 0.05
+#: cap on epsilon evaluations in random_near_normal; bisection meets the band long before
+TARGET_STEPS = 64
+
+
 def random_near_normal(
     rng: np.random.Generator, dim: int, target_epsilon: float
 ) -> np.ndarray:
-    """A normal matrix plus a small non-normal part, rescaled toward a target
-    ``norm(C*C - CC*)``."""
+    """A normal matrix N plus a small non-normal part, ``N + delta * G``, with
+    ``norm(C*C - CC*)`` within ``TARGET_BAND`` of ``target_epsilon``.
+
+    epsilon(delta) is continuous with epsilon(0) = 0, so ``delta`` is searched in
+    a bracket ``[lo, hi]`` with epsilon(lo) < target <= epsilon(hi).  Each step
+    proposes the linear correction ``delta * target / epsilon`` (clamped to a
+    factor in [1/4, 4]), which usually lands in the band in two or three steps,
+    and bisects the bracket whenever the proposal leaves it.
+    """
     u = _haar_unitary(rng, dim)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     normal = (u * z) @ linalg.adjoint(u)
     g = _ginibre(rng, dim)
     g /= linalg.operator_norm(g)
+    lo, hi = 0.0, np.inf
     delta = np.sqrt(target_epsilon)
-    c = normal + delta * g
-    # the commutator grows roughly linearly in the perturbation size at this
-    # scale; one or two fixpoint corrections land close enough to the target
-    for _ in range(3):
-        eps = _epsilon_of(c)
-        if eps == 0.0 or abs(eps - target_epsilon) < 0.05 * target_epsilon:
-            break
-        delta *= min(4.0, max(0.25, target_epsilon / eps))
+    for _ in range(TARGET_STEPS):
         c = normal + delta * g
-    return c
+        eps = _epsilon_of(c)
+        if abs(eps - target_epsilon) < TARGET_BAND * target_epsilon:
+            return c
+        if eps < target_epsilon:
+            lo = delta
+        else:
+            hi = delta
+        ratio = target_epsilon / eps if eps > 0.0 else 4.0
+        proposal = delta * min(4.0, max(0.25, ratio))
+        delta = proposal if lo < proposal < hi else (lo + hi) / 2.0
+    # unreachable in practice; epsilon(lo) is below the target, so still < 1
+    return normal + lo * g
 
 
 def _epsilon_of(c: np.ndarray) -> float:

@@ -1,10 +1,17 @@
 """The integer index of an almost-commuting Hermitian pair.
 
 Given a pair (A, B) with small commutator, form C = A + iB and the 2M-by-2M
-Hermitian almost-projection
+Hermitian matrix
 
     Q = [[ D^-1,      C G^-1 ],
-         [ G^-1 C*,   I - G^-1 ]],      G = I + C*C,  D = I + CC*.
+         [ G^-1 C*,   I - G^-1 ]],      G = I + C*C,  D = I + CC*,
+
+the orthogonal projection onto the graph of C*.  With the singular value
+decomposition C = U S V*, f = 1/(1 + S^2) and h = S/(1 + S^2), the identity
+f(1 - f) = h^2 gives Q = Y Y* with the 2M-by-M factor Y = [U sqrt(f); V S sqrt(f)].
+:func:`build_q` therefore takes one SVD of C and keeps only Y; the 2M-by-2M Q is
+never formed on the counting path (:func:`q_blocks_from_c` assembles it directly,
+as the reference formula).
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
@@ -28,6 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConvergenceFailure,
     CutTooLarge,
     GapViolation,
     InadmissibleCommutator,
@@ -48,21 +56,27 @@ SCALE_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class QBuild:
-    """The assembled almost-projection and its measured quality numbers.
+    """The factor ``y`` of the projection Q = y y* and its measured quality numbers.
 
-    ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar masked (or the
-    exact value ``2 * known_commutator_norm`` when the builder supplies one);
-    ``defect`` is ``norm(Q^2 - Q)`` restricted to interior indices of both copies.
+    ``y`` is 2M-by-M: rows ``0..M-1`` belong to the top copy, rows ``M..2M-1`` to
+    the bottom copy.  ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar
+    masked (or the exact value ``2 * known_commutator_norm`` when the builder
+    supplies one).  ``defect`` is ``(1 + e) * e`` with ``e = norm(y* y - I)``: since
+    ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
+    ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
     """
 
-    q: np.ndarray
+    y: np.ndarray
     orientation: str
-    gamma: np.ndarray
-    delta: np.ndarray
     epsilon: float
     defect: float
     dim: int
     boundary_window: int
+
+    @property
+    def q(self) -> np.ndarray:
+        """The full 2M-by-2M matrix ``y y*``, formed on each access."""
+        return self.y @ linalg.adjoint(self.y)
 
 
 @dataclass(frozen=True)
@@ -90,10 +104,10 @@ class OmegaResult:
     warnings: tuple[str, ...]
 
 
-def _dual_interior_block(m: np.ndarray, dim: int, interior: int) -> np.ndarray:
-    """Restrict a 2*dim matrix to the interior indices of both copies."""
-    idx = np.concatenate([np.arange(interior), dim + np.arange(interior)])
-    return m[np.ix_(idx, idx)]
+def _factor_defect(y: np.ndarray) -> float:
+    """``(1 + e) * e`` with ``e = norm(y* y - I)``, a bound on ``norm(Q^2 - Q)`` for Q = y y*."""
+    e = linalg.hermitian_norm(linalg.adjoint(y) @ y - np.eye(y.shape[1]))
+    return (1.0 + e) * e
 
 
 def masked_commutator_norm(pair: OperatorPair) -> float:
@@ -130,40 +144,49 @@ def resolve_orientation(orientation: str) -> str:
 
 
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
-    """Build the almost-projection for a pair in the requested orientation.
+    """Factor the almost-projection for a pair in the requested orientation.
 
     ``conjugate`` builds Q from C* = A - iB, which is the same as building the
-    literal Q of the pair (A, -B).
+    literal Q of the pair (A, -B); it swaps the roles of U and V.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the SVD of C does not converge.
     """
     resolved = resolve_orientation(orientation)
     c = pair.a + 1j * pair.b
+    try:
+        u, s, vh = np.linalg.svd(c)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
+    top, bottom = u, linalg.adjoint(vh)
     if resolved == "conjugate":
-        c = linalg.adjoint(c)
-    q, gamma, delta = q_blocks_from_c(c)
+        top, bottom = bottom, top
+    root = np.hypot(1.0, s)  # 1/sqrt(f)
+    y = np.concatenate([top / root, bottom * (s / root)])
 
     if pair.known_commutator_norm is not None:
         epsilon = 2.0 * pair.known_commutator_norm
     else:
-        cs = linalg.adjoint(c)
-        commutant = cs @ c - c @ cs
-        epsilon = linalg.operator_norm(
-            commutant[: pair.interior, : pair.interior]
+        # interior block of C*C - CC*; its norm is the same in both orientations
+        k = pair.interior
+        head, rows = c[:, :k], c[:k]
+        epsilon = linalg.hermitian_norm(
+            linalg.adjoint(head) @ head - rows @ linalg.adjoint(rows)
         )
-    defect = linalg.operator_norm(_dual_interior_block(q @ q - q, pair.dim, pair.interior))
     return QBuild(
-        q=q,
+        y=y,
         orientation=resolved,
-        gamma=gamma,
-        delta=delta,
         epsilon=float(epsilon),
-        defect=float(defect),
+        defect=_factor_defect(y),
         dim=pair.dim,
         boundary_window=pair.boundary_window,
     )
 
 
 def idempotency_defect(qb: QBuild) -> float:
-    """The interior-masked ``norm(Q^2 - Q)`` measured when Q was built."""
+    """The bound on ``norm(Q^2 - Q)`` measured from the factor when Q was built."""
     return qb.defect
 
 
@@ -183,8 +206,8 @@ def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
             f"cut {cut} reaches into the boundary collar "
             f"(dim {qb.dim}, window {qb.boundary_window})"
         )
-    idx = np.concatenate([np.arange(cut), qb.dim + np.arange(cut)])
-    return qb.q[np.ix_(idx, idx)]
+    yc = np.concatenate([qb.y[:cut], qb.y[qb.dim : qb.dim + cut]])
+    return yc @ linalg.adjoint(yc)
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:

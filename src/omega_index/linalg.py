@@ -1,7 +1,8 @@
 """Dense complex matrix algebra.
 
 Thin, contract-checked wrappers around numpy: products, adjoints, Hermitian
-eigendecomposition, positive-definite inversion and the operator norm.  Matrices are
+eigendecomposition, positive-definite inversion, the operator norm (with a cheaper
+form for Hermitian arguments) and an O(n^2) hermiticity gate.  Matrices are
 plain ``numpy.ndarray`` objects with dtype ``complex128``; every function validates the
 shapes/finiteness assumptions that the rest of the package relies on.
 
@@ -24,6 +25,11 @@ from .errors import (
 
 #: relative tolerance for "is this matrix Hermitian" gates
 HERMITIAN_TOL = 1e-10
+
+#: relative margin on the thresholds of the Frobenius pre-test in
+#: :func:`is_hermitian`; it is far above the rounding error of either norm, so
+#: the pre-test never decides a case that rounding could flip
+FROBENIUS_MARGIN = 1e-9
 
 #: relative floor on the smallest eigenvalue for positive-definite inversion
 PD_FLOOR = 1e-12
@@ -60,22 +66,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot add shapes {a.shape} and {b.shape}")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot subtract shapes {a.shape} and {b.shape}")
-    return a - b
-
-
-def scale(alpha: complex, a: np.ndarray) -> np.ndarray:
-    return alpha * a
-
-
 @dataclass(frozen=True)
 class HermitianEigen:
     """Full spectrum of a Hermitian matrix.
@@ -103,6 +93,28 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return operator_norm(m - adjoint(m)) / nm
 
 
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    """Decide ``hermiticity_defect(m) <= tol``, for most inputs in O(n^2).
+
+    With s = ``norm(m - adjoint(m), 'fro')``, F = ``norm(m, 'fro')`` and n the
+    order, the operator norms obey ``s/sqrt(n) <= norm(m - adjoint(m)) <= s`` and
+    ``F/sqrt(n) <= norm(m) <= F``.  So ``s*sqrt(n) <= tol*F`` proves the defect is
+    within ``tol`` and ``s > tol*F*sqrt(n)`` proves it is not; only inputs between
+    the two thresholds pay for :func:`hermiticity_defect`.
+    """
+    require_square(m)
+    skew = float(np.linalg.norm(m - adjoint(m)))
+    if skew == 0.0:
+        return 0.0 <= tol
+    frob = float(np.linalg.norm(m))
+    root_n = float(np.sqrt(m.shape[0]))
+    if skew * root_n <= tol * frob * (1.0 - FROBENIUS_MARGIN):
+        return True
+    if skew > tol * frob * root_n * (1.0 + FROBENIUS_MARGIN):
+        return False
+    return hermiticity_defect(m) <= tol
+
+
 def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> HermitianEigen:
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
@@ -118,11 +130,10 @@ def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> Herm
         If the underlying eigensolver does not converge.
     """
     require_square(m)
-    defect = hermiticity_defect(m)
-    if defect > hermitian_tol:
+    if not is_hermitian(m, hermitian_tol):
         raise NonHermitianInput(
-            f"matrix is not Hermitian: relative asymmetry {defect:.3e} exceeds "
-            f"{hermitian_tol:.1e}"
+            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
+            f"exceeds {hermitian_tol:.1e}"
         )
     sym = (m + adjoint(m)) / 2.0
     try:
@@ -147,6 +158,21 @@ def operator_norm(m: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"singular value computation failed: {exc}") from exc
     return float(np.sqrt(max(top, 0.0)))
+
+
+def hermitian_norm(m: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix: its largest absolute eigenvalue.
+
+    Reads only the lower triangle and does not check hermiticity; callers pass
+    matrices that are Hermitian by construction.
+    """
+    if m.size == 0:
+        return 0.0
+    try:
+        values = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
+    return float(max(-values[0], values[-1]))
 
 
 def hpd_inverse(m: np.ndarray, pd_floor: float = PD_FLOOR, inv_tol: float = INV_TOL) -> np.ndarray:

@@ -75,7 +75,7 @@ class OperatorPair:
                 f"pair shapes {a.shape} and {b.shape} do not match dim {self.dim}"
             )
         for name, m in (("a", a), ("b", b)):
-            if linalg.hermiticity_defect(m) > linalg.HERMITIAN_TOL:
+            if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
                 raise NonHermitianInput(f"matrix {name} is not Hermitian to tolerance")
         if not 0 <= self.boundary_window < self.dim / 2:
             raise InvalidParameter(
@@ -252,7 +252,7 @@ def _random_unit_hermitian(dim: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox([seed]))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     r = (g + linalg.adjoint(g)) / 2.0
-    norm = linalg.operator_norm(r)
+    norm = linalg.hermitian_norm(r)
     if norm == 0.0:  # pragma: no cover - measure-zero event
         r = np.eye(dim, dtype=np.complex128)
         norm = 1.0

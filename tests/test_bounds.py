@@ -10,9 +10,11 @@ from omega_index import (
     check_resolvent_bound,
     check_resolvent_difference,
     check_theorem_defect,
+    operator_norm,
     random_near_normal,
     run_suite,
 )
+from omega_index.bounds import TARGET_BAND
 
 
 def nilpotent(c):
@@ -115,6 +117,32 @@ def test_resolvent_difference_near_normal_ensemble():
         res = check_resolvent_difference(c)
         assert res.passed
         assert 0.0 < res.extras["epsilon"] < 0.2
+
+
+def _epsilon(c):
+    return operator_norm(c.conj().T @ c - c @ c.conj().T)
+
+
+def test_random_near_normal_lands_in_target_band():
+    for trial in range(200):
+        rng = np.random.default_rng(2000 + trial)
+        dim = int(rng.integers(2, 33))
+        target = float(rng.uniform(0.01, 0.1))
+        c = random_near_normal(rng, dim, target)
+        assert abs(_epsilon(c) - target) < TARGET_BAND * target, trial
+
+
+def test_random_near_normal_seed_303_trial_386():
+    """Replays the suite draw (seed 303, family 2, trial 386) whose three
+    fix-point steps once overshot to epsilon 2.384 and made run_suite raise."""
+    rng = np.random.Generator(np.random.Philox([303, 2, 386]))
+    dim = int(rng.integers(2, 33))
+    target = float(rng.uniform(0.01, 0.1))
+    assert dim == 2
+    assert target == pytest.approx(0.0936, abs=5e-5)
+    c = random_near_normal(rng, dim, target)
+    assert abs(_epsilon(c) - target) < TARGET_BAND * target
+    assert check_resolvent_difference(c).passed
 
 
 # ---------------------------------------------------------------- lipschitz

@@ -4,6 +4,7 @@ import pytest
 import omega_index.calibration as calibration
 from omega_index import (
     CalibrationMissing,
+    ConvergenceFailure,
     CutTooLarge,
     GapViolation,
     InadmissibleCommutator,
@@ -20,12 +21,14 @@ from omega_index import (
     idempotency_defect,
     masked_commutator_norm,
     omega,
+    operator_norm,
     perturb,
     q_blocks_from_c,
     resolve_orientation,
     scale_admissible,
     theorem_bound,
 )
+from omega_index.index import _factor_defect
 
 
 def zero_pair(dim=1):
@@ -123,6 +126,83 @@ def test_default_orientation_needs_calibration_record(monkeypatch, tmp_path):
     monkeypatch.setattr(calibration, "record_path", lambda: tmp_path / "absent.json")
     with pytest.raises(CalibrationMissing):
         build_q(zero_pair(), "default")
+
+
+# ---------------------------------------------------------------- factored Q
+
+
+@pytest.fixture(scope="module")
+def dense200():
+    return perturb(build_harmonic(0.01, 200), "a", "random_hermitian", 0.002, 7)
+
+
+def _dual_corner(m, dim, cut):
+    idx = np.concatenate([np.arange(cut), dim + np.arange(cut)])
+    return m[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+def test_corners_match_assembled_q_dense(dense200, orientation):
+    c = dense200.a + 1j * dense200.b
+    if orientation == "conjugate":
+        c = c.conj().T
+    q, _, _ = q_blocks_from_c(c)
+    qb = build_q(dense200, orientation)
+    for cut in (1, 40, 100, dense200.interior):
+        err = np.max(np.abs(extract_q11(qb, cut) - _dual_corner(q, 200, cut)))
+        assert err <= 1e-13, (cut, err)
+
+
+def test_corners_match_assembled_q_grid(grid10, grid10_q):
+    q, _, _ = q_blocks_from_c(grid10.a - 1j * grid10.b)  # default is conjugate
+    assert grid10_q.orientation == "conjugate"
+    for cut in (40, 80, grid10.interior):
+        err = np.max(np.abs(extract_q11(grid10_q, cut) - _dual_corner(q, grid10.dim, cut)))
+        assert err <= 1e-13, (cut, err)
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+def test_defect_bounds_masked_idempotency(dense200, grid10, orientation):
+    """Both sides are rounding-level here; the allowance is the typical rounding
+    of the length-2M inner products that form q and q @ q in float64."""
+    for pair in (dense200, grid10):
+        qb = build_q(pair, orientation)
+        q = qb.q
+        masked = operator_norm(_dual_corner(q @ q - q, pair.dim, pair.interior))
+        allowance = np.sqrt(2 * pair.dim) * np.finfo(float).eps
+        assert masked <= qb.defect + allowance
+        assert qb.defect <= 1e-12
+
+
+def test_factor_defect_bounds_a_real_defect():
+    """Away from round-off the certificate (1 + e) e is a true upper bound."""
+    rng = np.random.default_rng(41)
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    for trial in range(20):
+        dim = int(rng.integers(2, 30))
+        noise = gaussian(2 * dim, dim)
+        y = np.linalg.qr(gaussian(2 * dim, dim))[0]
+        y = y + 10.0 ** rng.uniform(-6, -1) * noise / np.linalg.norm(noise, 2)
+        q = y @ y.conj().T
+        # 64 ulps of absolute allowance for forming q and q @ q in float64
+        assert operator_norm(q @ q - q) <= _factor_defect(y) + 64 * np.finfo(float).eps
+    y = 1.01 * np.linalg.qr(gaussian(20, 10))[0]  # uniform scaling: the bound is tight
+    q = y @ y.conj().T
+    assert operator_norm(q @ q - q) == pytest.approx(_factor_defect(y), rel=1e-9)
+
+
+def test_build_q_svd_failure_is_convergence_failure(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure):
+        build_q(zero_pair(), "literal")
+    with pytest.raises(ConvergenceFailure):
+        omega(build_harmonic(0.01, 16), cuts=[4])
 
 
 def test_masked_commutator_norm_harmonic(harmonic200):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import omega_index.linalg as linalg_module
 from omega_index import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -9,8 +12,10 @@ from omega_index import (
     adjoint,
     as_matrix,
     hermitian_eigen,
+    hermitian_norm,
     hermiticity_defect,
     hpd_inverse,
+    is_hermitian,
     matmul,
     operator_norm,
 )
@@ -69,6 +74,80 @@ def test_hermiticity_defect_zero_matrix():
 def test_hermiticity_defect_scales_out():
     m = as_matrix([[0, 1], [0, 0]])
     assert hermiticity_defect(m) == hermiticity_defect(10 * m)
+
+
+def _ginibre(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 12),
+    log_tol=st.floats(-14.0, 1.0),
+)
+def test_is_hermitian_matches_defect_on_random_matrices(seed, dim, log_tol):
+    m = _ginibre(np.random.default_rng(seed), dim)
+    tol = 10.0**log_tol
+    assert is_hermitian(m, tol) == (hermiticity_defect(m) <= tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 12),
+    log_tol=st.floats(-13.0, -2.0),
+    spread=st.floats(-1.5, 1.5),
+)
+def test_is_hermitian_matches_defect_near_the_tolerance(seed, dim, log_tol, spread):
+    """H + t*K with the defect at tol * dim**(spread/2): within a factor sqrt(dim)
+    of tol for |spread| <= 1, where the Frobenius pre-test must fall back, and
+    beyond it on both sides, where the pre-test decides."""
+    rng = np.random.default_rng(seed)
+    g = _ginibre(rng, dim)
+    h = (g + g.conj().T) / 2.0
+    k = _ginibre(rng, dim)
+    k = (k - k.conj().T) / 2.0
+    tol = 10.0**log_tol
+    target = tol * dim ** (spread / 2.0)
+    t = target * operator_norm(h) / (2.0 * operator_norm(k))
+    m = h + t * k
+    assert is_hermitian(m, tol) == (hermiticity_defect(m) <= tol)
+
+
+def test_is_hermitian_zero_and_scalar_inputs():
+    assert is_hermitian(np.zeros((3, 3)))
+    assert is_hermitian(np.zeros((3, 3)), tol=0.0)
+    assert is_hermitian(np.zeros((1, 1)))
+    assert is_hermitian(np.array([[2.5]]))
+    assert not is_hermitian(np.array([[1j]]))
+    assert is_hermitian(np.array([[1 + 1e-12j]]))
+    assert not is_hermitian(np.array([[1 + 1e-9j]]))
+
+
+def test_is_hermitian_decides_clear_cases_without_the_defect(monkeypatch):
+    def refuse(m):
+        raise AssertionError("hermiticity_defect called")
+
+    monkeypatch.setattr(linalg_module, "hermiticity_defect", refuse)
+    rng = np.random.default_rng(11)
+    assert is_hermitian(random_hermitian(rng, 50))
+    assert not is_hermitian(_ginibre(rng, 50))
+
+
+def test_hermitian_eigen_reports_exact_defect():
+    with pytest.raises(NonHermitianInput) as exc:
+        hermitian_eigen(as_matrix([[0, 1], [0, 0]]))
+    assert f"{hermiticity_defect(as_matrix([[0, 1], [0, 0]])):.3e}" in exc.value.message
+
+
+def test_hermitian_norm_matches_operator_norm():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 7, 30):
+        h = random_hermitian(rng, dim)
+        assert hermitian_norm(h) == pytest.approx(operator_norm(h), rel=1e-12)
+    assert hermitian_norm(-np.diag([1.0, 3.0, 2.0])) == 3.0
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_hermitian_eigen_identity():
