@@ -20,17 +20,17 @@ Exit codes: 0 on success; 2 when the computation refuses to certify an index
 error object on stdout; 1 on usage, configuration, or I/O errors.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
-so identical invocations (including ``--seed`` and any thread count) produce
-byte-identical output.
+so identical invocations (including ``--seed``) produce byte-identical output.
+Counting is serial; ``--threads`` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +55,6 @@ OMEGA_SCHEMA = "omega-report-v1"
 SWEEP_SCHEMA = "omega-sweep-v1"
 VERIFY_SCHEMA = "verify-report-v1"
 SPHERE_SCHEMA = "sphere-report-v1"
-
-THREADS_ENV = "OMEGA_INDEX_THREADS"
 
 _BUILDER_NAMES = {"harmonic": "harmonic", "commuting": "commuting_grid", "file": "file"}
 
@@ -143,18 +141,6 @@ def _pair_spec_from_args(args) -> PairSpec:
     )
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigParse(f"bad {THREADS_ENV} value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _omega_doc(result) -> dict:
     return {
         "schema_version": OMEGA_SCHEMA,
@@ -237,13 +223,11 @@ def cmd_omega(args) -> int:
         pair, sa, sb = scale_admissible(pair, args.target_commutator)
         scaling = (sa, sb)
     cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
-    threads = _resolve_threads(args.threads)
     result = omega(
         pair,
         cuts=cuts,
         orientation=args.orientation,
         gap_floor=args.gap_floor,
-        threads=threads,
         scaling=scaling,
     )
     doc = _omega_doc(result)
@@ -331,22 +315,16 @@ def cmd_sweep(args) -> int:
         values = _parse_int_list(args.values)
     else:
         values = _parse_float_list(args.values)
-    threads = _resolve_threads(args.threads)
-
-    def one(value):
+    points = []
+    for value in values:
         try:
-            return {"value": _plain(value), "report": _sweep_point(args, base_spec, value)}
+            point = {"value": _plain(value), "report": _sweep_point(args, base_spec, value)}
         except OmegaIndexError as exc:
-            return {
+            point = {
                 "value": _plain(value),
                 "error": {"type": type(exc).__name__, "message": exc.message},
             }
-
-    if threads > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one, values))
-    else:
-        points = [one(v) for v in values]
+        points.append(point)
 
     omegas = [p["report"]["omega"] for p in points if "report" in p]
     constant = len(omegas) == len(points) and len(set(omegas)) == 1
@@ -446,7 +424,7 @@ def _add_output_arguments(parser, formats=("json", "csv", "text")) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker threads (default: ${THREADS_ENV} or core count)",
+        help="kept for compatibility; has no effect (counting is serial)",
     )
 
 

@@ -28,7 +28,8 @@ substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  Th
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     m_n: int
     gap: float
-    s0_count: int
-    s1_count: int
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,6 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     )
 
 
-def idempotency_defect(qb: QBuild) -> float:
-    """The bound on ``norm(Q^2 - Q)`` measured from the factor when Q was built."""
-    return qb.defect
-
-
 def theorem_bound(epsilon: float) -> float:
     """The defect bound (4e - 2e^2)/(1 - e)^2, finite only for e < 1."""
     if not np.isfinite(epsilon) or epsilon < 0 or epsilon >= 1:
@@ -227,10 +221,8 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
 
 def _spectral_report(qb: QBuild, cut: int) -> SpectralReport:
     values = linalg.hermitian_eigen(extract_q11(qb, cut)).values
-    m_n, gap, s0, s1 = count_upper(values)
-    return SpectralReport(
-        cut=cut, eigenvalues=values, m_n=m_n, gap=gap, s0_count=s0, s1_count=s1
-    )
+    m_n, gap, _, _ = count_upper(values)
+    return SpectralReport(cut=cut, eigenvalues=values, m_n=m_n, gap=gap)
 
 
 def default_cuts(dim: int) -> list[int]:
@@ -245,7 +237,6 @@ def omega(
     cuts=None,
     orientation: str = "default",
     gap_floor: float = DEFAULT_GAP_FLOOR,
-    threads: int = 1,
     scaling: tuple[float, float] = (1.0, 1.0),
 ) -> OmegaResult:
     """Count the index over a sweep of cuts and require a stable answer.
@@ -253,10 +244,13 @@ def omega(
     For each cut N the corner block is eigendecomposed, eigenvalues above 1/2 are
     counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
     agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
-    1/2.
+    1/2.  Cuts are counted one after another in the calling thread; only the
+    BLAS/LAPACK calls inside each eigensolve may run threaded.
 
     Raises
     ------
+    InvalidParameter
+        If the cut sweep is empty or ``gap_floor`` is negative or not finite.
     InadmissibleCommutator
         If epsilon >= 1 or the defect bound at epsilon is >= 1/4; rescale with
         :func:`scale_admissible` first.
@@ -270,8 +264,8 @@ def omega(
     cuts = [int(c) for c in cuts]
     if not cuts:
         raise InvalidParameter("cut sweep must be non-empty")
-    if gap_floor < 0:
-        raise InvalidParameter(f"gap_floor must be >= 0, got {gap_floor}")
+    if not (np.isfinite(gap_floor) and gap_floor >= 0):
+        raise InvalidParameter(f"gap_floor must be finite and >= 0, got {gap_floor}")
 
     qb = build_q(pair, orientation)
     if qb.epsilon >= 1.0:
@@ -296,11 +290,7 @@ def omega(
                 f"(dim {qb.dim}, window {qb.boundary_window})"
             )
 
-    if threads > 1 and len(cuts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: _spectral_report(qb, c), cuts))
-    else:
-        reports = [_spectral_report(qb, c) for c in cuts]
+    reports = [_spectral_report(qb, c) for c in cuts]
 
     violating = [(r.cut, r.gap) for r in reports if r.gap < gap_floor]
     if violating:

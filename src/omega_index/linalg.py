@@ -1,6 +1,6 @@
 """Dense complex matrix algebra.
 
-Thin, contract-checked wrappers around numpy: products, adjoints, Hermitian
+Thin, contract-checked wrappers around numpy: adjoints, Hermitian
 eigendecomposition, positive-definite inversion, the operator norm (with a cheaper
 form for Hermitian arguments) and an O(n^2) hermiticity gate.  Matrices are
 plain ``numpy.ndarray`` objects with dtype ``complex128``; every function validates the
@@ -52,13 +52,6 @@ def require_square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with conformability check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -77,11 +78,16 @@ def test_omega_threads_env(capsys, monkeypatch):
     assert json.loads(out)["omega"] == 1
 
 
-def test_omega_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("OMEGA_INDEX_THREADS", "lots")
-    code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "70")
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "ConfigParse"
+def test_counting_starts_no_threads(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    omega_args = ("omega", "--dim", "240", "--cuts", "70,90,110", "--threads", "4")
+    assert run_cli(capsys, *omega_args)[0] == 0
+    sweep_args = ("sweep", "--axis", "cut", "--values", "70,90", "--dim", "240",
+                  "--threads", "4")
+    assert run_cli(capsys, *sweep_args)[0] == 0
 
 
 def test_omega_default_cuts(capsys):
@@ -205,6 +211,14 @@ def test_usage_error_exits_1(capsys):
     code, _, err = run_cli(capsys, "omega", "--bogus")
     assert code == 1
     assert "usage" in err
+
+
+def test_non_finite_gap_floor_exits_1(capsys):
+    code, out, _ = run_cli(
+        capsys, "omega", "--dim", "240", "--cuts", "70", "--gap-floor", "nan"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidParameter"
 
 
 def test_missing_subcommand_exits_1(capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import omega_index.linalg as linalg_module
 from omega_index import (
     ConvergenceFailure,
-    DimensionMismatch,
     NonHermitianInput,
     NotPositiveDefinite,
     adjoint,
@@ -16,7 +15,6 @@ from omega_index import (
     hermiticity_defect,
     hpd_inverse,
     is_hermitian,
-    matmul,
     operator_norm,
 )
 
@@ -40,18 +38,6 @@ def test_as_matrix_rejects_non_finite():
 def test_as_matrix_rejects_vector():
     with pytest.raises(Exception):
         as_matrix([1.0, 2.0, 3.0])
-
-
-def test_matmul_identity():
-    m = as_matrix([[1, 2j], [0, 3]])
-    eye = np.eye(2)
-    assert np.array_equal(matmul(m, eye), m)
-    assert np.array_equal(matmul(eye, m), m)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_adjoint_example():
