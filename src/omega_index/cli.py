@@ -8,10 +8,12 @@ Subcommands
 ``verify``
     Run the randomized inequality suites with a fixed seed.
 ``spectrum``
-    Dump the corner-block eigenvalues at one cut as CSV (``index,eigenvalue``).
+    Dump the corner-block eigenvalues at one cut as CSV (``index,eigenvalue``):
+    exactly the values ``omega`` counts at that cut.
 ``sweep``
     Re-run the index across a parameter axis (lambda, cut, or perturbation
-    magnitude) and report whether it stayed constant.
+    magnitude) and report whether it stayed constant.  On the cut axis the pair
+    and Q are built once and every value is certified from them.
 ``sphere``
     Map a pair to sphere coordinates and report the measured relation defects.
 
@@ -40,14 +42,15 @@ from .errors import STABILITY_ERRORS, ConfigParse, OmegaIndexError
 from .index import (
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
-    default_cuts,
-    extract_q11,
     build_q,
+    certify,
+    check_gap_floor,
+    corner_eigenvalues,
+    default_cuts,
     omega,
     scale_admissible,
     theorem_bound,
 )
-from . import linalg
 from .operators import PairSpec, PerturbationSpec, build_pair, perturb
 from .errors import InvalidParameter
 
@@ -281,7 +284,7 @@ def cmd_spectrum(args) -> int:
     spec = _pair_spec_from_args(args)
     pair = build_pair(spec)
     qb = build_q(pair, args.orientation)
-    values = linalg.hermitian_eigen(extract_q11(qb, args.cut)).values
+    values = corner_eigenvalues(qb, args.cut)
     lines = ["index,eigenvalue"]
     for i, v in enumerate(values):
         lines.append(f"{i},{float(v)!r}")
@@ -289,42 +292,57 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_point(args, base_spec: PairSpec, value):
+def _sweep_error(value, exc: OmegaIndexError) -> dict:
+    return {
+        "value": _plain(value),
+        "error": {"type": type(exc).__name__, "message": exc.message},
+    }
+
+
+def _sweep_point(value, count) -> dict:
+    """One sweep entry: the report of ``count(value)``, or the error it raised."""
+    try:
+        return {"value": _plain(value), "report": _omega_doc(count(value))}
+    except OmegaIndexError as exc:
+        return _sweep_error(value, exc)
+
+
+def _pair_axis_count(args, base_spec: PairSpec, value):
+    """The index of the pair at one lambda or perturbation value."""
     if args.axis == "lambda":
-        spec = replace(base_spec, lam=float(value))
-        pair = build_pair(spec)
-        cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
-    elif args.axis == "cut":
-        pair = build_pair(base_spec)
-        cuts = [int(value)]
+        pair = build_pair(replace(base_spec, lam=float(value)))
     else:
-        pair = build_pair(base_spec)
         pair = perturb(
-            pair, args.perturb_target, args.perturb_kind, float(value), args.perturb_seed
+            build_pair(base_spec),
+            args.perturb_target,
+            args.perturb_kind,
+            float(value),
+            args.perturb_seed,
         )
-        cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
-    result = omega(
-        pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor
-    )
-    return _omega_doc(result)
+    cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
+    return omega(pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor)
 
 
 def cmd_sweep(args) -> int:
     base_spec = _pair_spec_from_args(args)
-    if args.axis == "cut":
-        values = _parse_int_list(args.values)
-    else:
+    check_gap_floor(args.gap_floor)
+    if args.axis != "cut":
         values = _parse_float_list(args.values)
-    points = []
-    for value in values:
+        points = [
+            _sweep_point(v, lambda v: _pair_axis_count(args, base_spec, v)) for v in values
+        ]
+    else:
+        # every cut is certified from one pair and one Q; if building them
+        # fails, every cut fails with that error
+        values = _parse_int_list(args.values)
         try:
-            point = {"value": _plain(value), "report": _sweep_point(args, base_spec, value)}
+            qb = build_q(build_pair(base_spec), args.orientation)
         except OmegaIndexError as exc:
-            point = {
-                "value": _plain(value),
-                "error": {"type": type(exc).__name__, "message": exc.message},
-            }
-        points.append(point)
+            points = [_sweep_error(v, exc) for v in values]
+        else:
+            points = [
+                _sweep_point(v, lambda v: certify(qb, [v], args.gap_floor)) for v in values
+            ]
 
     omegas = [p["report"]["omega"] for p in points if "report" in p]
     constant = len(omegas) == len(points) and len(set(omegas)) == 1

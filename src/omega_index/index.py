@@ -15,7 +15,12 @@ as the reference formula).
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
-report the cut-independent integer ``omega = M_N - N``.  The counting is
+report the cut-independent integer ``omega = M_N - N``.  Only eigenvalues are
+needed.  The corner at cut N is ``y_c y_c*``, where the 2N-by-M matrix ``y_c``
+holds the top N and bottom N rows of Y, so its rank is at most M: its nonzero
+eigenvalues are those of the M-by-M matrix ``y_c* y_c`` and the other 2N - M are
+exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller of the two,
+the corner itself when 2N <= M and ``y_c* y_c`` otherwise.  The counting is
 meaningful only while the idempotency-defect bound (4e - 2e^2)/(1 - e)^2 at the
 measured commutator size e stays below 1/4; outside that regime the pair must be
 rescaled first (:func:`scale_admissible`).
@@ -65,6 +70,7 @@ class QBuild:
     supplies one).  ``defect`` is ``(1 + e) * e`` with ``e = norm(y* y - I)``: since
     ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
     ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
+    ``epsilon_measured`` is true when the pair carried no analytic commutator norm.
     """
 
     y: np.ndarray
@@ -73,6 +79,7 @@ class QBuild:
     defect: float
     dim: int
     boundary_window: int
+    epsilon_measured: bool
 
     @property
     def q(self) -> np.ndarray:
@@ -82,7 +89,7 @@ class QBuild:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalue census of one corner block."""
+    """Eigenvalue census of one corner block; ``eigenvalues`` are all 2*cut, ascending."""
 
     cut: int
     eigenvalues: np.ndarray
@@ -181,6 +188,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
         defect=_factor_defect(y),
         dim=pair.dim,
         boundary_window=pair.boundary_window,
+        epsilon_measured=pair.known_commutator_norm is None,
     )
 
 
@@ -191,8 +199,8 @@ def theorem_bound(epsilon: float) -> float:
     return (4.0 * epsilon - 2.0 * epsilon**2) / (1.0 - epsilon) ** 2
 
 
-def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
-    """Corner block of Q on rows/columns {top 0..cut-1} + {bottom 0..cut-1}."""
+def _corner_rows(qb: QBuild, cut: int) -> np.ndarray:
+    """The 2*cut-by-M rows of ``y`` behind the corner at ``cut``: top rows, then bottom."""
     if cut < 1:
         raise InvalidParameter(f"cut must be at least 1, got {cut}")
     if cut > qb.dim - qb.boundary_window:
@@ -200,8 +208,28 @@ def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
             f"cut {cut} reaches into the boundary collar "
             f"(dim {qb.dim}, window {qb.boundary_window})"
         )
-    yc = np.concatenate([qb.y[:cut], qb.y[qb.dim : qb.dim + cut]])
+    return np.concatenate([qb.y[:cut], qb.y[qb.dim : qb.dim + cut]])
+
+
+def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
+    """Corner block of Q on rows/columns {top 0..cut-1} + {bottom 0..cut-1}."""
+    yc = _corner_rows(qb, cut)
     return yc @ linalg.adjoint(yc)
+
+
+def corner_eigenvalues(qb: QBuild, cut: int) -> np.ndarray:
+    """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending.
+
+    The corner is ``yc yc*`` with ``yc`` 2*cut-by-M.  When 2*cut <= M the corner
+    itself is solved.  Otherwise the M-by-M ``yc* yc``, which has the same nonzero
+    eigenvalues, is solved and the remaining 2*cut - M eigenvalues are exact zeros.
+    """
+    yc = _corner_rows(qb, cut)
+    zeros = yc.shape[0] - yc.shape[1]
+    if zeros <= 0:
+        return linalg.hermitian_eigenvalues(yc @ linalg.adjoint(yc))
+    values = linalg.hermitian_eigenvalues(linalg.adjoint(yc) @ yc)
+    return np.sort(np.concatenate([np.zeros(zeros), values]))
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:
@@ -220,7 +248,7 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
 
 
 def _spectral_report(qb: QBuild, cut: int) -> SpectralReport:
-    values = linalg.hermitian_eigen(extract_q11(qb, cut)).values
+    values = corner_eigenvalues(qb, cut)
     m_n, gap, _, _ = count_upper(values)
     return SpectralReport(cut=cut, eigenvalues=values, m_n=m_n, gap=gap)
 
@@ -232,6 +260,19 @@ def default_cuts(dim: int) -> list[int]:
     return [max(1, c) for c in cuts]
 
 
+def check_gap_floor(gap_floor: float) -> None:
+    """Raise :class:`InvalidParameter` unless ``gap_floor`` is finite and >= 0."""
+    if not (np.isfinite(gap_floor) and gap_floor >= 0):
+        raise InvalidParameter(f"gap_floor must be finite and >= 0, got {gap_floor}")
+
+
+def _cut_list(cuts) -> list[int]:
+    cuts = [int(c) for c in cuts]
+    if not cuts:
+        raise InvalidParameter("cut sweep must be non-empty")
+    return cuts
+
+
 def omega(
     pair: OperatorPair,
     cuts=None,
@@ -241,33 +282,57 @@ def omega(
 ) -> OmegaResult:
     """Count the index over a sweep of cuts and require a stable answer.
 
-    For each cut N the corner block is eigendecomposed, eigenvalues above 1/2 are
-    counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
-    agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
-    1/2.  Cuts are counted one after another in the calling thread; only the
-    BLAS/LAPACK calls inside each eigensolve may run threaded.
+    Validates the arguments, factors Q with :func:`build_q` and returns
+    :func:`certify` of it; ``cuts`` defaults to :func:`default_cuts`.  To count
+    many cut lists of one pair, build Q once and call :func:`certify` for each.
 
     Raises
     ------
     InvalidParameter
         If the cut sweep is empty or ``gap_floor`` is negative or not finite.
+    ConvergenceFailure
+        If the SVD of C does not converge.
+    InadmissibleCommutator, CutTooLarge, GapViolation, UnstableCount
+        As raised by :func:`certify`.
+    """
+    cuts = _cut_list(default_cuts(pair.dim) if cuts is None else cuts)
+    check_gap_floor(gap_floor)
+    return certify(build_q(pair, orientation), cuts, gap_floor, scaling)
+
+
+def certify(
+    qb: QBuild,
+    cuts,
+    gap_floor: float = DEFAULT_GAP_FLOOR,
+    scaling: tuple[float, float] = (1.0, 1.0),
+) -> OmegaResult:
+    """Count the index of a factored Q over a sweep of cuts and require a stable answer.
+
+    For each cut N the eigenvalues of the corner block are computed (values only,
+    on the smaller side; see :func:`corner_eigenvalues`), those above 1/2 are
+    counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
+    agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
+    1/2.  Cuts are counted one after another in the calling thread; only the
+    BLAS/LAPACK calls inside each eigensolve may run threaded.  ``scaling`` is
+    copied into the result.
+
+    Raises
+    ------
+    InvalidParameter
+        If the cut sweep is empty, a cut is below 1, or ``gap_floor`` is negative
+        or not finite.
     InadmissibleCommutator
         If epsilon >= 1 or the defect bound at epsilon is >= 1/4; rescale with
         :func:`scale_admissible` first.
+    CutTooLarge
+        If a cut reaches into the boundary collar.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
         If different cuts disagree on ``M_N - N``.
     """
-    if cuts is None:
-        cuts = default_cuts(pair.dim)
-    cuts = [int(c) for c in cuts]
-    if not cuts:
-        raise InvalidParameter("cut sweep must be non-empty")
-    if not (np.isfinite(gap_floor) and gap_floor >= 0):
-        raise InvalidParameter(f"gap_floor must be finite and >= 0, got {gap_floor}")
-
-    qb = build_q(pair, orientation)
+    cuts = _cut_list(cuts)
+    check_gap_floor(gap_floor)
     if qb.epsilon >= 1.0:
         raise InadmissibleCommutator(
             f"epsilon = {qb.epsilon:.6g} >= 1: counting undefined; "
@@ -306,7 +371,7 @@ def omega(
         raise UnstableCount(f"cut sweep disagrees ({detail})", counts=per_cut)
 
     warnings = []
-    if pair.known_commutator_norm is None:
+    if qb.epsilon_measured:
         warnings.append("epsilon measured with boundary masking (no analytic value)")
     return OmegaResult(
         omega=per_cut[0],

@@ -1,8 +1,9 @@
 """Dense complex matrix algebra.
 
 Thin, contract-checked wrappers around numpy: adjoints, Hermitian
-eigendecomposition, positive-definite inversion, the operator norm (with a cheaper
-form for Hermitian arguments) and an O(n^2) hermiticity gate.  Matrices are
+eigendecomposition (with or without eigenvectors), positive-definite inversion,
+the operator norm (with a cheaper form for Hermitian arguments) and an O(n^2)
+hermiticity gate.  Matrices are
 plain ``numpy.ndarray`` objects with dtype ``complex128``; every function validates the
 shapes/finiteness assumptions that the rest of the package relies on.
 
@@ -108,6 +109,17 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return hermiticity_defect(m) <= tol
 
 
+def _hermitian_part(m: np.ndarray, hermitian_tol: float) -> np.ndarray:
+    """Gate ``m`` on hermiticity and return its symmetrization ``(m + adjoint(m)) / 2``."""
+    require_square(m)
+    if not is_hermitian(m, hermitian_tol):
+        raise NonHermitianInput(
+            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
+            f"exceeds {hermitian_tol:.1e}"
+        )
+    return (m + adjoint(m)) / 2.0
+
+
 def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> HermitianEigen:
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
@@ -122,18 +134,32 @@ def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> Herm
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    require_square(m)
-    if not is_hermitian(m, hermitian_tol):
-        raise NonHermitianInput(
-            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
-            f"exceeds {hermitian_tol:.1e}"
-        )
-    sym = (m + adjoint(m)) / 2.0
+    sym = _hermitian_part(m, hermitian_tol)
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     return HermitianEigen(values=values, vectors=vectors)
+
+
+def hermitian_eigenvalues(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Eigenvalues of a (numerically) Hermitian matrix, sorted ascending.
+
+    The same gate and symmetrization as :func:`hermitian_eigen`, without the
+    eigenvectors.
+
+    Raises
+    ------
+    NonHermitianInput
+        If ``norm(m - adjoint(m)) > hermitian_tol * norm(m)``.
+    ConvergenceFailure
+        If the underlying eigensolver does not converge.
+    """
+    sym = _hermitian_part(m, hermitian_tol)
+    try:
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
 
 
 def operator_norm(m: np.ndarray) -> float:

@@ -4,7 +4,10 @@ import threading
 import numpy as np
 import pytest
 
-from omega_index import save_matrix
+import omega_index.cli as cli_module
+import omega_index.index as index_module
+import omega_index.operators as operators_module
+from omega_index import build_harmonic, omega, save_matrix
 from omega_index.cli import main
 
 
@@ -221,6 +224,17 @@ def test_non_finite_gap_floor_exits_1(capsys):
     assert json.loads(out)["error"]["type"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("axis, values", [("cut", "40,50"), ("lambda", "0.005,0.01")])
+def test_sweep_non_finite_gap_floor_exits_1(capsys, axis, values):
+    """A gap floor that no point can pass fails the whole sweep once, as for omega."""
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", axis, "--values", values, "--dim", "400",
+        "--gap-floor", "nan"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidParameter"
+
+
 def test_missing_subcommand_exits_1(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
@@ -269,6 +283,15 @@ def test_spectrum_zero_pair_exact(capsys, tmp_path):
     )
     assert code == 0
     assert out == "index,eigenvalue\n0,0.0\n1,1.0\n"
+
+
+@pytest.mark.parametrize("cut", [70, 130])  # 2N <= M and 2N > M at dim 240
+def test_spectrum_prints_what_omega_counts(capsys, cut):
+    code, out, _ = run_cli(capsys, "spectrum", "--dim", "240", "--cut", str(cut))
+    assert code == 0
+    printed = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    counted = omega(build_harmonic(0.01, 240), cuts=[cut]).reports[0].eigenvalues
+    assert printed == counted.tolist()
 
 
 def test_spectrum_commuting_values(capsys):
@@ -321,6 +344,68 @@ def test_sweep_cut_axis(capsys):
     assert doc["omega_constant"] is True
     assert doc["omega"] == 1
     assert [p["value"] for p in doc["points"]] == [70, 90, 110]
+
+
+def test_sweep_cut_axis_builds_pair_and_q_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, modules in (
+        ("build_pair", (operators_module, cli_module)),
+        ("build_q", (index_module, cli_module)),
+    ):
+        wrapped = counting(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--values", "70,90,130", "--dim", "240"
+    )
+    assert code == 0
+    assert json.loads(out)["omega"] == 1
+    assert sorted(calls) == ["build_pair", "build_q"]
+
+
+def test_sweep_cut_axis_points_match_omega(capsys):
+    """Each point reports or refuses exactly as ``omega --cuts value`` does."""
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--values", "50,70,130,230", "--dim", "240"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["omega_constant"], doc["omega"]) == (False, None)
+    points = doc["points"]
+    assert [p.get("error", {}).get("type") for p in points] == [
+        "GapViolation", None, None, "CutTooLarge"
+    ]
+    for point in points:
+        code, out, _ = run_cli(
+            capsys, "omega", "--dim", "240", "--cuts", str(point["value"])
+        )
+        alone = json.loads(out)
+        if "report" in point:
+            assert code == 0
+            assert point["report"] == alone
+        else:
+            assert point["error"] == {k: alone["error"][k] for k in ("type", "message")}
+
+
+def test_sweep_cut_axis_shared_build_failure_fails_every_point(capsys, tmp_path):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_matrix(np.array([[0, 1], [0, 0]], dtype=complex), pa)
+    save_matrix(np.zeros((2, 2), dtype=complex), pb)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--values", "1,2", "--pair", "file",
+        "--file-a", str(pa), "--file-b", str(pb)
+    )
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [p["error"]["type"] for p in points] == ["NonHermitianInput"] * 2
 
 
 def test_sweep_perturbation_axis(capsys):

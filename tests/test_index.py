@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import omega_index.calibration as calibration
 from omega_index import (
@@ -11,8 +15,11 @@ from omega_index import (
     InvalidParameter,
     OperatorPair,
     UnstableCount,
+    build_commuting_grid,
     build_harmonic,
     build_q,
+    certify,
+    corner_eigenvalues,
     count_upper,
     default_cuts,
     extract_q11,
@@ -290,6 +297,61 @@ def test_extract_q11_interleaved_bookkeeping():
     interleaved = qb.q[np.ix_(full_perm, full_perm)][: 2 * cut, : 2 * cut]
     corner_perm = np.arange(2 * cut).reshape(2, cut).T.reshape(-1)
     assert np.array_equal(q11[np.ix_(corner_perm, corner_perm)], interleaved)
+
+
+# ---------------------------------------------------------------- corner spectra
+
+
+@pytest.fixture(scope="module")
+def dense200_q(dense200):
+    return {o: build_q(dense200, o) for o in ("literal", "conjugate")}
+
+
+def _check_corner_spectrum(qb, cut):
+    """corner_eigenvalues against the eigendecomposition of the formed corner."""
+    values = corner_eigenvalues(qb, cut)
+    reference = hermitian_eigen(extract_q11(qb, cut)).values
+    assert values.shape == (2 * cut,)
+    assert np.all(np.diff(values) >= 0)
+    assert np.max(np.abs(values - reference)) <= 1e-13
+    (m_n, gap, s0, s1), (ref_m_n, ref_gap, ref_s0, ref_s1) = (
+        count_upper(values),
+        count_upper(reference),
+    )
+    assert (m_n, s0, s1) == (ref_m_n, ref_s0, ref_s1)
+    assert abs(gap - ref_gap) <= 1e-13
+    return values
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+@settings(max_examples=15, deadline=None)
+@given(cut=st.integers(1, 175))
+@example(cut=1)
+@example(cut=99)
+@example(cut=100)  # 2N = M
+@example(cut=101)
+@example(cut=175)  # the last cut before the collar
+def test_corner_eigenvalues_match_full_corner(dense200_q, orientation, cut):
+    """Both sides of 2N <= M give the corner's spectrum; 2N - M of it are padded zeros."""
+    values = _check_corner_spectrum(dense200_q[orientation], cut)
+    assert np.count_nonzero(values == 0.0) == max(0, 2 * cut - 200)
+
+
+def test_corner_eigenvalues_windowless_grid_at_full_cut():
+    """At cut = dim the corner is all of Q: M eigenvalues 1 and exactly M zeros."""
+    pair = replace(build_commuting_grid(4), boundary_window=0)
+    qb = build_q(pair, "literal")
+    values = _check_corner_spectrum(qb, pair.dim)
+    assert np.count_nonzero(values == 0.0) == pair.dim
+    assert np.max(np.abs(values[pair.dim :] - 1.0)) <= 1e-13
+    assert certify(qb, [pair.dim]).omega == 0
+
+
+def test_corner_eigenvalues_validate_cut(harmonic400_q):
+    with pytest.raises(CutTooLarge):
+        corner_eigenvalues(harmonic400_q, 351)
+    with pytest.raises(InvalidParameter):
+        corner_eigenvalues(harmonic400_q, 0)
 
 
 def test_count_upper_example():

@@ -11,6 +11,7 @@ from omega_index import (
     adjoint,
     as_matrix,
     hermitian_eigen,
+    hermitian_eigenvalues,
     hermitian_norm,
     hermiticity_defect,
     hpd_inverse,
@@ -156,6 +157,25 @@ def test_hermitian_eigen_sorted_ascending():
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hermitian_eigen(as_matrix([[0, 1], [0, 0]]))
+
+
+def test_hermitian_eigenvalues_gate_matches_hermitian_eigen():
+    m = as_matrix([[0, 1], [0, 0]])
+    with pytest.raises(NonHermitianInput) as full:
+        hermitian_eigen(m)
+    with pytest.raises(NonHermitianInput) as values_only:
+        hermitian_eigenvalues(m)
+    assert values_only.value.message == full.value.message
+
+
+def test_hermitian_eigenvalues_match_hermitian_eigen():
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 9, 40):
+        m = random_hermitian(rng, dim)
+        m[0, -1] += 1e-13  # round-off asymmetry is symmetrized, as in hermitian_eigen
+        values = hermitian_eigenvalues(m)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - hermitian_eigen(m).values)) <= 1e-12
 
 
 def test_hermitian_eigen_tolerates_roundoff_asymmetry():
