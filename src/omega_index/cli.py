@@ -292,23 +292,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_error(value, exc: OmegaIndexError) -> dict:
-    return {
-        "value": _plain(value),
-        "error": {"type": type(exc).__name__, "message": exc.message},
-    }
-
-
-def _sweep_point(value, count) -> dict:
-    """One sweep entry: the report of ``count(value)``, or the error it raised."""
-    try:
-        return {"value": _plain(value), "report": _omega_doc(count(value))}
-    except OmegaIndexError as exc:
-        return _sweep_error(value, exc)
-
-
-def _pair_axis_count(args, base_spec: PairSpec, value):
-    """The index of the pair at one lambda or perturbation value."""
+def _sweep_point(args, base_spec: PairSpec, value):
     if args.axis == "lambda":
         pair = build_pair(replace(base_spec, lam=float(value)))
     else:
@@ -326,23 +310,33 @@ def _pair_axis_count(args, base_spec: PairSpec, value):
 def cmd_sweep(args) -> int:
     base_spec = _pair_spec_from_args(args)
     check_gap_floor(args.gap_floor)
-    if args.axis != "cut":
-        values = _parse_float_list(args.values)
-        points = [
-            _sweep_point(v, lambda v: _pair_axis_count(args, base_spec, v)) for v in values
-        ]
-    else:
+    qb = build_error = None
+    if args.axis == "cut":
+        values = _parse_int_list(args.values)
         # every cut is certified from one pair and one Q; if building them
         # fails, every cut fails with that error
-        values = _parse_int_list(args.values)
         try:
             qb = build_q(build_pair(base_spec), args.orientation)
         except OmegaIndexError as exc:
-            points = [_sweep_error(v, exc) for v in values]
-        else:
-            points = [
-                _sweep_point(v, lambda v: certify(qb, [v], args.gap_floor)) for v in values
-            ]
+            build_error = exc
+    else:
+        values = _parse_float_list(args.values)
+    points = []
+    for value in values:
+        try:
+            if build_error is not None:
+                raise build_error
+            if qb is not None:
+                result = certify(qb, [value], args.gap_floor)
+            else:
+                result = _sweep_point(args, base_spec, value)
+            point = {"value": _plain(value), "report": _omega_doc(result)}
+        except OmegaIndexError as exc:
+            point = {
+                "value": _plain(value),
+                "error": {"type": type(exc).__name__, "message": exc.message},
+            }
+        points.append(point)
 
     omegas = [p["report"]["omega"] for p in points if "report" in p]
     constant = len(omegas) == len(points) and len(set(omegas)) == 1

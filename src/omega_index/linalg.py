@@ -142,20 +142,20 @@ def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> Herm
     return HermitianEigen(values=values, vectors=vectors)
 
 
-def hermitian_eigenvalues(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (numerically) Hermitian matrix, sorted ascending.
 
-    The same gate and symmetrization as :func:`hermitian_eigen`, without the
-    eigenvectors.
+    The same gate (at ``HERMITIAN_TOL``) and symmetrization as
+    :func:`hermitian_eigen`, without the eigenvectors.
 
     Raises
     ------
     NonHermitianInput
-        If ``norm(m - adjoint(m)) > hermitian_tol * norm(m)``.
+        If ``norm(m - adjoint(m)) > HERMITIAN_TOL * norm(m)``.
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    sym = _hermitian_part(m, hermitian_tol)
+    sym = _hermitian_part(m, HERMITIAN_TOL)
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
