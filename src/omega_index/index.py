@@ -6,24 +6,29 @@ Hermitian matrix
     Q = [[ D^-1,      C G^-1 ],
          [ G^-1 C*,   I - G^-1 ]],      G = I + C*C,  D = I + CC*,
 
-the orthogonal projection onto the graph of C*.  With the singular value
-decomposition C = U S V*, f = 1/(1 + S^2) and h = S/(1 + S^2), the identity
-f(1 - f) = h^2 gives Q = Y Y* with the 2M-by-M factor Y = [U sqrt(f); V S sqrt(f)].
-:func:`build_q` therefore takes one SVD of C and keeps only Y; the 2M-by-2M Q is
-never formed on the counting path (:func:`q_blocks_from_c` assembles it directly,
-as the reference formula).
+the orthogonal projection onto the graph of C*: onto range([I; d]) with d = C* in
+the ``literal`` orientation and d = C in the ``conjugate`` one (below).  Any
+orthonormal basis Y of that range gives Q = Y Y*, and :func:`build_q` takes a
+triangular one: with the reverse (UL) Cholesky factor I + d*d = U U*, U upper
+triangular, the matrix W = U^-* is lower triangular, and Y = [W; d W] is 2M-by-M
+with orthonormal columns.  The 2M-by-2M Q is never formed on the counting path
+(:func:`q_blocks_from_c` assembles it directly, as the reference formula).
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
 report the cut-independent integer ``omega = M_N - N``.  Only eigenvalues are
 needed.  The corner at cut N is ``y_c y_c*``, where the 2N-by-M matrix ``y_c``
-holds the top N and bottom N rows of Y, so its rank is at most M: its nonzero
-eigenvalues are those of the M-by-M matrix ``y_c* y_c`` and the other 2N - M are
+holds the top N and bottom N rows of Y.  Let b be the bandwidth of C, the largest
+|i - j| with C[i, j] != 0 (one b serves C and C*).  Since W is lower triangular
+and row i of d vanishes beyond column i + b, ``y_c`` is exactly zero beyond column
+k = min(M, N + b), so the corner has rank at most k: its nonzero eigenvalues are
+those of the k-by-k matrix ``y_c[:, :k]* y_c[:, :k]`` and the other 2N - k are
 exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller of the two,
-the corner itself when 2N <= M and ``y_c* y_c`` otherwise.  The counting is
-meaningful only while the idempotency-defect bound (4e - 2e^2)/(1 - e)^2 at the
-measured commutator size e stays below 1/4; outside that regime the pair must be
-rescaled first (:func:`scale_admissible`).
+the corner itself when 2N <= k and the k-by-k Gram otherwise; a banded pair such
+as the oscillator (b = 1) solves an (N + 1)-by-(N + 1) matrix at every cut.  The
+counting is meaningful only while the idempotency-defect bound
+(4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4; outside
+that regime the pair must be rescaled first (:func:`scale_admissible`).
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
@@ -71,6 +76,8 @@ class QBuild:
     ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
     ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
     ``epsilon_measured`` is true when the pair carried no analytic commutator norm.
+    ``bandwidth`` is the largest |i - j| with C[i, j] != 0, counted from exact zeros;
+    the rows of ``y`` behind the corner at cut N vanish beyond column N + bandwidth.
     """
 
     y: np.ndarray
@@ -80,6 +87,7 @@ class QBuild:
     dim: int
     boundary_window: int
     epsilon_measured: bool
+    bandwidth: int
 
     @property
     def q(self) -> np.ndarray:
@@ -112,7 +120,9 @@ class OmegaResult:
 
 def _factor_defect(y: np.ndarray) -> float:
     """``(1 + e) * e`` with ``e = norm(y* y - I)``, a bound on ``norm(Q^2 - Q)`` for Q = y y*."""
-    e = linalg.hermitian_norm(linalg.adjoint(y) @ y - np.eye(y.shape[1]))
+    gram = linalg.adjoint(y) @ y
+    gram[np.diag_indices(y.shape[1])] -= 1.0
+    e = linalg.hermitian_norm(gram)
     return (1.0 + e) * e
 
 
@@ -149,46 +159,74 @@ def resolve_orientation(orientation: str) -> str:
     )
 
 
+def bandwidth(c: np.ndarray) -> int:
+    """The largest |i - j| with ``c[i, j] != 0`` (exact zeros, no tolerance); 0 if diagonal.
+
+    Diagonals are scanned from the outside in, so a dense matrix stops at once.
+    """
+    for k in range(c.shape[0] - 1, 0, -1):
+        if np.any(np.diagonal(c, k)) or np.any(np.diagonal(c, -k)):
+            return k
+    return 0
+
+
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     """Factor the almost-projection for a pair in the requested orientation.
 
-    ``conjugate`` builds Q from C* = A - iB, which is the same as building the
-    literal Q of the pair (A, -B); it swaps the roles of U and V.
+    Q projects onto range([I; d]), with d = C* (``literal``) or d = C
+    (``conjugate``, which is the literal Q of the pair (A, -B)).  The factor is
+    ``y = [W; d W]`` with W = U^-* lower triangular, where I + d*d = U U* is the
+    reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.
 
     Raises
     ------
     ConvergenceFailure
-        If the SVD of C does not converge.
+        If I + d*d overflows or its Cholesky factorization fails.
     """
     resolved = resolve_orientation(orientation)
+    m = pair.dim
     c = pair.a + 1j * pair.b
-    try:
-        u, s, vh = np.linalg.svd(c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
-    top, bottom = u, linalg.adjoint(vh)
-    if resolved == "conjugate":
-        top, bottom = bottom, top
-    root = np.hypot(1.0, s)  # 1/sqrt(f)
-    y = np.concatenate([top / root, bottom * (s / root)])
+    band = bandwidth(c)
+    d = c if resolved == "conjugate" else linalg.adjoint(c)
+    del c
+    gram = linalg.adjoint(d) @ d
 
     if pair.known_commutator_norm is not None:
         epsilon = 2.0 * pair.known_commutator_norm
     else:
-        # interior block of C*C - CC*; its norm is the same in both orientations
+        # interior block of C*C - CC*, one half of which is already in the Gram;
+        # its norm is the same in both orientations
         k = pair.interior
-        head, rows = c[:, :k], c[:k]
-        epsilon = linalg.hermitian_norm(
-            linalg.adjoint(head) @ head - rows @ linalg.adjoint(rows)
-        )
+        rows = d[:k]
+        epsilon = linalg.hermitian_norm(gram[:k, :k] - rows @ linalg.adjoint(rows))
+
+    gram[np.diag_indices(m)] += 1.0
+    # an infinite diagonal does not make cholesky fail; it would zero columns of W
+    if not np.all(np.isfinite(gram.diagonal())):
+        raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+    try:
+        # reverse Cholesky: with J the flip, J G J = L L* gives G = U U*, U = J L J
+        chol = np.linalg.cholesky(gram[::-1, ::-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Cholesky factorization of I + d*d failed: {exc}") from exc
+    del gram
+    inverse = np.linalg.inv(chol)
+    del chol
+    # W = U^-* = J L^-* J; only its lower triangle is written, the rest stays exact 0
+    y = np.zeros((2 * m, m), dtype=np.complex128)
+    np.conjugate(inverse.T[::-1, ::-1], out=y[:m], where=np.tri(m, dtype=bool))
+    del inverse
+    np.matmul(d, y[:m], out=y[m:])
+
     return QBuild(
         y=y,
         orientation=resolved,
         epsilon=float(epsilon),
         defect=_factor_defect(y),
-        dim=pair.dim,
+        dim=m,
         boundary_window=pair.boundary_window,
         epsilon_measured=pair.known_commutator_norm is None,
+        bandwidth=band,
     )
 
 
@@ -199,16 +237,28 @@ def theorem_bound(epsilon: float) -> float:
     return (4.0 * epsilon - 2.0 * epsilon**2) / (1.0 - epsilon) ** 2
 
 
-def _corner_rows(qb: QBuild, cut: int) -> np.ndarray:
-    """The 2*cut-by-M rows of ``y`` behind the corner at ``cut``: top rows, then bottom."""
-    if cut < 1:
-        raise InvalidParameter(f"cut must be at least 1, got {cut}")
+def _check_collar(qb: QBuild, cut: int) -> None:
     if cut > qb.dim - qb.boundary_window:
         raise CutTooLarge(
             f"cut {cut} reaches into the boundary collar "
-            f"(dim {qb.dim}, window {qb.boundary_window})"
+            f"(dim {qb.dim}, window {qb.boundary_window})",
+            cut=cut,
+            dim=qb.dim,
+            boundary_window=qb.boundary_window,
         )
-    return np.concatenate([qb.y[:cut], qb.y[qb.dim : qb.dim + cut]])
+
+
+def _corner_rows(qb: QBuild, cut: int, columns: int | None = None) -> np.ndarray:
+    """The rows of ``y`` behind the corner at ``cut`` (top rows, then bottom), 2*cut of them.
+
+    Only the leading ``columns`` columns are kept, all of them by default.
+    """
+    if cut < 1:
+        raise InvalidParameter(f"cut must be at least 1, got {cut}")
+    _check_collar(qb, cut)
+    return np.concatenate(
+        [qb.y[:cut, :columns], qb.y[qb.dim : qb.dim + cut, :columns]]
+    )
 
 
 def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
@@ -220,11 +270,13 @@ def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
 def corner_eigenvalues(qb: QBuild, cut: int) -> np.ndarray:
     """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending.
 
-    The corner is ``yc yc*`` with ``yc`` 2*cut-by-M.  When 2*cut <= M the corner
-    itself is solved.  Otherwise the M-by-M ``yc* yc``, which has the same nonzero
-    eigenvalues, is solved and the remaining 2*cut - M eigenvalues are exact zeros.
+    The corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``, which are
+    exactly zero beyond column k = min(M, cut + bandwidth); only those k columns
+    are kept.  When 2*cut <= k the corner itself is solved.  Otherwise the k-by-k
+    ``yc* yc``, which has the same nonzero eigenvalues, is solved and the
+    remaining 2*cut - k eigenvalues are exact zeros.
     """
-    yc = _corner_rows(qb, cut)
+    yc = _corner_rows(qb, cut, min(qb.dim, cut + qb.bandwidth))
     zeros = yc.shape[0] - yc.shape[1]
     if zeros <= 0:
         return linalg.hermitian_eigenvalues(yc @ linalg.adjoint(yc))
@@ -291,7 +343,7 @@ def omega(
     InvalidParameter
         If the cut sweep is empty or ``gap_floor`` is negative or not finite.
     ConvergenceFailure
-        If the SVD of C does not converge.
+        If I + d*d overflows or its Cholesky factorization fails (see :func:`build_q`).
     InadmissibleCommutator, CutTooLarge, GapViolation, UnstableCount
         As raised by :func:`certify`.
     """
@@ -309,7 +361,7 @@ def certify(
     """Count the index of a factored Q over a sweep of cuts and require a stable answer.
 
     For each cut N the eigenvalues of the corner block are computed (values only,
-    on the smaller side; see :func:`corner_eigenvalues`), those above 1/2 are
+    on its rank side; see :func:`corner_eigenvalues`), those above 1/2 are
     counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
     agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
     1/2.  Cuts are counted one after another in the calling thread; only the
@@ -349,11 +401,7 @@ def certify(
         )
 
     for cut in cuts:
-        if cut > qb.dim - qb.boundary_window:
-            raise CutTooLarge(
-                f"cut {cut} reaches into the boundary collar "
-                f"(dim {qb.dim}, window {qb.boundary_window})"
-            )
+        _check_collar(qb, cut)
 
     reports = [_spectral_report(qb, c) for c in cuts]
 
@@ -363,12 +411,17 @@ def certify(
         raise GapViolation(
             f"corner eigenvalues within gap_floor {gap_floor:g} of 1/2 ({detail})",
             cuts=[c for c, _ in violating],
+            gaps=[g for _, g in violating],
             gap_floor=gap_floor,
         )
     per_cut = [r.m_n - r.cut for r in reports]
     if len(set(per_cut)) != 1:
         detail = ", ".join(f"cut {r.cut}: {v}" for r, v in zip(reports, per_cut))
-        raise UnstableCount(f"cut sweep disagrees ({detail})", counts=per_cut)
+        raise UnstableCount(
+            f"cut sweep disagrees ({detail})",
+            cuts=[r.cut for r in reports],
+            counts=per_cut,
+        )
 
     warnings = []
     if qb.epsilon_measured:

@@ -199,12 +199,30 @@ def test_omega_gap_violation_exits_2(capsys):
     assert err["detail"]["cuts"] == [60]
 
 
+def test_gap_violation_names_its_gaps(capsys):
+    code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "60,100,50")
+    assert code == 2
+    detail = json.loads(out)["error"]["detail"]
+    assert detail["cuts"] == [60, 50]
+    # cut-edge eigenvalue 2Nl/(2Nl + 1) at l = 0.01
+    assert detail["gaps"] == pytest.approx([1.2 / 2.2 - 0.5, 0.0], abs=1e-12)
+    assert detail["gap_floor"] == 0.05
+
+
 def test_omega_unstable_count_exits_2(capsys):
     code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "40,100")
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "UnstableCount"
     assert err["detail"]["counts"] == [0, 1]
+
+
+def test_unstable_count_names_its_cuts(capsys):
+    code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "40,100,30")
+    assert code == 2
+    detail = json.loads(out)["error"]["detail"]
+    assert detail["cuts"] == [40, 100, 30]
+    assert detail["counts"] == [0, 1, 0]
 
 
 # ---------------------------------------------------------------- exit code 1
@@ -244,6 +262,14 @@ def test_cut_too_large_exits_1(capsys):
     code, out, _ = run_cli(capsys, "omega", "--dim", "64", "--cuts", "60")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "CutTooLarge"
+
+
+def test_cut_too_large_names_cut_and_collar(capsys):
+    code, out, _ = run_cli(capsys, "omega", "--dim", "64", "--cuts", "20,60")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "CutTooLarge"
+    assert err["detail"] == {"cut": 60, "dim": 64, "boundary_window": 8}
 
 
 def test_bad_cut_spec_exits_1(capsys):

@@ -34,7 +34,7 @@ from omega_index import (
     scale_admissible,
     theorem_bound,
 )
-from omega_index.index import _factor_defect
+from omega_index.index import _factor_defect, bandwidth
 
 
 def zero_pair(dim=1):
@@ -200,15 +200,50 @@ def test_factor_defect_bounds_a_real_defect():
     assert operator_norm(q @ q - q) == pytest.approx(_factor_defect(y), rel=1e-9)
 
 
-def test_build_q_svd_failure_is_convergence_failure(monkeypatch):
+def test_build_q_factor_failure_is_convergence_failure(monkeypatch):
     def fail(m):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(ConvergenceFailure):
         build_q(zero_pair(), "literal")
     with pytest.raises(ConvergenceFailure):
         omega(build_harmonic(0.01, 16), cuts=[4])
+
+
+def test_build_q_refuses_an_overflowing_gram():
+    """A commuting pair near the float range: C*C overflows, and cholesky would not say so."""
+    pair = build_commuting_grid(4, 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceFailure, match="overflows"):
+            build_q(pair, "literal")
+    assert omega(build_commuting_grid(4, 1e150), cuts=[20]).omega == 0
+
+
+def _svd_factor(c):
+    """The factor of the literal Q from one SVD, C = U S V*: y = [U; V S] / sqrt(1 + S^2)."""
+    u, s, vh = np.linalg.svd(c)
+    root = np.hypot(1.0, s)
+    return np.concatenate([u / root, vh.conj().T * (s / root)])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+def test_corners_match_the_svd_factor(dense200, scale):
+    """The triangular basis spans the same graph as the singular vectors, so the corners agree."""
+    pair = OperatorPair(
+        a=scale * dense200.a,
+        b=scale * dense200.b,
+        dim=200,
+        basis_label="scaled",
+        known_commutator_norm=None,
+        boundary_window=dense200.boundary_window,
+    )
+    qb = build_q(pair, "literal")
+    y = _svd_factor(pair.a + 1j * pair.b)
+    for cut in (1, 40, 100, 101, pair.interior):
+        yc = np.concatenate([y[:cut], y[200 : 200 + cut]])
+        err = np.max(np.abs(extract_q11(qb, cut) - yc @ yc.conj().T))
+        assert err <= 1e-12, (scale, cut, err)
 
 
 def test_masked_commutator_norm_harmonic(harmonic200):
@@ -345,6 +380,94 @@ def test_corner_eigenvalues_windowless_grid_at_full_cut():
     assert np.count_nonzero(values == 0.0) == pair.dim
     assert np.max(np.abs(values[pair.dim :] - 1.0)) <= 1e-13
     assert certify(qb, [pair.dim]).omega == 0
+
+
+def _commuting64():
+    """The leading 64-by-64 block of ``build_commuting_grid(4)``: diagonal, so b = 0."""
+    grid = build_commuting_grid(4)
+    return OperatorPair(
+        a=grid.a[:64, :64],
+        b=grid.b[:64, :64],
+        dim=64,
+        basis_label="grid-block",
+        known_commutator_norm=0.0,
+        boundary_window=0,
+    )
+
+
+def _pairs64():
+    """Windowless dim-64 pairs of every band: cuts may then run up to N + b >= M."""
+    harmonic = replace(build_harmonic(0.01, 64), boundary_window=0)
+    return {
+        "harmonic": harmonic,
+        "commuting": _commuting64(),
+        "diagonal_decay": perturb(harmonic, "a", "diagonal_decay", 0.05),
+        "random_hermitian": perturb(harmonic, "b", "random_hermitian", 0.002, 3),
+    }
+
+
+BANDS64 = {"harmonic": 1, "commuting": 0, "diagonal_decay": 1, "random_hermitian": 63}
+
+
+@pytest.fixture(scope="module")
+def pairs64_q():
+    return {
+        (kind, o): build_q(pair, o)
+        for kind, pair in _pairs64().items()
+        for o in ("literal", "conjugate")
+    }
+
+
+def test_bandwidth_of_each_builder_and_perturbation(grid10):
+    harmonic = build_harmonic(0.01, 120)
+    assert build_q(harmonic, "literal").bandwidth == 1
+    assert build_q(grid10, "literal").bandwidth == 0
+    for target in ("a", "b"):
+        assert build_q(perturb(harmonic, target, "scalar_shift", 0.1), "literal").bandwidth == 1
+        assert build_q(perturb(harmonic, target, "diagonal_decay", 0.1), "literal").bandwidth == 1
+        dense = perturb(harmonic, target, "random_hermitian", 0.002, 5)
+        assert build_q(dense, "conjugate").bandwidth == 119
+
+
+def test_bandwidth_counts_exact_zeros():
+    m = np.zeros((5, 5), dtype=complex)
+    assert bandwidth(m) == 0
+    m[4, 1] = 1e-300
+    assert bandwidth(m) == 3
+    m[0, 4] = 1.0
+    assert bandwidth(m) == 4
+    assert bandwidth(np.ones((1, 1))) == 0
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+@pytest.mark.parametrize("kind", sorted(BANDS64))
+def test_basis_is_exactly_triangular_and_banded(pairs64_q, kind, orientation):
+    """W has exact zeros above its diagonal, so the corner rows vanish beyond N + b."""
+    qb = pairs64_q[kind, orientation]
+    b, m = qb.bandwidth, qb.dim
+    assert b == BANDS64[kind]
+    assert np.all(np.triu(qb.y[:m], 1) == 0)
+    for cut in range(1, m + 1):
+        assert np.all(qb.y[:cut, cut + b :] == 0)
+        assert np.all(qb.y[m : m + cut, cut + b :] == 0)
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+@pytest.mark.parametrize("kind", sorted(BANDS64))
+@settings(max_examples=10, deadline=None)
+@given(cut=st.integers(1, 64))
+@example(cut=1)  # 2N <= k for the harmonic pair (k = N + 1 = 2)
+@example(cut=20)  # 2N < k = M for the dense pair
+@example(cut=32)  # 2N = M
+@example(cut=33)  # 2N > M
+@example(cut=63)  # N + b >= M for b = 1
+@example(cut=64)  # the whole of Q
+def test_rank_side_matches_full_corner(pairs64_q, kind, orientation, cut):
+    """Keeping k = min(M, N + b) columns and solving the smaller side changes no eigenvalue."""
+    qb = pairs64_q[kind, orientation]
+    values = _check_corner_spectrum(qb, cut)
+    k = min(qb.dim, cut + qb.bandwidth)
+    assert np.count_nonzero(values == 0.0) >= 2 * cut - k
 
 
 def test_corner_eigenvalues_validate_cut(harmonic400_q):
