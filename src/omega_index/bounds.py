@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import InvalidParameter
 from .index import q_blocks_from_c, theorem_bound
-from .operators import OperatorPair
 
 #: relative round-off allowance on all inequality checks
 ROUNDOFF_ALLOWANCE = 1e-9
@@ -48,7 +47,6 @@ class BoundCheckResult:
     max_lhs: float
     min_slack: float
     violations: int
-    seed: int
     extras: dict = field(default_factory=dict)
 
     @property
@@ -121,7 +119,7 @@ def _epsilon_of(c: np.ndarray) -> float:
     return linalg.operator_norm(cs @ c - c @ cs)
 
 
-def check_resolvent_bound(c: np.ndarray, lam: float, seed: int = 0) -> BoundCheckResult:
+def check_resolvent_bound(c: np.ndarray, lam: float) -> BoundCheckResult:
     """``norm(C (lam + C*C)^-1) <= 1/sqrt(lam)`` and its mirrored form."""
     if not (np.isfinite(lam) and lam > 0):
         raise InvalidParameter(f"lam must be positive, got {lam}")
@@ -139,12 +137,11 @@ def check_resolvent_bound(c: np.ndarray, lam: float, seed: int = 0) -> BoundChec
         max_lhs=lhs,
         min_slack=bound - lhs,
         violations=violations,
-        seed=seed,
         extras={"lhs_times_sqrt_lam": lhs * np.sqrt(lam)},
     )
 
 
-def check_intertwine(c: np.ndarray, seed: int = 0) -> BoundCheckResult:
+def check_intertwine(c: np.ndarray) -> BoundCheckResult:
     """Exact finite-dimensional identity ``C (I + C*C)^-1 = (I + CC*)^-1 C``."""
     c = linalg.require_square(linalg.as_matrix(c))
     eye = np.eye(c.shape[0], dtype=np.complex128)
@@ -159,11 +156,10 @@ def check_intertwine(c: np.ndarray, seed: int = 0) -> BoundCheckResult:
         max_lhs=residual,
         min_slack=tol - residual,
         violations=int(residual > tol),
-        seed=seed,
     )
 
 
-def check_resolvent_difference(c: np.ndarray, seed: int = 0) -> BoundCheckResult:
+def check_resolvent_difference(c: np.ndarray) -> BoundCheckResult:
     """Resolvent difference against the bound ``e/(1-e)``, e = norm(C*C - CC*).
 
     The smaller constant ``e/(2(1+e))`` is recorded in ``extras`` as data; it
@@ -190,7 +186,6 @@ def check_resolvent_difference(c: np.ndarray, seed: int = 0) -> BoundCheckResult
         max_lhs=lhs,
         min_slack=bound - lhs,
         violations=int(_violates(lhs, bound, 1.0)),
-        seed=seed,
         extras={
             "epsilon": epsilon,
             "stated_bound": stated,
@@ -207,7 +202,7 @@ def _f_of(m: np.ndarray) -> np.ndarray:
     return (eig.vectors * w) @ linalg.adjoint(eig.vectors)
 
 
-def check_f_lipschitz(e: np.ndarray, f: np.ndarray, seed: int = 0) -> BoundCheckResult:
+def check_f_lipschitz(e: np.ndarray, f: np.ndarray) -> BoundCheckResult:
     """``norm(E(I+E)^-2 - F(I+F)^-2) <= (3d - d^2)/(1-d)^2`` with d = norm(E-F)."""
     e = linalg.require_square(linalg.as_matrix(e))
     f = linalg.require_square(linalg.as_matrix(f))
@@ -229,27 +224,20 @@ def check_f_lipschitz(e: np.ndarray, f: np.ndarray, seed: int = 0) -> BoundCheck
         max_lhs=lhs,
         min_slack=bound - lhs,
         violations=int(_violates(lhs, bound, 1.0)),
-        seed=seed,
         extras={"distance": d},
     )
 
 
-def check_theorem_defect(pair_or_c, seed: int = 0) -> BoundCheckResult:
-    """``norm(Q^2 - Q)`` against the defect bound at the pair's epsilon.
+def check_theorem_defect(c: np.ndarray) -> BoundCheckResult:
+    """``norm(Q^2 - Q)`` against the defect bound at epsilon = ``norm(C*C - CC*)``.
 
-    Accepts either an :class:`OperatorPair` (masked epsilon/defect, literal
-    orientation) or a raw square matrix C (exact, unmasked measurement).
+    Q is assembled from C by :func:`q_blocks_from_c`; both norms are exact and
+    unmasked.
     """
-    if isinstance(pair_or_c, OperatorPair):
-        from .index import build_q
-
-        qb = build_q(pair_or_c, orientation="literal")
-        epsilon, defect = qb.epsilon, qb.defect
-    else:
-        c = linalg.require_square(linalg.as_matrix(pair_or_c))
-        epsilon = _epsilon_of(c)
-        q, _, _ = q_blocks_from_c(c)
-        defect = linalg.operator_norm(q @ q - q)
+    c = linalg.require_square(linalg.as_matrix(c))
+    epsilon = _epsilon_of(c)
+    q, _, _ = q_blocks_from_c(c)
+    defect = linalg.operator_norm(q @ q - q)
     bound = theorem_bound(epsilon)
     return BoundCheckResult(
         name="projection_defect",
@@ -257,12 +245,11 @@ def check_theorem_defect(pair_or_c, seed: int = 0) -> BoundCheckResult:
         max_lhs=defect,
         min_slack=bound - defect,
         violations=int(_violates(defect, bound, 1.0)),
-        seed=seed,
         extras={"epsilon": epsilon},
     )
 
 
-def _merge(name: str, seed: int, results: list[BoundCheckResult]) -> BoundCheckResult:
+def _merge(name: str, results: list[BoundCheckResult]) -> BoundCheckResult:
     extras: dict = {}
     for r in results:
         for key, value in r.extras.items():
@@ -276,7 +263,6 @@ def _merge(name: str, seed: int, results: list[BoundCheckResult]) -> BoundCheckR
         max_lhs=max(r.max_lhs for r in results),
         min_slack=min(r.min_slack for r in results),
         violations=sum(r.violations for r in results),
-        seed=seed,
         extras=extras,
     )
 
@@ -286,8 +272,8 @@ def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     return w @ linalg.adjoint(w)
 
 
-def _random_scaled_pair(rng: np.random.Generator, dim: int, target_epsilon: float) -> OperatorPair:
-    """Random Hermitian pair scaled so that norm(C*C - CC*) is at most the target."""
+def _random_scaled_pair(rng: np.random.Generator, dim: int, target_epsilon: float) -> np.ndarray:
+    """C = A + iB for a random Hermitian pair scaled so that norm(C*C - CC*) is the target."""
     a = _ginibre(rng, dim)
     b = _ginibre(rng, dim)
     a = (a + linalg.adjoint(a)) / 2.0
@@ -297,14 +283,7 @@ def _random_scaled_pair(rng: np.random.Generator, dim: int, target_epsilon: floa
     if eps > 0:
         s = np.sqrt(target_epsilon / eps)
         a, b = s * a, s * b
-    return OperatorPair(
-        a=a,
-        b=b,
-        dim=dim,
-        basis_label="random",
-        known_commutator_norm=None,
-        boundary_window=0,
-    )
+    return a + 1j * b
 
 
 def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
@@ -324,13 +303,13 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         dim = int(rng.integers(2, max_dim + 1))
         c = _ginibre(rng, dim)
         lam = SUITE_LAMBDAS[t % len(SUITE_LAMBDAS)]
-        resolvent.append(check_resolvent_bound(c, lam, seed=seed))
+        resolvent.append(check_resolvent_bound(c, lam))
 
     intertwine = []
     for t in range(trials):
         rng = _rng(seed, 1, t)
         dim = int(rng.integers(2, max_dim + 1))
-        intertwine.append(check_intertwine(_ginibre(rng, dim), seed=seed))
+        intertwine.append(check_intertwine(_ginibre(rng, dim)))
 
     resolvent_diff = []
     for t in range(trials):
@@ -338,7 +317,7 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         dim = int(rng.integers(2, max_dim + 1))
         target = float(rng.uniform(0.01, 0.1))
         c = random_near_normal(rng, dim, target)
-        resolvent_diff.append(check_resolvent_difference(c, seed=seed))
+        resolvent_diff.append(check_resolvent_difference(c))
 
     lipschitz = []
     for t in range(trials):
@@ -355,21 +334,19 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         low = float(linalg.hermitian_eigen(f).values[0])
         if low < 0:
             f = f - low * np.eye(dim)
-        lipschitz.append(check_f_lipschitz(e, f, seed=seed))
+        lipschitz.append(check_f_lipschitz(e, f))
 
     defect = []
     for t in range(trials):
         rng = _rng(seed, 4, t)
         dim = int(rng.integers(2, max_dim + 1))
         target = float(rng.uniform(0.01, 0.1))
-        pair = _random_scaled_pair(rng, dim, target)
-        c = pair.a + 1j * pair.b
-        defect.append(check_theorem_defect(c, seed=seed))
+        defect.append(check_theorem_defect(_random_scaled_pair(rng, dim, target)))
 
     return [
-        _merge("resolvent_bound", seed, resolvent),
-        _merge("intertwine_identity", seed, intertwine),
-        _merge("resolvent_difference", seed, resolvent_diff),
-        _merge("f_lipschitz", seed, lipschitz),
-        _merge("projection_defect", seed, defect),
+        _merge("resolvent_bound", resolvent),
+        _merge("intertwine_identity", intertwine),
+        _merge("resolvent_difference", resolvent_diff),
+        _merge("f_lipschitz", lipschitz),
+        _merge("projection_defect", defect),
     ]

@@ -14,8 +14,6 @@ Subcommands
     Re-run the index across a parameter axis (lambda, cut, or perturbation
     magnitude) and report whether it stayed constant.  On the cut axis the pair
     and Q are built once and every value is certified from them.
-``sphere``
-    Map a pair to sphere coordinates and report the measured relation defects.
 
 Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
@@ -57,7 +55,6 @@ from .errors import InvalidParameter
 OMEGA_SCHEMA = "omega-report-v1"
 SWEEP_SCHEMA = "omega-sweep-v1"
 VERIFY_SCHEMA = "verify-report-v1"
-SPHERE_SCHEMA = "sphere-report-v1"
 
 _BUILDER_NAMES = {"harmonic": "harmonic", "commuting": "commuting_grid", "file": "file"}
 
@@ -362,29 +359,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_sphere(args) -> int:
-    from .operators import sphere_map
-
-    spec = _pair_spec_from_args(args)
-    pair = build_pair(spec)
-    sm = sphere_map(pair)
-    doc = {
-        "schema_version": SPHERE_SCHEMA,
-        "dim": int(pair.dim),
-        "relation_defect": float(sm.relation_defect),
-        "nonhermitian_defect": float(sm.nonhermitian_defect),
-    }
-    if args.format == "text":
-        _emit(
-            args,
-            f"dim {doc['dim']}  relation_defect = {doc['relation_defect']!r}  "
-            f"nonhermitian_defect = {doc['nonhermitian_defect']!r}\n",
-        )
-    else:
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
@@ -510,13 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--perturb-seed", type=int, default=0)
     _add_output_arguments(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_sphere = sub.add_parser(
-        "sphere", help="map a pair to sphere coordinates and report defects"
-    )
-    _add_pair_arguments(p_sphere)
-    _add_output_arguments(p_sphere, formats=("json", "text"))
-    p_sphere.set_defaults(func=cmd_sphere)
 
     return parser
 

@@ -89,11 +89,6 @@ class QBuild:
     epsilon_measured: bool
     bandwidth: int
 
-    @property
-    def q(self) -> np.ndarray:
-        """The full 2M-by-2M matrix ``y y*``, formed on each access."""
-        return self.y @ linalg.adjoint(self.y)
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -237,7 +232,10 @@ def theorem_bound(epsilon: float) -> float:
     return (4.0 * epsilon - 2.0 * epsilon**2) / (1.0 - epsilon) ** 2
 
 
-def _check_collar(qb: QBuild, cut: int) -> None:
+def _check_cut(qb: QBuild, cut: int) -> None:
+    """Refuse a cut below 1 or one that reaches into the boundary collar."""
+    if cut < 1:
+        raise InvalidParameter(f"cut must be at least 1, got {cut}")
     if cut > qb.dim - qb.boundary_window:
         raise CutTooLarge(
             f"cut {cut} reaches into the boundary collar "
@@ -253,9 +251,7 @@ def _corner_rows(qb: QBuild, cut: int, columns: int | None = None) -> np.ndarray
 
     Only the leading ``columns`` columns are kept, all of them by default.
     """
-    if cut < 1:
-        raise InvalidParameter(f"cut must be at least 1, got {cut}")
-    _check_collar(qb, cut)
+    _check_cut(qb, cut)
     return np.concatenate(
         [qb.y[:cut, :columns], qb.y[qb.dim : qb.dim + cut, :columns]]
     )
@@ -401,7 +397,7 @@ def certify(
         )
 
     for cut in cuts:
-        _check_collar(qb, cut)
+        _check_cut(qb, cut)
 
     reports = [_spectral_report(qb, c) for c in cuts]
 

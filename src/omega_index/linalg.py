@@ -6,9 +6,6 @@ the operator norm (with a cheaper form for Hermitian arguments) and an O(n^2)
 hermiticity gate.  Matrices are
 plain ``numpy.ndarray`` objects with dtype ``complex128``; every function validates the
 shapes/finiteness assumptions that the rest of the package relies on.
-
-All operations are pure functions on immutable inputs and are safe to call from
-concurrent workers.
 """
 
 from __future__ import annotations
@@ -109,32 +106,32 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return hermiticity_defect(m) <= tol
 
 
-def _hermitian_part(m: np.ndarray, hermitian_tol: float) -> np.ndarray:
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """Gate ``m`` on hermiticity and return its symmetrization ``(m + adjoint(m)) / 2``."""
     require_square(m)
-    if not is_hermitian(m, hermitian_tol):
+    if not is_hermitian(m):
         raise NonHermitianInput(
             f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
-            f"exceeds {hermitian_tol:.1e}"
+            f"exceeds {HERMITIAN_TOL:.1e}"
         )
     return (m + adjoint(m)) / 2.0
 
 
-def hermitian_eigen(m: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> HermitianEigen:
+def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
     The input is symmetrized via ``(m + adjoint(m)) / 2`` before decomposition;
-    inputs whose asymmetry exceeds ``hermitian_tol`` relative to their norm are
+    inputs whose asymmetry exceeds ``HERMITIAN_TOL`` relative to their norm are
     rejected rather than silently symmetrized.
 
     Raises
     ------
     NonHermitianInput
-        If ``norm(m - adjoint(m)) > hermitian_tol * norm(m)``.
+        If ``norm(m - adjoint(m)) > HERMITIAN_TOL * norm(m)``.
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    sym = _hermitian_part(m, hermitian_tol)
+    sym = _hermitian_part(m)
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -155,7 +152,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    sym = _hermitian_part(m, HERMITIAN_TOL)
+    sym = _hermitian_part(m)
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -191,14 +188,15 @@ def hermitian_norm(m: np.ndarray) -> float:
         values = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
-    return float(max(-values[0], values[-1]))
+    # abs, not negation: the zero matrix must give 0.0, never -0.0
+    return float(max(abs(values[0]), abs(values[-1])))
 
 
-def hpd_inverse(m: np.ndarray, pd_floor: float = PD_FLOOR, inv_tol: float = INV_TOL) -> np.ndarray:
+def hpd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix.
 
     Computed through the eigendecomposition so the result is Hermitian by
-    construction.  The smallest eigenvalue must exceed ``pd_floor * norm(m)``.
+    construction.  The smallest eigenvalue must exceed ``PD_FLOOR * norm(m)``.
 
     Raises
     ------
@@ -212,7 +210,7 @@ def hpd_inverse(m: np.ndarray, pd_floor: float = PD_FLOOR, inv_tol: float = INV_
     eig = hermitian_eigen(m)
     w, v = eig.values, eig.vectors
     largest = max(abs(float(w[0])), abs(float(w[-1])))
-    floor = pd_floor * largest
+    floor = PD_FLOOR * largest
     if float(w[0]) <= floor:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {float(w[0]):.3e} is not above the floor {floor:.3e}"
@@ -222,7 +220,7 @@ def hpd_inverse(m: np.ndarray, pd_floor: float = PD_FLOOR, inv_tol: float = INV_
     # allow the residual to grow with the condition number, as any backward-stable
     # inverse does
     cond = float(w[-1]) / float(w[0])
-    if residual > inv_tol * max(1.0, cond):
+    if residual > INV_TOL * max(1.0, cond):
         raise ConvergenceFailure(
             f"inverse residual {residual:.3e} exceeds tolerance for condition {cond:.3e}"
         )

@@ -13,9 +13,8 @@ Available builders:
   lattice, ordered radially.
 * :func:`load_pair` -- user-supplied matrices from ``dense-complex-v1`` JSON files.
 
-plus the 2x2 point projection :func:`bott_point`, the analytic corner matrix
-:func:`build_oscillator_analytic_q` used for cross-checks, stereographic sphere
-coordinates :func:`sphere_map`, and :func:`perturb` for stability experiments.
+plus the analytic corner matrix :func:`build_oscillator_analytic_q` used for
+cross-checks and :func:`perturb` for stability experiments.
 """
 
 from __future__ import annotations
@@ -292,54 +291,6 @@ def perturb(
     if spec.target == "a":
         return replace(pair, a=pair.a + delta, known_commutator_norm=known)
     return replace(pair, b=pair.b + delta, known_commutator_norm=known)
-
-
-def bott_point(z: complex) -> np.ndarray:
-    """The rank-one 2x2 projection attached to a point of the plane."""
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise InvalidParameter("z must be finite")
-    d = 1.0 + abs(z) ** 2
-    return np.array(
-        [[1.0 / d, z / d], [np.conj(z) / d, 1.0 - 1.0 / d]], dtype=np.complex128
-    )
-
-
-@dataclass(frozen=True)
-class SphereMap:
-    """Stereographic coordinates of a pair, with measured relation defects.
-
-    ``relation_defect`` is ``norm(h1^2 + h2^2 + h3^2 - h1)`` and
-    ``nonhermitian_defect`` is ``max_i norm(h_i - h_i*)``.  Both are reported as
-    data; no bound is asserted.
-    """
-
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
-    relation_defect: float
-    nonhermitian_defect: float
-
-
-def sphere_map(pair: OperatorPair) -> SphereMap:
-    """Map the pair to sphere coordinates h1, h2, h3 and measure the relation defect."""
-    c = pair.a + 1j * pair.b
-    eye = np.eye(pair.dim, dtype=np.complex128)
-    delta = eye + c @ linalg.adjoint(c)
-    h1 = linalg.hpd_inverse(eye + delta)
-    h2 = pair.a @ h1
-    h3 = pair.b @ h1
-    relation = linalg.operator_norm(h1 @ h1 + h2 @ h2 + h3 @ h3 - h1)
-    nonherm = max(
-        linalg.operator_norm(h - linalg.adjoint(h)) for h in (h1, h2, h3)
-    )
-    return SphereMap(
-        h1=h1,
-        h2=h2,
-        h3=h3,
-        relation_defect=float(relation),
-        nonhermitian_defect=float(nonherm),
-    )
 
 
 def matrix_to_payload(m: np.ndarray) -> dict:

@@ -4,7 +4,6 @@ import pytest
 from omega_index import (
     BoundCheckResult,
     InvalidParameter,
-    build_harmonic,
     check_f_lipschitz,
     check_intertwine,
     check_resolvent_bound,
@@ -22,8 +21,8 @@ def nilpotent(c):
 
 
 def test_result_passed_property():
-    ok = BoundCheckResult("x", 1, 0.0, 1.0, 0, 0)
-    bad = BoundCheckResult("x", 1, 2.0, -1.0, 3, 0)
+    ok = BoundCheckResult("x", 1, 0.0, 1.0, 0)
+    bad = BoundCheckResult("x", 1, 2.0, -1.0, 3)
     assert ok.passed and not bad.passed
 
 
@@ -196,14 +195,6 @@ def test_theorem_defect_commuting_pair_has_zero_bound():
     assert res.extras["epsilon"] == pytest.approx(0.0, abs=1e-14)
     assert res.max_lhs <= 1e-12
     assert res.passed  # round-off allowance absorbs the float dust
-
-
-def test_theorem_defect_harmonic_pair():
-    res = check_theorem_defect(build_harmonic(0.01, 64))
-    assert res.extras["epsilon"] == 0.02
-    assert res.max_lhs <= 1e-12
-    assert res.min_slack == pytest.approx(0.08246563931695128, rel=1e-9)
-    assert res.passed
 
 
 def test_theorem_defect_raw_matrix_ensemble():

@@ -166,6 +166,21 @@ def test_omega_measured_epsilon_warning(capsys, tmp_path):
     assert any("masking" in w for w in doc["warnings"])
 
 
+def test_omega_commuting_file_pair_prints_positive_zero(capsys, tmp_path):
+    """A measured zero commutator is reported as 0.0, never -0.0."""
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_matrix(np.diag(np.arange(8.0)).astype(complex), pa)
+    save_matrix(np.diag(np.arange(7.0, -1.0, -1.0)).astype(complex), pb)
+    code, out, _ = run_cli(
+        capsys, "omega", "--pair", "file", "--file-a", str(pa), "--file-b", str(pb),
+        "--format", "json",
+    )
+    assert code == 0
+    assert '"epsilon": 0.0,' in out
+    assert '"theorem_bound": 0.0,' in out
+    assert "-0.0" not in out
+
+
 def test_omega_auto_scale(capsys):
     code, out, _ = run_cli(
         capsys, "omega", "--lambda", "0.1", "--dim", "240", "--cuts", "70,90",
@@ -461,28 +476,6 @@ def test_sweep_empty_values_exits_1(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ConfigParse"
-
-
-# ---------------------------------------------------------------- sphere
-
-
-def test_sphere_zero_pair(capsys, tmp_path):
-    pa, pb = zero_pair_files(tmp_path)
-    code, out, _ = run_cli(
-        capsys, "sphere", "--pair", "file", "--file-a", pa, "--file-b", pb
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema_version"] == "sphere-report-v1"
-    assert doc["dim"] == 1
-    assert doc["relation_defect"] == pytest.approx(0.25, abs=1e-12)
-    assert doc["nonhermitian_defect"] == 0.0
-
-
-def test_sphere_harmonic_text(capsys):
-    code, out, _ = run_cli(capsys, "sphere", "--dim", "100", "--format", "text")
-    assert code == 0
-    assert "relation_defect" in out
 
 
 # ---------------------------------------------------------------- verify

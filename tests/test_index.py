@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omega_index.calibration as calibration
+import omega_index.index as index_module
 from omega_index import (
     CalibrationMissing,
     ConvergenceFailure,
@@ -35,6 +36,11 @@ from omega_index import (
     theorem_bound,
 )
 from omega_index.index import _factor_defect, bandwidth
+
+
+def full_q(qb):
+    """The full 2M-by-2M projection ``y y*`` of a factored Q."""
+    return qb.y @ qb.y.conj().T
 
 
 def zero_pair(dim=1):
@@ -82,7 +88,7 @@ def test_q_blocks_hand_example():
 
 def test_build_q_zero_pair():
     qb = build_q(zero_pair(), "literal")
-    assert np.allclose(qb.q, np.array([[1, 0], [0, 0]]), atol=1e-15)
+    assert np.allclose(full_q(qb), np.array([[1, 0], [0, 0]]), atol=1e-15)
     assert qb.epsilon == 0.0
     assert qb.defect <= 1e-15
 
@@ -112,12 +118,13 @@ def test_build_q_defect_is_tiny(harmonic400_q, grid10_q):
 
 def test_build_q_is_hermitian(harmonic400_q, grid10_q):
     for qb in (harmonic400_q, grid10_q):
-        assert np.max(np.abs(qb.q - qb.q.conj().T)) <= 1e-12
+        q = full_q(qb)
+        assert np.max(np.abs(q - q.conj().T)) <= 1e-12
 
 
 def test_build_q_orientations_differ(harmonic200, harmonic200_q_literal):
     conj = build_q(harmonic200, "conjugate")
-    assert not np.allclose(conj.q, harmonic200_q_literal.q, atol=1e-6)
+    assert not np.allclose(full_q(conj), full_q(harmonic200_q_literal), atol=1e-6)
 
 
 def test_resolve_orientation():
@@ -173,7 +180,7 @@ def test_defect_bounds_masked_idempotency(dense200, grid10, orientation):
     of the length-2M inner products that form q and q @ q in float64."""
     for pair in (dense200, grid10):
         qb = build_q(pair, orientation)
-        q = qb.q
+        q = full_q(qb)
         masked = operator_norm(_dual_corner(q @ q - q, pair.dim, pair.interior))
         allowance = np.sqrt(2 * pair.dim) * np.finfo(float).eps
         assert masked <= qb.defect + allowance
@@ -255,14 +262,16 @@ def test_masked_commutator_norm_harmonic(harmonic200):
 
 def test_grid_q_couples_conjugate_points_only(grid10, grid10_q):
     m = grid10.dim
-    top_bottom = grid10_q.q[:m, m:]
+    y = grid10_q.y
+    top_bottom = y[:m] @ y[m:].conj().T
     off = top_bottom - np.diag(np.diag(top_bottom))
     assert np.max(np.abs(off)) <= 1e-15
 
 
 def test_grid_q_diagonal_value_at_known_point(grid10_q):
     idx = grid_points(10).index((1, 2))
-    assert grid10_q.q[idx, idx].real == pytest.approx(1 / 6, rel=1e-12)
+    row = grid10_q.y[idx]
+    assert (row @ row.conj()).real == pytest.approx(1 / 6, rel=1e-12)
 
 
 # ---------------------------------------------------------------- bound
@@ -307,7 +316,7 @@ def test_extract_q11_full_cut_for_windowless_pair():
         a=a, b=b, dim=3, basis_label="diag", known_commutator_norm=0.0, boundary_window=0
     )
     qb = build_q(pair, "literal")
-    assert np.array_equal(extract_q11(qb, 3), qb.q)
+    assert np.array_equal(extract_q11(qb, 3), full_q(qb))
 
 
 def test_extract_q11_shape(harmonic400_q):
@@ -329,7 +338,7 @@ def test_extract_q11_interleaved_bookkeeping():
     cut = 5
     q11 = extract_q11(qb, cut)
     full_perm = np.arange(32).reshape(2, 16).T.reshape(-1)  # 0,16,1,17,...
-    interleaved = qb.q[np.ix_(full_perm, full_perm)][: 2 * cut, : 2 * cut]
+    interleaved = full_q(qb)[np.ix_(full_perm, full_perm)][: 2 * cut, : 2 * cut]
     corner_perm = np.arange(2 * cut).reshape(2, cut).T.reshape(-1)
     assert np.array_equal(q11[np.ix_(corner_perm, corner_perm)], interleaved)
 
@@ -475,6 +484,17 @@ def test_corner_eigenvalues_validate_cut(harmonic400_q):
         corner_eigenvalues(harmonic400_q, 351)
     with pytest.raises(InvalidParameter):
         corner_eigenvalues(harmonic400_q, 0)
+
+
+@pytest.mark.parametrize(
+    "cuts, error", [([100, 0], InvalidParameter), ([100, 351], CutTooLarge)]
+)
+def test_certify_refuses_a_bad_cut_before_any_solve(harmonic400_q, monkeypatch, cuts, error):
+    solved = []
+    monkeypatch.setattr(index_module, "corner_eigenvalues", lambda qb, cut: solved.append(cut))
+    with pytest.raises(error):
+        certify(harmonic400_q, cuts)
+    assert solved == []
 
 
 def test_count_upper_example():

@@ -11,7 +11,6 @@ from omega_index import (
     OperatorPair,
     PairSpec,
     PerturbationSpec,
-    bott_point,
     build_commuting_grid,
     build_harmonic,
     build_oscillator_analytic_q,
@@ -22,7 +21,6 @@ from omega_index import (
     operator_norm,
     perturb,
     save_matrix,
-    sphere_map,
 )
 
 
@@ -283,53 +281,6 @@ def test_build_pair_applies_perturbations_in_order():
     pair = build_pair(spec)
     base = build_harmonic(0.01, 16)
     assert np.allclose(pair.a, base.a + 0.3 * np.eye(16), atol=1e-15)
-
-
-# ---------------------------------------------------------------- bott / sphere
-
-
-def test_bott_point_origin():
-    p = bott_point(0.0)
-    assert np.array_equal(p, np.array([[1, 0], [0, 0]], dtype=complex))
-
-
-def test_bott_point_example_is_projection():
-    p = bott_point(1 + 2j)
-    assert operator_norm(p @ p - p) <= 1e-15
-    assert np.trace(p).real == pytest.approx(1.0, abs=1e-15)
-
-
-def test_bott_point_random_projections():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        z = complex(rng.standard_normal() * 3, rng.standard_normal() * 3)
-        p = bott_point(z)
-        assert operator_norm(p @ p - p) <= 1e-14
-        assert operator_norm(p - p.conj().T) <= 1e-14
-
-
-def test_sphere_map_zero_pair():
-    pair = OperatorPair(
-        a=np.zeros((1, 1), dtype=complex),
-        b=np.zeros((1, 1), dtype=complex),
-        dim=1,
-        basis_label="zero",
-        known_commutator_norm=0.0,
-        boundary_window=0,
-    )
-    s = sphere_map(pair)
-    assert s.h1[0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert s.h2[0, 0] == 0.0
-    assert s.relation_defect == pytest.approx(0.25, abs=1e-12)
-    assert s.nonhermitian_defect == 0.0
-
-
-def test_sphere_map_harmonic_defects():
-    pair = build_harmonic(0.01, 100)
-    s = sphere_map(pair)
-    assert s.relation_defect <= 0.3
-    assert s.nonhermitian_defect <= 0.2
-    assert s.h1.shape == (100, 100)
 
 
 # ---------------------------------------------------------------- file io

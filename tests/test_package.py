@@ -1,0 +1,36 @@
+import dataclasses
+
+import omega_index
+import omega_index.cli as cli_module
+import omega_index.operators as operators_module
+from omega_index import BoundCheckResult, QBuild
+from omega_index.cli import main
+
+#: the sphere-coordinate API, which plays no part in the index and was removed
+REMOVED_NAMES = ("SphereMap", "bott_point", "sphere_map")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(omega_index.__all__)) == len(omega_index.__all__)
+    for name in omega_index.__all__:
+        getattr(omega_index, name)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED_NAMES:
+        assert name not in omega_index.__all__
+        assert not hasattr(omega_index, name)
+        assert not hasattr(operators_module, name)
+    assert not hasattr(cli_module, "cmd_sphere")
+    assert not hasattr(cli_module, "SPHERE_SCHEMA")
+
+
+def test_removed_fields_are_gone():
+    assert not hasattr(QBuild, "q")
+    assert "seed" not in {f.name for f in dataclasses.fields(BoundCheckResult)}
+
+
+def test_sphere_subcommand_is_a_usage_error(capsys):
+    assert main(["sphere"]) == 1
+    assert "invalid choice: 'sphere'" in capsys.readouterr().err
+
