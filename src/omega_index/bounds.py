@@ -292,6 +292,8 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
     Deterministic for a fixed ``(seed, trials, max_dim)``; failures are reported
     in the results, never raised.
     """
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if max_dim < 2:

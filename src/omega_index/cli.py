@@ -15,6 +15,9 @@ Subcommands
     magnitude) and report whether it stayed constant.  On the cut axis the pair
     and Q are built once and every value is certified from them.
 
+Value lists (``--cuts``, ``--values``) are ``a,b,c`` or the ascending, end-inclusive
+range ``a:b:step``; a malformed list, cut or seed is refused before anything is factored.
+
 Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
 error object on stdout; 1 on usage, configuration, or I/O errors.
@@ -31,80 +34,67 @@ import json
 import sys
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .bounds import run_suite
-from .errors import STABILITY_ERRORS, ConfigParse, OmegaIndexError
+from .errors import STABILITY_ERRORS, ConfigParse, InvalidParameter, OmegaIndexError
 from .index import (
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
     build_q,
     certify,
+    check_cuts,
     check_gap_floor,
     corner_eigenvalues,
-    default_cuts,
     omega,
     scale_admissible,
     theorem_bound,
 )
-from .operators import PairSpec, PerturbationSpec, build_pair, perturb
-from .errors import InvalidParameter
+from .operators import PairSpec, PerturbationSpec, build_pair
 
 OMEGA_SCHEMA = "omega-report-v1"
 SWEEP_SCHEMA = "omega-sweep-v1"
 VERIFY_SCHEMA = "verify-report-v1"
 
 _BUILDER_NAMES = {"harmonic": "harmonic", "commuting": "commuting_grid", "file": "file"}
+_VALUE_LIST = "a comma list or a:b:step (end-inclusive)"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Parse ``a:b:step`` (end-inclusive when the stride lands on it) or ``a,b,c``."""
-    text = text.strip()
-    if not text:
-        raise ConfigParse("empty value list")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigParse(f"range spec must be a:b[:step], got {text!r}")
+def _parse_values(text: str, kind) -> list:
+    """Parse ``a,b,c`` or the ascending, end-inclusive range ``a:b:step`` as ``kind``.
+
+    An empty, non-numeric, non-finite or descending spec, or a step <= 0, raises
+    :class:`ConfigParse`.
+    """
+
+    def number(token: str):
         try:
-            a, b = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
+            value = kind(token)
         except ValueError as exc:
-            raise ConfigParse(f"bad range spec {text!r}: {exc}") from exc
-        if step <= 0 or b < a:
-            raise ConfigParse(f"range spec {text!r} must ascend with positive step")
+            raise ConfigParse(f"bad value list {text!r}: {exc}") from exc
+        if kind is float and not np.isfinite(value):
+            raise ConfigParse(f"value list {text!r} holds a non-finite value")
+        return value
+
+    if ":" not in text:
+        values = [number(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ConfigParse("empty value list")
+        return values
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigParse(f"range spec must be a:b:step, got {text!r}")
+    a, b, step = (number(p) for p in parts)
+    if step <= 0 or b < a:
+        raise ConfigParse(f"range spec {text!r} must ascend with positive step")
+    if kind is int:
         return list(range(a, b + 1, step))
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigParse(f"bad integer list {text!r}: {exc}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        raise ConfigParse("empty value list")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigParse(f"float range spec must be a:b:step, got {text!r}")
-        try:
-            a, b, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigParse(f"bad range spec {text!r}: {exc}") from exc
-        if step <= 0 or b < a:
-            raise ConfigParse(f"range spec {text!r} must ascend with positive step")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        return [a + k * step for k in range(count)]
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigParse(f"bad float list {text!r}: {exc}") from exc
-    if not values:
-        raise ConfigParse("empty value list")
-    return values
+    count = (b - a) / step
+    if not np.isfinite(count):
+        raise ConfigParse(f"range spec {text!r} has too many values")
+    return [a + k * step for k in range(int(np.floor(count + 1e-9)) + 1)]
 
 
 def _parse_perturbation(text: str, default_seed: int) -> PerturbationSpec:
@@ -117,12 +107,9 @@ def _parse_perturbation(text: str, default_seed: int) -> PerturbationSpec:
     try:
         magnitude = float(parts[2])
         seed = int(parts[3]) if len(parts) == 4 else default_seed
-    except ValueError as exc:
-        raise ConfigParse(f"bad perturbation spec {text!r}: {exc}") from exc
-    try:
         return PerturbationSpec(target=target, kind=kind, magnitude=magnitude, seed=seed)
-    except InvalidParameter as exc:
-        raise ConfigParse(str(exc)) from exc
+    except (ValueError, InvalidParameter) as exc:
+        raise ConfigParse(f"bad perturbation spec {text!r}: {exc}") from exc
 
 
 def _pair_spec_from_args(args) -> PairSpec:
@@ -217,12 +204,12 @@ def _plain(value):
 
 def cmd_omega(args) -> int:
     spec = _pair_spec_from_args(args)
+    cuts = None if args.cuts is None else _parse_values(args.cuts, int)
     pair = build_pair(spec)
     scaling = (1.0, 1.0)
     if args.auto_scale:
         pair, sa, sb = scale_admissible(pair, args.target_commutator)
         scaling = (sa, sb)
-    cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
     result = omega(
         pair,
         cuts=cuts,
@@ -280,6 +267,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = _pair_spec_from_args(args)
     pair = build_pair(spec)
+    check_cuts([args.cut], pair.dim, pair.boundary_window)
     qb = build_q(pair, args.orientation)
     values = corner_eigenvalues(qb, args.cut)
     lines = ["index,eigenvalue"]
@@ -289,35 +277,32 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_point(args, base_spec: PairSpec, value):
+def _sweep_point(args, base_spec: PairSpec, shift: PerturbationSpec, value, cuts):
     if args.axis == "lambda":
-        pair = build_pair(replace(base_spec, lam=float(value)))
+        spec = replace(base_spec, lam=value)
     else:
-        pair = perturb(
-            build_pair(base_spec),
-            args.perturb_target,
-            args.perturb_kind,
-            float(value),
-            args.perturb_seed,
-        )
-    cuts = _parse_int_list(args.cuts) if args.cuts else default_cuts(pair.dim)
-    return omega(pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor)
+        extra = replace(shift, magnitude=value)
+        spec = replace(base_spec, perturbations=base_spec.perturbations + (extra,))
+    return omega(
+        build_pair(spec), cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor
+    )
 
 
 def cmd_sweep(args) -> int:
     base_spec = _pair_spec_from_args(args)
     check_gap_floor(args.gap_floor)
+    # built once, so a bad --perturb-seed fails the sweep rather than every point
+    shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.perturb_seed)
+    cuts = None if args.cuts is None else _parse_values(args.cuts, int)
+    values = _parse_values(args.values, int if args.axis == "cut" else float)
     qb = build_error = None
     if args.axis == "cut":
-        values = _parse_int_list(args.values)
         # every cut is certified from one pair and one Q; if building them
         # fails, every cut fails with that error
         try:
             qb = build_q(build_pair(base_spec), args.orientation)
         except OmegaIndexError as exc:
             build_error = exc
-    else:
-        values = _parse_float_list(args.values)
     points = []
     for value in values:
         try:
@@ -326,7 +311,7 @@ def cmd_sweep(args) -> int:
             if qb is not None:
                 result = certify(qb, [value], args.gap_floor)
             else:
-                result = _sweep_point(args, base_spec, value)
+                result = _sweep_point(args, base_spec, shift, value, cuts)
             point = {"value": _plain(value), "report": _omega_doc(result)}
         except OmegaIndexError as exc:
             point = {
@@ -400,6 +385,9 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
         help="apply a perturbation (kinds: scalar_shift, diagonal_decay, "
         "random_hermitian); repeatable",
     )
+    group.add_argument(
+        "--orientation", choices=("literal", "conjugate", "default"), default="default"
+    )
 
 
 def _add_output_arguments(parser, formats=("json", "csv", "text")) -> None:
@@ -421,12 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_omega = sub.add_parser("omega", help="compute the integer index of a pair")
     _add_pair_arguments(p_omega)
     p_omega.add_argument(
-        "--cuts",
-        help="cut sweep, as a:b:step (end-inclusive) or a comma list "
-        "(default: 5 cuts in [dim/8, 3*dim/8])",
-    )
-    p_omega.add_argument(
-        "--orientation", choices=("literal", "conjugate", "default"), default="default"
+        "--cuts", help=f"cut sweep, {_VALUE_LIST} (default: 5 cuts in [dim/8, 3*dim/8])"
     )
     p_omega.add_argument("--gap-floor", type=float, default=DEFAULT_GAP_FLOOR)
     p_omega.add_argument(
@@ -452,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="dump corner eigenvalues as CSV")
     _add_pair_arguments(p_spec)
     p_spec.add_argument("--cut", type=int, required=True)
-    p_spec.add_argument(
-        "--orientation", choices=("literal", "conjugate", "default"), default="default"
-    )
     _add_output_arguments(p_spec, formats=("csv",))
     p_spec.set_defaults(func=cmd_spectrum)
 
@@ -463,16 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--axis", choices=("lambda", "cut", "perturbation"), required=True
     )
+    p_sweep.add_argument("--values", required=True, help=f"sweep values, {_VALUE_LIST}")
     p_sweep.add_argument(
-        "--values",
-        required=True,
-        help="sweep values: comma list or a:b:step (end-inclusive)",
-    )
-    p_sweep.add_argument(
-        "--cuts", help="cut sweep used at every point (lambda/perturbation axes)"
-    )
-    p_sweep.add_argument(
-        "--orientation", choices=("literal", "conjugate", "default"), default="default"
+        "--cuts", help=f"cut sweep at every lambda/perturbation point, {_VALUE_LIST}"
     )
     p_sweep.add_argument("--gap-floor", type=float, default=DEFAULT_GAP_FLOOR)
     p_sweep.add_argument("--perturb-target", choices=("a", "b"), default="a")
@@ -482,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="scalar_shift",
     )
     p_sweep.add_argument("--perturb-seed", type=int, default=0)
-    _add_output_arguments(p_sweep)
+    _add_output_arguments(p_sweep, formats=("json", "text"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -232,26 +232,12 @@ def theorem_bound(epsilon: float) -> float:
     return (4.0 * epsilon - 2.0 * epsilon**2) / (1.0 - epsilon) ** 2
 
 
-def _check_cut(qb: QBuild, cut: int) -> None:
-    """Refuse a cut below 1 or one that reaches into the boundary collar."""
-    if cut < 1:
-        raise InvalidParameter(f"cut must be at least 1, got {cut}")
-    if cut > qb.dim - qb.boundary_window:
-        raise CutTooLarge(
-            f"cut {cut} reaches into the boundary collar "
-            f"(dim {qb.dim}, window {qb.boundary_window})",
-            cut=cut,
-            dim=qb.dim,
-            boundary_window=qb.boundary_window,
-        )
-
-
 def _corner_rows(qb: QBuild, cut: int, columns: int | None = None) -> np.ndarray:
     """The rows of ``y`` behind the corner at ``cut`` (top rows, then bottom), 2*cut of them.
 
     Only the leading ``columns`` columns are kept, all of them by default.
     """
-    _check_cut(qb, cut)
+    check_cuts([cut], qb.dim, qb.boundary_window)
     return np.concatenate(
         [qb.y[:cut, :columns], qb.y[qb.dim : qb.dim + cut, :columns]]
     )
@@ -314,10 +300,24 @@ def check_gap_floor(gap_floor: float) -> None:
         raise InvalidParameter(f"gap_floor must be finite and >= 0, got {gap_floor}")
 
 
-def _cut_list(cuts) -> list[int]:
+def check_cuts(cuts, dim: int, boundary_window: int) -> list[int]:
+    """The cuts as ints, each checked to lie in [1, dim - boundary_window].
+
+    Raises :class:`InvalidParameter` for an empty sweep or a cut below 1 and
+    :class:`CutTooLarge` for a cut that reaches into the boundary collar.
+    """
     cuts = [int(c) for c in cuts]
     if not cuts:
         raise InvalidParameter("cut sweep must be non-empty")
+    for cut in cuts:
+        if cut < 1:
+            raise InvalidParameter(f"cut must be at least 1, got {cut}")
+        if cut > dim - boundary_window:
+            raise CutTooLarge(
+                f"cut {cut} reaches into the boundary collar "
+                f"(dim {dim}, window {boundary_window})",
+                cut=cut, dim=dim, boundary_window=boundary_window,
+            )
     return cuts
 
 
@@ -330,20 +330,22 @@ def omega(
 ) -> OmegaResult:
     """Count the index over a sweep of cuts and require a stable answer.
 
-    Validates the arguments, factors Q with :func:`build_q` and returns
-    :func:`certify` of it; ``cuts`` defaults to :func:`default_cuts`.  To count
-    many cut lists of one pair, build Q once and call :func:`certify` for each.
+    Checks the arguments before anything is factored, then returns :func:`certify`
+    of :func:`build_q`; ``cuts`` defaults to :func:`default_cuts`.  To count many
+    cut lists of one pair, build Q once and call :func:`certify` for each.
 
     Raises
     ------
-    InvalidParameter
-        If the cut sweep is empty or ``gap_floor`` is negative or not finite.
+    InvalidParameter, CutTooLarge
+        As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
     ConvergenceFailure
         If I + d*d overflows or its Cholesky factorization fails (see :func:`build_q`).
-    InadmissibleCommutator, CutTooLarge, GapViolation, UnstableCount
+    InadmissibleCommutator, GapViolation, UnstableCount
         As raised by :func:`certify`.
     """
-    cuts = _cut_list(default_cuts(pair.dim) if cuts is None else cuts)
+    cuts = check_cuts(
+        default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
+    )
     check_gap_floor(gap_floor)
     return certify(build_q(pair, orientation), cuts, gap_floor, scaling)
 
@@ -362,24 +364,22 @@ def certify(
     agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
     1/2.  Cuts are counted one after another in the calling thread; only the
     BLAS/LAPACK calls inside each eigensolve may run threaded.  ``scaling`` is
-    copied into the result.
+    copied into the result.  The arguments are checked before the admissibility
+    gates, so a malformed request is refused as such whatever the pair.
 
     Raises
     ------
-    InvalidParameter
-        If the cut sweep is empty, a cut is below 1, or ``gap_floor`` is negative
-        or not finite.
+    InvalidParameter, CutTooLarge
+        As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
     InadmissibleCommutator
         If epsilon >= 1 or the defect bound at epsilon is >= 1/4; rescale with
         :func:`scale_admissible` first.
-    CutTooLarge
-        If a cut reaches into the boundary collar.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
         If different cuts disagree on ``M_N - N``.
     """
-    cuts = _cut_list(cuts)
+    cuts = check_cuts(cuts, qb.dim, qb.boundary_window)
     check_gap_floor(gap_floor)
     if qb.epsilon >= 1.0:
         raise InadmissibleCommutator(
@@ -395,9 +395,6 @@ def certify(
             epsilon=qb.epsilon,
             bound=bound,
         )
-
-    for cut in cuts:
-        _check_cut(qb, cut)
 
     reports = [_spectral_report(qb, c) for c in cuts]
 

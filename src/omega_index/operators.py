@@ -107,6 +107,8 @@ class PerturbationSpec:
             raise InvalidParameter(f"perturbation kind must be one of {PERTURB_KINDS}")
         if not (np.isfinite(self.magnitude) and self.magnitude >= 0):
             raise InvalidParameter("perturbation magnitude must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidParameter(f"perturbation seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -335,11 +337,11 @@ def load_matrix(path) -> np.ndarray:
     return m
 
 
-def load_pair(path_a, path_b, boundary_window: int | None = None) -> OperatorPair:
+def load_pair(path_a, path_b) -> OperatorPair:
     """Load a pair of Hermitian matrices from two ``dense-complex-v1`` files.
 
     The analytic commutator norm is unknown for user-supplied pairs and is left
-    unset; the boundary window defaults to ``dim // 8``.
+    unset; the boundary window is ``dim // 8``.
     """
     a = load_matrix(path_a)
     b = load_matrix(path_b)
@@ -348,12 +350,11 @@ def load_pair(path_a, path_b, boundary_window: int | None = None) -> OperatorPai
             f"pair dimensions differ: {a.shape} vs {b.shape}"
         )
     dim = a.shape[0]
-    window = dim // 8 if boundary_window is None else boundary_window
     return OperatorPair(
         a=a,
         b=b,
         dim=dim,
         basis_label="file",
         known_commutator_norm=None,
-        boundary_window=window,
+        boundary_window=dim // 8,
     )

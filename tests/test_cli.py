@@ -293,6 +293,98 @@ def test_bad_cut_spec_exits_1(capsys):
     assert json.loads(out)["error"]["type"] == "ConfigParse"
 
 
+def _refuse_to_factor(*args, **kwargs):
+    raise AssertionError("build_q reached")
+
+
+#: one value-list grammar serves omega --cuts and sweep --values on every axis
+VALUE_LIST_COMMANDS = {
+    "omega": ("omega", "--dim", "240", "--cuts"),
+    "sweep-cut": ("sweep", "--axis", "cut", "--dim", "240", "--values"),
+    "sweep-lambda": ("sweep", "--axis", "lambda", "--dim", "240", "--cuts", "130",
+                     "--values"),
+}
+
+
+@pytest.mark.parametrize("spec, cuts", [
+    ("70,90", [70, 90]),
+    (" 90 ,70, ", [90, 70]),
+    ("70:110:20", [70, 90, 110]),
+    ("70:100:20", [70, 90]),
+    ("70:70:5", [70]),
+])
+@pytest.mark.parametrize("command", ["omega", "sweep-cut"])
+def test_value_list_grammar_reads_cuts(capsys, command, spec, cuts):
+    code, out, err = run_cli(capsys, *VALUE_LIST_COMMANDS[command], spec)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if command == "omega":
+        assert [c["n"] for c in doc["cuts"]] == cuts
+    else:
+        assert [p["value"] for p in doc["points"]] == cuts
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("0.01,0.005", [0.01, 0.005]),
+    ("0.005:0.01:0.0025", [0.005, 0.0075, 0.01]),
+    ("0.005:0.012:0.005", [0.005, 0.01]),
+])
+def test_value_list_grammar_reads_floats(capsys, spec, values):
+    code, out, err = run_cli(capsys, *VALUE_LIST_COMMANDS["sweep-lambda"], spec)
+    assert (code, err) == (0, "")
+    assert [p["value"] for p in json.loads(out)["points"]] == values
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["", ",", "90:70", "70:90", "1:2:0", "0:inf:1", "0:nan:1", "nan:1:0.5",
+     "1:2:3:4", "x"],
+)
+@pytest.mark.parametrize("command", sorted(VALUE_LIST_COMMANDS))
+def test_malformed_value_list_exits_1_before_the_factor(capsys, monkeypatch, command, spec):
+    for module in (index_module, cli_module):
+        monkeypatch.setattr(module, "build_q", _refuse_to_factor)
+    code, out, err = run_cli(capsys, *VALUE_LIST_COMMANDS[command], spec)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "ConfigParse"
+
+
+def test_spectrum_refuses_a_collar_cut_before_the_factor(capsys, monkeypatch):
+    for module in (index_module, cli_module):
+        monkeypatch.setattr(module, "build_q", _refuse_to_factor)
+    code, out, _ = run_cli(capsys, "spectrum", "--dim", "240", "--cut", "211")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "CutTooLarge"
+    assert err["detail"] == {"cut": 211, "dim": 240, "boundary_window": 30}
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--dim", "64", "--cuts", "20", "--perturb", "a:random_hermitian:0.001:-1"),
+    ("omega", "--dim", "64", "--cuts", "20", "--seed", "-1",
+     "--perturb", "a:random_hermitian:0.001"),
+    ("sweep", "--axis", "perturbation", "--perturb-kind", "random_hermitian",
+     "--perturb-seed", "-3", "--values", "0:0.002:0.001", "--dim", "64", "--cuts", "20"),
+    ("verify", "--seed", "-1", "--trials", "2", "--max-dim", "4"),
+])
+def test_negative_seed_exits_1_without_a_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert "usage" in err or json.loads(out)["error"]["type"] in (
+        "ConfigParse", "InvalidParameter"
+    )
+
+
+def test_sweep_has_no_csv_format(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "cut", "--values", "70", "--dim", "240",
+        "--format", "csv"
+    )
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'csv'" in err
+
+
 def test_missing_matrix_file_exits_1(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "omega", "--pair", "file",

@@ -497,6 +497,25 @@ def test_certify_refuses_a_bad_cut_before_any_solve(harmonic400_q, monkeypatch, 
     assert solved == []
 
 
+def _refuse_to_factor(*args, **kwargs):
+    raise AssertionError("build_q reached")
+
+
+@pytest.mark.parametrize("cut, error", [(0, InvalidParameter), (400, CutTooLarge)])
+def test_omega_refuses_a_bad_cut_before_the_factor(harmonic400, monkeypatch, cut, error):
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    with pytest.raises(error):
+        omega(harmonic400, cuts=[cut])
+
+
+def test_certify_checks_cuts_before_admissibility():
+    inadmissible = build_q(build_harmonic(0.1, 64))
+    with pytest.raises(InadmissibleCommutator):
+        certify(inadmissible, [20])
+    with pytest.raises(CutTooLarge):
+        certify(inadmissible, [20, 60])
+
+
 def test_count_upper_example():
     m_n, gap, s0, s1 = count_upper([0.01, 0.49, 0.51, 0.99])
     assert (m_n, s0, s1) == (2, 2, 2)

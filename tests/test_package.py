@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import omega_index
 import omega_index.cli as cli_module
@@ -34,3 +35,8 @@ def test_sphere_subcommand_is_a_usage_error(capsys):
     assert main(["sphere"]) == 1
     assert "invalid choice: 'sphere'" in capsys.readouterr().err
 
+
+
+def test_load_pair_takes_only_the_two_paths():
+    params = inspect.signature(omega_index.load_pair).parameters
+    assert list(params) == ["path_a", "path_b"]
