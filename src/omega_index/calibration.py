@@ -80,14 +80,14 @@ def render_record(record: dict) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def write_record(record: dict, path: Path | None = None) -> Path:
-    path = record_path() if path is None else Path(path)
+def write_record(record: dict) -> Path:
+    path = record_path()
     path.write_text(render_record(record))
     return path
 
 
-def load_record(path: Path | None = None) -> dict:
-    path = record_path() if path is None else Path(path)
+def load_record() -> dict:
+    path = record_path()
     if not path.exists():
         raise CalibrationMissing(
             f"no pinned-orientation record at {path}; "

@@ -24,7 +24,6 @@ error object on stdout; 1 on usage, configuration, or I/O errors.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
 so identical invocations (including ``--seed``) produce byte-identical output.
-Counting is serial; ``--threads`` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -62,10 +61,11 @@ _BUILDER_NAMES = {"harmonic": "harmonic", "commuting": "commuting_grid", "file":
 _VALUE_LIST = "a comma list or a:b:step (end-inclusive)"
 
 
-def _parse_values(text: str, kind) -> list:
+def _parse_values(text: str, kind) -> list | range:
     """Parse ``a,b,c`` or the ascending, end-inclusive range ``a:b:step`` as ``kind``.
 
-    An empty, non-numeric, non-finite or descending spec, or a step <= 0, raises
+    An integer range comes back as a ``range``, so it is never built in full.  An
+    empty, non-numeric, non-finite or descending spec, or a step <= 0, raises
     :class:`ConfigParse`.
     """
 
@@ -90,7 +90,7 @@ def _parse_values(text: str, kind) -> list:
     if step <= 0 or b < a:
         raise ConfigParse(f"range spec {text!r} must ascend with positive step")
     if kind is int:
-        return list(range(a, b + 1, step))
+        return range(a, b + 1, step)
     count = (b - a) / step
     if not np.isfinite(count):
         raise ConfigParse(f"range spec {text!r} has too many values")
@@ -128,7 +128,7 @@ def _pair_spec_from_args(args) -> PairSpec:
     )
 
 
-def _omega_doc(result) -> dict:
+def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
     return {
         "schema_version": OMEGA_SCHEMA,
         "omega": int(result.omega),
@@ -141,8 +141,8 @@ def _omega_doc(result) -> dict:
         "theorem_bound": float(theorem_bound(result.epsilon)),
         "orientation": result.orientation,
         "scaling": {
-            "lambda_a": float(result.scaling[0]),
-            "mu_b": float(result.scaling[1]),
+            "lambda_a": float(scaling[0]),
+            "mu_b": float(scaling[1]),
         },
         "warnings": list(result.warnings),
     }
@@ -210,14 +210,8 @@ def cmd_omega(args) -> int:
     if args.auto_scale:
         pair, sa, sb = scale_admissible(pair, args.target_commutator)
         scaling = (sa, sb)
-    result = omega(
-        pair,
-        cuts=cuts,
-        orientation=args.orientation,
-        gap_floor=args.gap_floor,
-        scaling=scaling,
-    )
-    doc = _omega_doc(result)
+    result = omega(pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor)
+    doc = _omega_doc(result, scaling)
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
@@ -394,12 +388,6 @@ def _add_output_arguments(parser, formats=("json", "csv", "text")) -> None:
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="kept for compatibility; has no effect (counting is serial)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

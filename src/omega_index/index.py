@@ -109,7 +109,6 @@ class OmegaResult:
     epsilon: float
     defect: float
     orientation: str
-    scaling: tuple[float, float]
     warnings: tuple[str, ...]
 
 
@@ -270,11 +269,15 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
     """Partition a corner spectrum at the exact threshold 1/2.
 
     Returns ``(m_n, gap, s0_count, s1_count)`` where ``m_n = #{mu > 1/2}``
-    (no tolerance band) and ``gap = min |mu - 1/2|``.
+    (no tolerance band) and ``gap = min |mu - 1/2|``.  A non-finite eigenvalue
+    would make the gap NaN and slip past every gap gate, so it is refused with
+    :class:`ConvergenceFailure`.
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     if values.size == 0:
         raise InvalidParameter("cannot count an empty spectrum")
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceFailure("corner spectrum holds a non-finite eigenvalue")
     s1 = int(np.count_nonzero(values > 0.5))
     s0 = int(values.size - s1)
     gap = float(np.min(np.abs(values - 0.5)))
@@ -290,8 +293,7 @@ def _spectral_report(qb: QBuild, cut: int) -> SpectralReport:
 def default_cuts(dim: int) -> list[int]:
     """Five equispaced cuts in the deep interior [dim/8, 3*dim/8]."""
     lo, hi = dim // 8, (3 * dim) // 8
-    cuts = sorted({int(round(c)) for c in np.linspace(lo, hi, 5)})
-    return [max(1, c) for c in cuts]
+    return sorted({max(1, int(round(c))) for c in np.linspace(lo, hi, 5)})
 
 
 def check_gap_floor(gap_floor: float) -> None:
@@ -301,15 +303,15 @@ def check_gap_floor(gap_floor: float) -> None:
 
 
 def check_cuts(cuts, dim: int, boundary_window: int) -> list[int]:
-    """The cuts as ints, each checked to lie in [1, dim - boundary_window].
+    """The cuts as a list of ints, each checked to lie in [1, dim - boundary_window].
 
-    Raises :class:`InvalidParameter` for an empty sweep or a cut below 1 and
+    ``cuts`` may be any iterable; each cut is checked as it is read, so a long
+    range is refused at its first bad cut without being built in full.  Raises
+    :class:`InvalidParameter` for an empty sweep or a cut below 1 and
     :class:`CutTooLarge` for a cut that reaches into the boundary collar.
     """
-    cuts = [int(c) for c in cuts]
-    if not cuts:
-        raise InvalidParameter("cut sweep must be non-empty")
-    for cut in cuts:
+    checked = []
+    for cut in map(int, cuts):
         if cut < 1:
             raise InvalidParameter(f"cut must be at least 1, got {cut}")
         if cut > dim - boundary_window:
@@ -318,7 +320,10 @@ def check_cuts(cuts, dim: int, boundary_window: int) -> list[int]:
                 f"(dim {dim}, window {boundary_window})",
                 cut=cut, dim=dim, boundary_window=boundary_window,
             )
-    return cuts
+        checked.append(cut)
+    if not checked:
+        raise InvalidParameter("cut sweep must be non-empty")
+    return checked
 
 
 def omega(
@@ -326,7 +331,6 @@ def omega(
     cuts=None,
     orientation: str = "default",
     gap_floor: float = DEFAULT_GAP_FLOOR,
-    scaling: tuple[float, float] = (1.0, 1.0),
 ) -> OmegaResult:
     """Count the index over a sweep of cuts and require a stable answer.
 
@@ -347,15 +351,10 @@ def omega(
         default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
     )
     check_gap_floor(gap_floor)
-    return certify(build_q(pair, orientation), cuts, gap_floor, scaling)
+    return certify(build_q(pair, orientation), cuts, gap_floor)
 
 
-def certify(
-    qb: QBuild,
-    cuts,
-    gap_floor: float = DEFAULT_GAP_FLOOR,
-    scaling: tuple[float, float] = (1.0, 1.0),
-) -> OmegaResult:
+def certify(qb: QBuild, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResult:
     """Count the index of a factored Q over a sweep of cuts and require a stable answer.
 
     For each cut N the eigenvalues of the corner block are computed (values only,
@@ -363,9 +362,9 @@ def certify(
     counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
     agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
     1/2.  Cuts are counted one after another in the calling thread; only the
-    BLAS/LAPACK calls inside each eigensolve may run threaded.  ``scaling`` is
-    copied into the result.  The arguments are checked before the admissibility
-    gates, so a malformed request is refused as such whatever the pair.
+    BLAS/LAPACK calls inside each eigensolve may run threaded.  The arguments are
+    checked before the admissibility gates, so a malformed request is refused as
+    such whatever the pair.
 
     Raises
     ------
@@ -378,6 +377,8 @@ def certify(
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
         If different cuts disagree on ``M_N - N``.
+    ConvergenceFailure
+        If a corner eigensolve fails or yields a non-finite eigenvalue.
     """
     cuts = check_cuts(cuts, qb.dim, qb.boundary_window)
     check_gap_floor(gap_floor)
@@ -425,7 +426,6 @@ def certify(
         epsilon=qb.epsilon,
         defect=qb.defect,
         orientation=qb.orientation,
-        scaling=scaling,
         warnings=tuple(warnings),
     )
 

@@ -1,11 +1,12 @@
 """Dense complex matrix algebra.
 
-Thin, contract-checked wrappers around numpy: adjoints, Hermitian
-eigendecomposition (with or without eigenvectors), positive-definite inversion,
-the operator norm (with a cheaper form for Hermitian arguments) and an O(n^2)
-hermiticity gate.  Matrices are
-plain ``numpy.ndarray`` objects with dtype ``complex128``; every function validates the
-shapes/finiteness assumptions that the rest of the package relies on.
+Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
+positive-definite inversion, the operator norm and an O(n^2) hermiticity gate.
+Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``.  Functions
+that take matrices from outside the program validate the shape and hermiticity
+assumptions the rest of the package relies on; :func:`hermitian_eigenvalues` and
+:func:`hermitian_norm` take matrices that are Hermitian by construction, such as
+the Gram products the certifier forms itself, and check nothing.
 """
 
 from __future__ import annotations
@@ -106,17 +107,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return hermiticity_defect(m) <= tol
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Gate ``m`` on hermiticity and return its symmetrization ``(m + adjoint(m)) / 2``."""
-    require_square(m)
-    if not is_hermitian(m):
-        raise NonHermitianInput(
-            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
-            f"exceeds {HERMITIAN_TOL:.1e}"
-        )
-    return (m + adjoint(m)) / 2.0
-
-
 def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
@@ -131,30 +121,34 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    sym = _hermitian_part(m)
+    require_square(m)
+    if not is_hermitian(m):
+        raise NonHermitianInput(
+            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
+            f"exceeds {HERMITIAN_TOL:.1e}"
+        )
     try:
-        values, vectors = np.linalg.eigh(sym)
+        values, vectors = np.linalg.eigh((m + adjoint(m)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     return HermitianEigen(values=values, vectors=vectors)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (numerically) Hermitian matrix, sorted ascending.
+    """Eigenvalues of a Hermitian matrix, sorted ascending.
 
-    The same gate (at ``HERMITIAN_TOL``) and symmetrization as
-    :func:`hermitian_eigen`, without the eigenvectors.
+    Reads only the lower triangle and does not check hermiticity or symmetrize;
+    callers pass matrices that are Hermitian by construction, such as a product
+    ``x @ adjoint(x)``.  Input from outside the program goes through
+    :func:`hermitian_eigen`, which gates it.
 
     Raises
     ------
-    NonHermitianInput
-        If ``norm(m - adjoint(m)) > HERMITIAN_TOL * norm(m)``.
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
-    sym = _hermitian_part(m)
     try:
-        return np.linalg.eigvalsh(sym)
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
 
@@ -177,17 +171,11 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def hermitian_norm(m: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: its largest absolute eigenvalue.
-
-    Reads only the lower triangle and does not check hermiticity; callers pass
-    matrices that are Hermitian by construction.
-    """
+    """Operator norm of a Hermitian matrix: the larger absolute value of its two
+    extreme eigenvalues, with the contract of :func:`hermitian_eigenvalues`."""
     if m.size == 0:
         return 0.0
-    try:
-        values = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
+    values = hermitian_eigenvalues(m)
     # abs, not negation: the zero matrix must give 0.0, never -0.0
     return float(max(abs(values[0]), abs(values[-1])))
 

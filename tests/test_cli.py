@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,18 +68,16 @@ def test_omega_report_is_byte_stable(capsys):
     assert out1 == out2
 
 
-def test_omega_threads_do_not_change_output(capsys):
-    base = ("omega", "--dim", "240", "--cuts", "70,90,110")
-    _, serial, _ = run_cli(capsys, *base, "--threads", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "4")
-    assert serial == threaded
-
-
-def test_omega_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("OMEGA_INDEX_THREADS", "3")
-    code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "70,90")
-    assert code == 0
-    assert json.loads(out)["omega"] == 1
+@pytest.mark.parametrize("argv", [
+    ("omega", "--dim", "64", "--cuts", "20"),
+    ("verify", "--trials", "1", "--max-dim", "2"),
+    ("spectrum", "--dim", "64", "--cut", "20"),
+    ("sweep", "--axis", "cut", "--values", "20", "--dim", "64"),
+])
+def test_threads_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--threads", "4")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --threads 4" in err
 
 
 def test_counting_starts_no_threads(capsys, monkeypatch):
@@ -86,10 +85,9 @@ def test_counting_starts_no_threads(capsys, monkeypatch):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    omega_args = ("omega", "--dim", "240", "--cuts", "70,90,110", "--threads", "4")
+    omega_args = ("omega", "--dim", "240", "--cuts", "70,90,110")
     assert run_cli(capsys, *omega_args)[0] == 0
-    sweep_args = ("sweep", "--axis", "cut", "--values", "70,90", "--dim", "240",
-                  "--threads", "4")
+    sweep_args = ("sweep", "--axis", "cut", "--values", "70,90", "--dim", "240")
     assert run_cli(capsys, *sweep_args)[0] == 0
 
 
@@ -99,6 +97,13 @@ def test_omega_default_cuts(capsys):
     doc = json.loads(out)
     assert doc["omega"] == 0
     assert len(doc["cuts"]) == 5
+
+
+def test_omega_default_cuts_are_distinct_on_a_small_file_pair(capsys, tmp_path):
+    pa, pb = zero_pair_files(tmp_path, dim=4)
+    code, out, _ = run_cli(capsys, "omega", "--pair", "file", "--file-a", pa, "--file-b", pb)
+    assert code == 0
+    assert [c["n"] for c in json.loads(out)["cuts"]] == [1]
 
 
 def test_omega_orientation_flag(capsys):
@@ -285,6 +290,25 @@ def test_cut_too_large_names_cut_and_collar(capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "CutTooLarge"
     assert err["detail"] == {"cut": 60, "dim": 64, "boundary_window": 8}
+
+
+def _traced_refusal(capsys, *argv):
+    """The error object of a refused invocation and its traced peak allocation."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    return json.loads(out)["error"], peak
+
+
+def test_a_long_cut_range_is_refused_at_its_first_bad_cut(capsys):
+    err, peak = _traced_refusal(capsys, "omega", "--dim", "240", "--cuts", "1:2000000:1")
+    assert (err["type"], err["detail"]["cut"]) == ("CutTooLarge", 211)
+    _, short_peak = _traced_refusal(capsys, "omega", "--dim", "240", "--cuts", "230,231")
+    assert peak <= short_peak + 2 * 2**20
 
 
 def test_bad_cut_spec_exits_1(capsys):

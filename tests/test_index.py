@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import omega_index.calibration as calibration
 import omega_index.index as index_module
+import omega_index.linalg as linalg_module
 from omega_index import (
     CalibrationMissing,
     ConvergenceFailure,
@@ -537,12 +538,38 @@ def test_count_upper_empty():
         count_upper([])
 
 
+def test_count_upper_refuses_a_non_finite_eigenvalue():
+    # a NaN gap would compare false against every gap floor
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConvergenceFailure):
+            count_upper([bad, 0.9])
+
+
+def test_certify_refuses_a_nan_in_the_factor(harmonic400_q):
+    y = harmonic400_q.y.copy()
+    y[0, 0] = np.nan
+    with pytest.raises(ConvergenceFailure):
+        certify(replace(harmonic400_q, y=y), [100])
+
+
+def test_certify_never_gates_its_own_corners(harmonic400_q, dense200_q, monkeypatch):
+    # the corners are Gram products x x*, Hermitian by construction
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_hermitian called")
+
+    monkeypatch.setattr(linalg_module, "is_hermitian", refuse)
+    assert certify(harmonic400_q, [70, 100, 130]).omega == 1
+    assert certify(dense200_q["conjugate"], [80, 120]).omega == 1
+
+
 def test_default_cuts():
     assert default_cuts(400) == [50, 75, 100, 125, 150]
-    cuts = default_cuts(16)
-    assert cuts[0] >= 1
-    assert cuts == sorted(set(cuts))
-    assert cuts[-1] <= 6
+    assert default_cuts(16)[-1] <= 6
+    assert (default_cuts(4), default_cuts(7)) == ([1], [1, 2])
+    for dim in range(1, 65):
+        cuts = default_cuts(dim)
+        assert cuts and cuts[0] >= 1
+        assert all(a < b for a, b in zip(cuts, cuts[1:])), (dim, cuts)
 
 
 # ---------------------------------------------------------------- omega
@@ -628,8 +655,7 @@ def test_omega_interior_permutation_invariance(harmonic200):
 
 
 def test_omega_result_bookkeeping(harmonic200):
-    res = omega(harmonic200, cuts=[80, 120], scaling=(0.5, 0.5))
-    assert res.scaling == (0.5, 0.5)
+    res = omega(harmonic200, cuts=[80, 120])
     for rep in res.reports:
         assert res.omega == rep.m_n - rep.cut
 

@@ -2,9 +2,10 @@ import dataclasses
 import inspect
 
 import omega_index
+import omega_index.calibration as calibration
 import omega_index.cli as cli_module
 import omega_index.operators as operators_module
-from omega_index import BoundCheckResult, QBuild
+from omega_index import BoundCheckResult, OmegaResult, QBuild
 from omega_index.cli import main
 
 #: the sphere-coordinate API, which plays no part in the index and was removed
@@ -29,6 +30,14 @@ def test_removed_names_are_gone():
 def test_removed_fields_are_gone():
     assert not hasattr(QBuild, "q")
     assert "seed" not in {f.name for f in dataclasses.fields(BoundCheckResult)}
+    assert "scaling" not in {f.name for f in dataclasses.fields(OmegaResult)}
+
+
+def test_removed_parameters_are_gone():
+    for fn in (omega_index.omega, omega_index.certify):
+        assert "scaling" not in inspect.signature(fn).parameters
+    for fn in (calibration.write_record, calibration.load_record):
+        assert "path" not in inspect.signature(fn).parameters
 
 
 def test_sphere_subcommand_is_a_usage_error(capsys):
