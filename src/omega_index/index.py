@@ -12,7 +12,9 @@ orthonormal basis Y of that range gives Q = Y Y*, and :func:`build_q` takes a
 triangular one: with the reverse (UL) Cholesky factor I + d*d = U U*, U upper
 triangular, the matrix W = U^-* is lower triangular, and Y = [W; d W] is 2M-by-M
 with orthonormal columns.  The 2M-by-2M Q is never formed on the counting path
-(:func:`q_blocks_from_c` assembles it directly, as the reference formula).
+(:func:`q_blocks_from_c` assembles it directly, as the reference formula).  When
+C is real, as for the oscillator pair, so are d, U, W and Y, and the whole
+counting path runs in float64; a complex C runs in complex128.
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
@@ -37,6 +39,8 @@ substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  Th
 """
 
 from __future__ import annotations
+
+import operator
 
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -70,9 +74,10 @@ class QBuild:
     """The factor ``y`` of the projection Q = y y* and its measured quality numbers.
 
     ``y`` is 2M-by-M: rows ``0..M-1`` belong to the top copy, rows ``M..2M-1`` to
-    the bottom copy.  ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar
-    masked (or the exact value ``2 * known_commutator_norm`` when the builder
-    supplies one).  ``defect`` is ``(1 + e) * e`` with ``e = norm(y* y - I)``: since
+    the bottom copy; it is float64 when C is real and complex128 otherwise.
+    ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar masked (or the
+    exact value ``2 * known_commutator_norm`` when the builder supplies one).
+    ``defect`` is ``(1 + e) * e`` with ``e = norm(y* y - I)``: since
     ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
     ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
     ``epsilon_measured`` is true when the pair carried no analytic commutator norm.
@@ -172,6 +177,10 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     ``y = [W; d W]`` with W = U^-* lower triangular, where I + d*d = U U* is the
     reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.
 
+    When the imaginary part of C = A + iB is exactly zero, C is replaced by its
+    real part: every later product, factorization and eigensolve then runs in
+    float64, and ``y`` is float64.  Otherwise ``y`` is complex128.
+
     Raises
     ------
     ConvergenceFailure
@@ -180,6 +189,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     resolved = resolve_orientation(orientation)
     m = pair.dim
     c = pair.a + 1j * pair.b
+    if not np.any(c.imag):
+        # a real C (exact zeros, as in bandwidth) keeps every later kernel real
+        c = np.ascontiguousarray(c.real)
     band = bandwidth(c)
     d = c if resolved == "conjugate" else linalg.adjoint(c)
     del c
@@ -207,7 +219,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     inverse = np.linalg.inv(chol)
     del chol
     # W = U^-* = J L^-* J; only its lower triangle is written, the rest stays exact 0
-    y = np.zeros((2 * m, m), dtype=np.complex128)
+    y = np.zeros((2 * m, m), dtype=d.dtype)
     np.conjugate(inverse.T[::-1, ::-1], out=y[:m], where=np.tri(m, dtype=bool))
     del inverse
     np.matmul(d, y[:m], out=y[m:])
@@ -306,12 +318,17 @@ def check_cuts(cuts, dim: int, boundary_window: int) -> list[int]:
     """The cuts as a list of ints, each checked to lie in [1, dim - boundary_window].
 
     ``cuts`` may be any iterable; each cut is checked as it is read, so a long
-    range is refused at its first bad cut without being built in full.  Raises
-    :class:`InvalidParameter` for an empty sweep or a cut below 1 and
-    :class:`CutTooLarge` for a cut that reaches into the boundary collar.
+    range is refused at its first bad cut without being built in full.  A cut
+    must be an integer (``operator.index``; a ``bool`` is not a cut), never
+    truncated or parsed.  Raises :class:`InvalidParameter` for an empty sweep, a
+    cut that is not an integer or a cut below 1 and :class:`CutTooLarge` for a
+    cut that reaches into the boundary collar.
     """
     checked = []
-    for cut in map(int, cuts):
+    for value in cuts:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise InvalidParameter(f"cut must be an integer, got {value!r}")
+        cut = operator.index(value)
         if cut < 1:
             raise InvalidParameter(f"cut must be at least 1, got {cut}")
         if cut > dim - boundary_window:

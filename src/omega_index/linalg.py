@@ -1,10 +1,13 @@
-"""Dense complex matrix algebra.
+"""Dense matrix algebra over the complex or the real field.
 
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion, the operator norm and an O(n^2) hermiticity gate.
-Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``.  Functions
-that take matrices from outside the program validate the shape and hermiticity
-assumptions the rest of the package relies on; :func:`hermitian_eigenvalues` and
+Matrices are plain ``numpy.ndarray`` objects.  Input from outside the program is
+coerced to ``complex128`` (:func:`as_matrix`), while the factor of a real C stays
+``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
+:func:`hermitian_norm` work in the dtype they are given.  Functions that take
+matrices from outside the program validate the shape and hermiticity assumptions
+the rest of the package relies on; :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` take matrices that are Hermitian by construction, such as
 the Gram products the certifier forms itself, and check nothing.
 """

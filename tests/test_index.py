@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,16 +28,18 @@ from omega_index import (
     extract_q11,
     grid_points,
     hermitian_eigen,
+    load_pair,
     masked_commutator_norm,
     omega,
     operator_norm,
     perturb,
     q_blocks_from_c,
     resolve_orientation,
+    save_matrix,
     scale_admissible,
     theorem_bound,
 )
-from omega_index.index import _factor_defect, bandwidth
+from omega_index.index import ORIENTATIONS, _factor_defect, bandwidth
 
 
 def full_q(qb):
@@ -140,6 +143,12 @@ def test_default_orientation_needs_calibration_record(monkeypatch, tmp_path):
     monkeypatch.setattr(calibration, "record_path", lambda: tmp_path / "absent.json")
     with pytest.raises(CalibrationMissing):
         build_q(zero_pair(), "default")
+
+
+def test_shipped_calibration_record_matches_its_generator():
+    """The packaged record is exactly what the calibration run renders today."""
+    generated = calibration.render_record(calibration.run_calibration())
+    assert generated == calibration.record_path().read_text()
 
 
 # ---------------------------------------------------------------- factored Q
@@ -509,6 +518,20 @@ def test_omega_refuses_a_bad_cut_before_the_factor(harmonic400, monkeypatch, cut
         omega(harmonic400, cuts=[cut])
 
 
+@pytest.mark.parametrize("cuts", [[70.9, 90.2], [70, 90.2], ["7"], [True], [np.float64(70)]])
+def test_omega_refuses_a_cut_that_is_not_an_integer(harmonic400, monkeypatch, cuts):
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    bad = next(c for c in cuts if type(c) is not int)
+    with pytest.raises(InvalidParameter, match=re.escape(repr(bad))):
+        omega(harmonic400, cuts=cuts)
+
+
+def test_certify_accepts_a_numpy_integer_cut(harmonic400_q):
+    (report,) = certify(harmonic400_q, [np.int64(70)]).reports
+    assert report.cut == 70
+    assert type(report.cut) is int
+
+
 def test_certify_checks_cuts_before_admissibility():
     inadmissible = build_q(build_harmonic(0.1, 64))
     with pytest.raises(InadmissibleCommutator):
@@ -570,6 +593,71 @@ def test_default_cuts():
         cuts = default_cuts(dim)
         assert cuts and cuts[0] >= 1
         assert all(a < b for a, b in zip(cuts, cuts[1:])), (dim, cuts)
+
+
+# ---------------------------------------------------------------- real C
+
+
+def test_factor_is_real_exactly_when_c_is(grid10, tmp_path):
+    harmonic = build_harmonic(0.01, 120)
+    save_matrix(harmonic.a, tmp_path / "a.json")
+    save_matrix(harmonic.b, tmp_path / "b.json")
+    real = {
+        "harmonic": harmonic,
+        "a:scalar_shift": perturb(harmonic, "a", "scalar_shift", 0.1),
+        "a:diagonal_decay": perturb(harmonic, "a", "diagonal_decay", 0.1),
+        "file": load_pair(tmp_path / "a.json", tmp_path / "b.json"),
+    }
+    complex_ = {
+        "commuting": grid10,
+        "a:random_hermitian": perturb(harmonic, "a", "random_hermitian", 0.002, 5),
+        "b:random_hermitian": perturb(harmonic, "b", "random_hermitian", 0.002, 5),
+        "b:scalar_shift": perturb(harmonic, "b", "scalar_shift", 0.1),
+        "b:diagonal_decay": perturb(harmonic, "b", "diagonal_decay", 0.1),
+    }
+    for orientation in ORIENTATIONS:
+        for name, pair in real.items():
+            assert build_q(pair, orientation).y.dtype == np.float64, (name, orientation)
+        for name, pair in complex_.items():
+            assert build_q(pair, orientation).y.dtype == np.complex128, (name, orientation)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(2, 24), band=st.integers(0, 23), seed=st.integers(0, 2**32 - 1))
+@example(dim=16, band=15, seed=0)  # dense: 2N < k = M below cut 8, 2N = k at 8, 2N > k above
+@example(dim=16, band=3, seed=1)  # banded: 2N < k = N + 3 below cut 3, 2N = k at 3, 2N > k above
+def test_real_c_counts_as_the_complex_reference(dim, band, seed):
+    """A real C is factored in float64; every corner matches the complex assembled Q."""
+    rng = np.random.default_rng(seed)
+    band = min(band, dim - 1)
+    c = np.triu(np.tril(rng.standard_normal((dim, dim)), band), -band) / np.sqrt(dim)
+    pair = OperatorPair(
+        a=(c + c.T) / 2,
+        b=-0.5j * (c - c.T),
+        dim=dim,
+        basis_label="real",
+        known_commutator_norm=None,
+        boundary_window=0,
+    )
+    for orientation, d in (("literal", c), ("conjugate", c.T)):
+        qb = build_q(pair, orientation)
+        assert qb.y.dtype == np.float64
+        q, _, _ = q_blocks_from_c(d.astype(np.complex128))
+        for cut in range(1, dim + 1):
+            values = corner_eigenvalues(qb, cut)
+            reference = np.linalg.eigvalsh(_dual_corner(q, dim, cut))
+            assert np.max(np.abs(values - reference)) <= 1e-13, (orientation, cut)
+            assert count_upper(values)[0] == count_upper(reference)[0], (orientation, cut)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_measured_epsilon_of_a_real_pair(orientation):
+    pair = perturb(build_harmonic(0.01, 200), "a", "diagonal_decay", 0.05)
+    qb = build_q(pair, orientation)
+    assert qb.y.dtype == np.float64
+    assert qb.epsilon_measured
+    # the reference is measured on the complex128 A and B
+    assert qb.epsilon == pytest.approx(2 * masked_commutator_norm(pair), rel=1e-13)
 
 
 # ---------------------------------------------------------------- omega
