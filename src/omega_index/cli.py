@@ -284,6 +284,8 @@ def _sweep_point(args, base_spec: PairSpec, shift: PerturbationSpec, value, cuts
 
 def cmd_sweep(args) -> int:
     base_spec = _pair_spec_from_args(args)
+    if args.axis == "lambda" and base_spec.builder != "harmonic":
+        raise ConfigParse(f"--axis lambda needs the harmonic pair, not {args.pair}")
     check_gap_floor(args.gap_floor)
     # built once, so a bad --perturb-seed fails the sweep rather than every point
     shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.perturb_seed)

@@ -1,7 +1,7 @@
 """The integer index of an almost-commuting Hermitian pair.
 
-Given a pair (A, B) with small commutator, form C = A + iB and the 2M-by-2M
-Hermitian matrix
+Given a pair (A, B) with small commutator, stored as C = A + iB (see
+:class:`~omega_index.operators.OperatorPair`), form the 2M-by-2M Hermitian matrix
 
     Q = [[ D^-1,      C G^-1 ],
          [ G^-1 C*,   I - G^-1 ]],      G = I + C*C,  D = I + CC*,
@@ -12,9 +12,9 @@ orthonormal basis Y of that range gives Q = Y Y*, and :func:`build_q` takes a
 triangular one: with the reverse (UL) Cholesky factor I + d*d = U U*, U upper
 triangular, the matrix W = U^-* is lower triangular, and Y = [W; d W] is 2M-by-M
 with orthonormal columns.  The 2M-by-2M Q is never formed on the counting path
-(:func:`q_blocks_from_c` assembles it directly, as the reference formula).  When
-C is real, as for the oscillator pair, so are d, U, W and Y, and the whole
-counting path runs in float64; a complex C runs in complex128.
+(:func:`q_blocks_from_c` assembles it directly, as the reference formula).  A
+pair stores a real C, as the oscillator's, in float64; then so are d, U, W and Y,
+and the whole counting path runs in float64; a complex C runs in complex128.
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
@@ -44,7 +44,7 @@ import operator
 
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,10 +125,16 @@ def _factor_defect(y: np.ndarray) -> float:
     return (1.0 + e) * e
 
 
+def _interior_self_commutator_norm(gram: np.ndarray, rows: np.ndarray) -> float:
+    """Norm of the interior k-by-k block of d*d - dd*, given ``gram`` = (d*d)[:k, :k]
+    and ``rows`` = d[:k]."""
+    return linalg.hermitian_norm(gram - rows @ linalg.adjoint(rows))
+
+
 def masked_commutator_norm(pair: OperatorPair) -> float:
-    """``norm(AB - BA)`` with the boundary collar rows/columns removed."""
-    k = pair.a @ pair.b - pair.b @ pair.a
-    return linalg.operator_norm(k[: pair.interior, : pair.interior])
+    """``norm(AB - BA)`` off the boundary collar: half that of C*C - CC* = 2i(AB - BA)."""
+    c, k = pair.c, pair.interior
+    return 0.5 * _interior_self_commutator_norm(linalg.adjoint(c[:, :k]) @ c[:, :k], c[:k])
 
 
 def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,9 +183,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     ``y = [W; d W]`` with W = U^-* lower triangular, where I + d*d = U U* is the
     reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.
 
-    When the imaginary part of C = A + iB is exactly zero, C is replaced by its
-    real part: every later product, factorization and eigensolve then runs in
-    float64, and ``y`` is float64.  Otherwise ``y`` is complex128.
+    ``y`` has the dtype of the stored C: float64 for a real C, so that every
+    product, factorization and eigensolve runs in float64, and complex128
+    otherwise.
 
     Raises
     ------
@@ -188,13 +194,8 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     """
     resolved = resolve_orientation(orientation)
     m = pair.dim
-    c = pair.a + 1j * pair.b
-    if not np.any(c.imag):
-        # a real C (exact zeros, as in bandwidth) keeps every later kernel real
-        c = np.ascontiguousarray(c.real)
-    band = bandwidth(c)
-    d = c if resolved == "conjugate" else linalg.adjoint(c)
-    del c
+    band = bandwidth(pair.c)
+    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
     gram = linalg.adjoint(d) @ d
 
     if pair.known_commutator_norm is not None:
@@ -203,8 +204,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
         # interior block of C*C - CC*, one half of which is already in the Gram;
         # its norm is the same in both orientations
         k = pair.interior
-        rows = d[:k]
-        epsilon = linalg.hermitian_norm(gram[:k, :k] - rows @ linalg.adjoint(rows))
+        epsilon = _interior_self_commutator_norm(gram[:k, :k], d[:k])
 
     gram[np.diag_indices(m)] += 1.0
     # an infinite diagonal does not make cholesky fail; it would zero columns of W
@@ -452,7 +452,7 @@ def scale_admissible(
 ) -> tuple[OperatorPair, float, float]:
     """Rescale a pair so its masked commutator norm is at most ``target``.
 
-    Scaling A and B by s scales the commutator by s^2, and the index is invariant
+    Scaling C by s scales the commutator by s^2, and the index is invariant
     under positive rescaling, so an inadmissible pair can always be brought into
     the counting regime.  Already-small pairs are returned unchanged (s = 1);
     otherwise ``s = (1 - margin) * sqrt(target / kappa)`` with a 5% margin, where
@@ -471,12 +471,4 @@ def scale_admissible(
     known = None
     if pair.known_commutator_norm is not None:
         known = pair.known_commutator_norm * s * s
-    scaled = OperatorPair(
-        a=s * pair.a,
-        b=s * pair.b,
-        dim=pair.dim,
-        basis_label=pair.basis_label,
-        known_commutator_norm=known,
-        boundary_window=pair.boundary_window,
-    )
-    return scaled, s, s
+    return replace(pair, c=s * pair.c, known_commutator_norm=known), s, s

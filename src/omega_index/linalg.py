@@ -3,7 +3,7 @@
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion, the operator norm and an O(n^2) hermiticity gate.
 Matrices are plain ``numpy.ndarray`` objects.  Input from outside the program is
-coerced to ``complex128`` (:func:`as_matrix`), while the factor of a real C stays
+coerced to ``complex128`` (:func:`as_matrix`), while a real C and its factor stay
 ``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` work in the dtype they are given.  Functions that take
 matrices from outside the program validate the shape and hermiticity assumptions

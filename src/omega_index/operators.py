@@ -1,11 +1,11 @@
 """Builders for the operator pairs under study.
 
-A pair is two Hermitian M-by-M matrices (A, B) obtained by truncating selfadjoint
-operators to the span of the first M basis vectors.  Truncation corrupts a boundary
-collar of the basis; every pair therefore carries a ``boundary_window`` marking the
-trailing indices that norm measurements must mask.
+A pair is two Hermitian M-by-M matrices (A, B), truncations of selfadjoint operators
+to the span of the first M basis vectors, stored as C = A + iB.  Truncation corrupts
+a boundary collar of the basis; every pair therefore carries a ``boundary_window``
+marking the trailing indices that norm measurements must mask.
 
-Available builders:
+Available builders, each of which forms C directly:
 
 * :func:`build_harmonic` -- position/momentum in the oscillator (Hermite) basis,
   scaled so the interior commutator is exactly ``i * lam``.
@@ -39,14 +39,18 @@ PERTURB_KINDS = ("scalar_shift", "diagonal_decay", "random_hermitian")
 PERTURB_TARGETS = ("a", "b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorPair:
-    """Two Hermitian matrices plus truncation metadata.
+    """A Hermitian pair, stored as the one matrix C = A + iB, plus truncation metadata.
+
+    ``OperatorPair(a=A, b=B, ...)`` gates Hermitian A and B from outside the program
+    and forms C once, as float64 when its imaginary part is exactly zero;
+    ``OperatorPair(c=C, ...)`` stores a C the program built itself, ungated.
 
     Attributes
     ----------
-    a, b : ndarray
-        Hermitian M-by-M matrices.
+    c : ndarray
+        C = A + iB, M-by-M, float64 or complex128.
     dim : int
         M.
     basis_label : str
@@ -59,38 +63,56 @@ class OperatorPair:
         mask indices ``>= dim - boundary_window``.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    c: np.ndarray
     dim: int
     basis_label: str
     known_commutator_norm: float | None
     boundary_window: int
 
-    def __post_init__(self):
-        a = linalg.require_square(linalg.as_matrix(self.a))
-        b = linalg.require_square(linalg.as_matrix(self.b))
-        if a.shape != b.shape or a.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"pair shapes {a.shape} and {b.shape} do not match dim {self.dim}"
-            )
-        for name, m in (("a", a), ("b", b)):
-            if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
-                raise NonHermitianInput(f"matrix {name} is not Hermitian to tolerance")
-        if not 0 <= self.boundary_window < self.dim / 2:
-            raise InvalidParameter(
-                f"boundary_window {self.boundary_window} must satisfy 0 <= W < dim/2"
-            )
-        if self.known_commutator_norm is not None and not (
-            np.isfinite(self.known_commutator_norm) and self.known_commutator_norm >= 0
-        ):
+    def __init__(self, a=None, b=None, *, dim, basis_label, known_commutator_norm,
+                 boundary_window, c=None):
+        if (a is None) != (b is None) or (a is None) == (c is None):
+            raise InvalidParameter("a pair takes either c or both a and b")
+        if c is None:
+            a, b = (linalg.as_matrix(m) for m in (a, b))
+            if a.shape != b.shape:
+                raise DimensionMismatch(f"pair shapes {a.shape} and {b.shape} differ")
+            for name, m in (("a", a), ("b", b)):
+                if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
+                    raise NonHermitianInput(f"matrix {name} is not Hermitian to tolerance")
+            c = a + 1j * b
+            if not np.any(c.imag):
+                # exact zeros only: a real C keeps every later kernel in float64
+                c = np.ascontiguousarray(c.real)
+        if c.shape != (dim, dim):
+            raise DimensionMismatch(f"pair shape {c.shape} does not match dim {dim}")
+        if not 0 <= boundary_window < dim / 2:
+            raise InvalidParameter(f"boundary_window {boundary_window} must satisfy 0 <= W < dim/2")
+        if known_commutator_norm is not None and not 0 <= known_commutator_norm < np.inf:
             raise InvalidParameter("known_commutator_norm must be finite and >= 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # a frozen dataclass: its fields are written here only
+        vars(self).update(c=c, dim=dim, basis_label=basis_label, boundary_window=boundary_window,
+                          known_commutator_norm=known_commutator_norm)
+
+    @property
+    def a(self) -> np.ndarray:
+        """A = (C + C*)/2, exactly Hermitian; a new read-only array on every access."""
+        return _read_only((self.c + linalg.adjoint(self.c)) / 2.0)
+
+    @property
+    def b(self) -> np.ndarray:
+        """B = -i(C - C*)/2, exactly Hermitian; a new read-only array on every access."""
+        return _read_only((self.c - linalg.adjoint(self.c)) * -0.5j)
 
     @property
     def interior(self) -> int:
         """Number of trustworthy leading indices, ``dim - boundary_window``."""
         return self.dim - self.boundary_window
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -144,34 +166,25 @@ def build_pair(spec: PairSpec) -> OperatorPair:
     return pair
 
 
-def _ladder(dim: int) -> np.ndarray:
-    """Truncated annihilation operator: a[n, n+1] = sqrt(n+1)."""
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    n = np.arange(dim - 1)
-    a[n, n + 1] = np.sqrt(n + 1.0)
-    return a
-
-
 def build_harmonic(lam: float, dim: int) -> OperatorPair:
     """Oscillator pair A = sqrt(lam) * X, B = sqrt(lam) * P.
 
     X = (a + a*)/sqrt(2) and P = i(a* - a)/sqrt(2) are the standard tridiagonal
     position/momentum truncations with [X, P] = iI away from the last basis state,
     so the interior commutator is [A, B] = i*lam*I exactly and
-    ``known_commutator_norm = lam``.  The truncation artifact lives entirely in the
-    final row/column; ``boundary_window = max(1, dim // 8)``.
+    ``known_commutator_norm = lam``.  C = sqrt(2*lam) * a is real, rounded as the sum
+    sqrt(lam)*X + i*sqrt(lam)*P rounds.  The truncation artifact lives entirely in
+    the final row/column; ``boundary_window = max(1, dim // 8)``.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InvalidParameter(f"lam must be positive, got {lam}")
     if dim < 8:
         raise InvalidParameter(f"dim must be at least 8, got {dim}")
-    a = _ladder(dim)
-    x = (a + linalg.adjoint(a)) / np.sqrt(2.0)
-    p = 1j * (linalg.adjoint(a) - a) / np.sqrt(2.0)
-    s = np.sqrt(lam)
+    n = np.arange(dim - 1)
+    c = np.zeros((dim, dim))
+    c[n, n + 1] = 2.0 * (np.sqrt(lam) * (np.sqrt(n + 1.0) * (1.0 / np.sqrt(2.0))))
     return OperatorPair(
-        a=s * x,
-        b=s * p,
+        c=c,
         dim=dim,
         basis_label="oscillator",
         known_commutator_norm=float(lam),
@@ -203,13 +216,11 @@ def build_commuting_grid(radius: int, scale: float = 1.0) -> OperatorPair:
         raise InvalidParameter("scale must be finite")
     pts = grid_points(radius)
     dim = len(pts)
-    a = np.diag(np.array([scale * n for n, _ in pts], dtype=np.complex128))
-    b = np.diag(np.array([scale * m for _, m in pts], dtype=np.complex128))
+    c = np.diag(np.array([complex(scale * n, scale * m) for n, m in pts]))
     r2 = radius * radius
     window = sum(1 for n, m in pts if n * n + m * m > r2)
     return OperatorPair(
-        a=a,
-        b=b,
+        c=c,
         dim=dim,
         basis_label=f"grid-radius-{radius}",
         known_commutator_norm=0.0,
@@ -267,32 +278,32 @@ def perturb(
     magnitude: float,
     seed: int = 0,
 ) -> OperatorPair:
-    """Additively perturb one matrix of the pair.
+    """Additively perturb one matrix of the pair by a Hermitian delta.
 
     ``scalar_shift`` adds ``magnitude * I`` (commutes with everything, so the known
     commutator norm survives); ``diagonal_decay`` adds ``magnitude * diag(1/(k+1))``;
     ``random_hermitian`` adds ``magnitude * R`` with R a seeded random Hermitian
-    matrix of unit norm.  Randomness uses a counter-based generator keyed only by
-    ``seed``, so results do not depend on thread scheduling.  For the two
-    non-scalar kinds the analytic commutator value no longer applies and
-    ``known_commutator_norm`` is dropped.
+    matrix of unit norm, to C for target ``a`` and times i for ``b``.  Randomness uses
+    a counter-based generator keyed only by ``seed``, so results do not depend on
+    thread scheduling.  For the two non-scalar kinds the analytic commutator value
+    no longer applies and ``known_commutator_norm`` is dropped.
     """
     spec = PerturbationSpec(target=target, kind=kind, magnitude=magnitude, seed=seed)
     if spec.magnitude == 0.0:
         return pair
     dim = pair.dim
     if spec.kind == "scalar_shift":
-        delta = spec.magnitude * np.eye(dim, dtype=np.complex128)
+        delta = spec.magnitude * np.eye(dim)
         known = pair.known_commutator_norm
     elif spec.kind == "diagonal_decay":
-        delta = spec.magnitude * np.diag(1.0 / (np.arange(dim) + 1.0)).astype(np.complex128)
+        delta = spec.magnitude * np.diag(1.0 / (np.arange(dim) + 1.0))
         known = None
     else:
         delta = spec.magnitude * _random_unit_hermitian(dim, spec.seed)
         known = None
-    if spec.target == "a":
-        return replace(pair, a=pair.a + delta, known_commutator_norm=known)
-    return replace(pair, b=pair.b + delta, known_commutator_norm=known)
+    if spec.target == "b":
+        delta = 1j * delta
+    return replace(pair, c=pair.c + delta, known_commutator_norm=known)
 
 
 def matrix_to_payload(m: np.ndarray) -> dict:
@@ -344,15 +355,10 @@ def load_pair(path_a, path_b) -> OperatorPair:
     unset; the boundary window is ``dim // 8``.
     """
     a = load_matrix(path_a)
-    b = load_matrix(path_b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(
-            f"pair dimensions differ: {a.shape} vs {b.shape}"
-        )
     dim = a.shape[0]
     return OperatorPair(
         a=a,
-        b=b,
+        b=load_matrix(path_b),
         dim=dim,
         basis_label="file",
         known_commutator_norm=None,

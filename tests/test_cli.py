@@ -492,6 +492,26 @@ def test_sweep_records_failed_points(capsys):
     assert doc["points"][1]["error"]["type"] == "InadmissibleCommutator"
 
 
+@pytest.mark.parametrize("pair", [
+    ("--pair", "commuting", "--grid-radius", "6"),
+    ("--pair", "file", "--file-a", "a.json", "--file-b", "b.json"),
+])
+def test_sweep_lambda_axis_refuses_a_pair_without_a_coupling(capsys, monkeypatch, pair):
+    """Only the harmonic pair reads lambda, so a sweep of it elsewhere would sweep nothing."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no pair may be built")
+
+    monkeypatch.setattr(cli_module, "build_pair", unexpected)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "lambda", *pair, "--values", "0.005,0.5,50"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigParse"
+    assert "lambda" in error["message"]
+
+
 def test_sweep_cut_axis(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "cut", "--values", "70:110:20", "--dim", "240"

@@ -656,8 +656,10 @@ def test_measured_epsilon_of_a_real_pair(orientation):
     qb = build_q(pair, orientation)
     assert qb.y.dtype == np.float64
     assert qb.epsilon_measured
-    # the reference is measured on the complex128 A and B
-    assert qb.epsilon == pytest.approx(2 * masked_commutator_norm(pair), rel=1e-13)
+    # an independent reference: the commutator of the derived A and B, in complex128
+    k = pair.interior
+    commutator = (pair.a @ pair.b - pair.b @ pair.a)[:k, :k]
+    assert qb.epsilon == pytest.approx(2 * operator_norm(commutator), rel=1e-13)
 
 
 # ---------------------------------------------------------------- omega

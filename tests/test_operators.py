@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import omega_index.linalg as linalg_module
 from omega_index import (
     ConfigParse,
     DimensionMismatch,
@@ -21,6 +25,7 @@ from omega_index import (
     operator_norm,
     perturb,
     save_matrix,
+    scale_admissible,
 )
 
 
@@ -42,6 +47,22 @@ def test_harmonic_matches_ladder_construction():
     p = 1j * (a.conj().T - a) / np.sqrt(2)
     assert np.allclose(pair.a, np.sqrt(lam) * x, atol=1e-15)
     assert np.allclose(pair.b, np.sqrt(lam) * p, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "lam,dim", [(0.01, 8), (0.0075, 120), (0.002, 400), (0.025, 600), (1.0, 1200)]
+)
+def test_harmonic_c_is_the_ladder_sum_bit_for_bit(lam, dim):
+    """C is stored real, and equal to sqrt(lam)*X + i*sqrt(lam)*P in every bit."""
+    a = ladder(dim)
+    x = (a + a.conj().T) / np.sqrt(2.0)
+    p = 1j * (a.conj().T - a) / np.sqrt(2.0)
+    s = np.sqrt(lam)
+    reference = s * x + 1j * (s * p)
+    c = build_harmonic(lam, dim).c
+    assert c.dtype == np.float64
+    assert not np.any(reference.imag)
+    assert np.array_equal(c, reference.real)
 
 
 def test_harmonic_superdiagonal_entry():
@@ -187,6 +208,76 @@ def test_operator_pair_rejects_non_hermitian():
             known_commutator_norm=None,
             boundary_window=0,
         )
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Random Hermitian A and B; half of them a real symmetric A with B = 0."""
+    dim = draw(st.integers(1, 6))
+    part = hnp.arrays(np.float64, (dim, dim), elements=st.floats(-1e3, 1e3))
+
+    def hermitian(g):
+        return (g + g.conj().T) / 2
+
+    if draw(st.booleans()):
+        return hermitian(draw(part)), np.zeros((dim, dim))
+    return tuple(hermitian(draw(part) + 1j * draw(part)) for _ in "ab")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_pairs())
+def test_operator_pair_round_trips_outside_input(ab):
+    """A and B from outside come back exactly Hermitian and within rounding of the input."""
+    a, b = ab
+    dim = a.shape[0]
+    pair = OperatorPair(
+        a=a, b=b, dim=dim, basis_label="outside", known_commutator_norm=None,
+        boundary_window=0,
+    )
+    scale = operator_norm(a) + operator_norm(b)
+    for derived, given_ in ((pair.a, a), (pair.b, b)):
+        assert np.array_equal(derived, derived.conj().T)
+        assert np.max(np.abs(derived - given_)) <= 1e-15 * scale
+    if not np.any(b) and not np.any(a.imag):
+        assert pair.c.dtype == np.float64
+        assert np.array_equal(pair.a, a)
+
+
+def test_builders_neither_gate_nor_form_a_and_b(monkeypatch):
+    """Builders, perturbations and rescaling form C directly; only outside input is gated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built pair was gated")
+
+    monkeypatch.setattr(linalg_module, "is_hermitian", refuse)
+    monkeypatch.setattr(OperatorPair, "a", property(refuse))
+    monkeypatch.setattr(OperatorPair, "b", property(refuse))
+    pair = build_harmonic(0.5, 32)
+    for target in ("a", "b"):
+        for kind in ("scalar_shift", "diagonal_decay", "random_hermitian"):
+            pair = perturb(pair, target, kind, 0.01, 3)
+    scaled, s, _ = scale_admissible(pair, 0.02)
+    assert s < 1 and np.array_equal(scaled.c, s * pair.c)
+    assert build_commuting_grid(3, 0.5).c.dtype == np.complex128
+
+
+def test_derived_a_and_b_are_read_only():
+    pair = build_harmonic(0.01, 8)
+    with pytest.raises(ValueError):
+        pair.a[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        pair.b[0, 1] = 1.0
+
+
+def test_operator_pair_takes_c_or_a_and_b():
+    c = np.zeros((2, 2))
+    meta = dict(dim=2, basis_label="x", known_commutator_norm=None, boundary_window=0)
+    with pytest.raises(InvalidParameter):
+        OperatorPair(a=c, c=c, **meta)
+    with pytest.raises(InvalidParameter):
+        OperatorPair(a=c, **meta)
+    with pytest.raises(DimensionMismatch):
+        OperatorPair(c=np.zeros((3, 3)), **meta)
 
 
 def test_operator_pair_rejects_wide_window():
