@@ -13,7 +13,7 @@ Subcommands
 ``sweep``
     Re-run the index across a parameter axis (lambda, cut, or perturbation
     magnitude) and report whether it stayed constant.  On the cut axis the pair
-    and Q are built once and every value is certified from them.
+    is built and factored once and every value is certified from that factor.
 
 Value lists (``--cuts``, ``--values``) are ``a,b,c`` or the ascending, end-inclusive
 range ``a:b:step``; a malformed list, cut or seed is refused before anything is factored.
@@ -42,11 +42,13 @@ from .errors import STABILITY_ERRORS, ConfigParse, InvalidParameter, OmegaIndexE
 from .index import (
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
-    build_q,
+    # bound here only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
+    build_q,  # noqa: F401
     certify,
     check_cuts,
     check_gap_floor,
     corner_eigenvalues,
+    factor,
     omega,
     scale_admissible,
     theorem_bound,
@@ -262,8 +264,7 @@ def cmd_spectrum(args) -> int:
     spec = _pair_spec_from_args(args)
     pair = build_pair(spec)
     check_cuts([args.cut], pair.dim, pair.boundary_window)
-    qb = build_q(pair, args.orientation)
-    values = corner_eigenvalues(qb, args.cut)
+    values = corner_eigenvalues(factor(pair, args.orientation), args.cut)
     lines = ["index,eigenvalue"]
     for i, v in enumerate(values):
         lines.append(f"{i},{float(v)!r}")
@@ -293,10 +294,10 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.values, int if args.axis == "cut" else float)
     qb = build_error = None
     if args.axis == "cut":
-        # every cut is certified from one pair and one Q; if building them
-        # fails, every cut fails with that error
+        # every cut is certified from one pair and one factor; if building
+        # them fails, every cut fails with that error
         try:
-            qb = build_q(build_pair(base_spec), args.orientation)
+            qb = factor(build_pair(base_spec), args.orientation)
         except OmegaIndexError as exc:
             build_error = exc
     points = []

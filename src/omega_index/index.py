@@ -32,6 +32,18 @@ counting is meaningful only while the idempotency-defect bound
 (4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4; outside
 that regime the pair must be rescaled first (:func:`scale_admissible`).
 
+A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
+adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
+and the commuting grid) needs none of that: :func:`factor` keeps only O(M)
+numbers (:class:`BandQ`), the tridiagonal G = I + d*d, its pivots in both
+directions and the two diagonals of d.  With k = N + 1 the corner's nonzero
+spectrum is that of the pencil (P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k]
+and S_k = W_kk^-* W_kk^-1; for a bidiagonal d both equal G on rows 0..N-2 and on
+their coupling to row N-1, so one Schur complement leaves a 2-by-2 pencil on rows
+N-1 and N.  The 2N corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and
+the two eigenvalues of that pencil.  :func:`factor` chooses the path from the
+data; :func:`build_q` is always the dense one.
+
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
 ``default`` orientation is pinned by the generated calibration record (see
@@ -68,6 +80,10 @@ DEFAULT_GAP_FLOOR = 0.05
 DEFAULT_SCALE_TARGET = 0.02
 SCALE_MARGIN = 0.05
 
+#: the constant c of the band path's factor bound: the pivots of I + d*d are exact
+#: for a G' with ||G' - G||_inf <= c * u * ||G||_inf, u the unit roundoff (see BandQ)
+PIVOT_ROUNDING = 8.0
+
 
 @dataclass(frozen=True)
 class QBuild:
@@ -86,6 +102,47 @@ class QBuild:
     """
 
     y: np.ndarray
+    orientation: str
+    epsilon: float
+    defect: float
+    dim: int
+    boundary_window: int
+    epsilon_measured: bool
+    bandwidth: int
+
+
+@dataclass(frozen=True)
+class BandQ:
+    """The factor of Q for a bidiagonal d, in O(M) numbers (see :func:`factor`).
+
+    ``g`` and ``f`` are the diagonal and superdiagonal of the tridiagonal
+    G = I + d*d; ``top`` holds its top-down pivots ``top[i] = g[i] -
+    |f[i-1]|^2 / top[i-1]`` and ``bottom`` its bottom-up pivots ``bottom[i] = g[i]
+    - |f[i]|^2 / bottom[i+1]``, so G = U U* with U upper bidiagonal, ``U[i, i] =
+    sqrt(bottom[i])`` and ``U[i, i+1] = f[i] / sqrt(bottom[i+1])``.  ``main`` and
+    ``upper`` are the diagonal and superdiagonal of d (zero when d is lower
+    bidiagonal); the corners read them besides G, whose values alone do not fix
+    the spectrum (the oscillator and a diagonal pair can share one G).
+
+    The other fields are those of :class:`QBuild`, with ``defect = (1 + e) e`` for
+    an a-priori e.  Forming G from d rounds each entry by at most 4u relatively
+    (u the unit roundoff), and each pivot step rounds |f|^2, a division and a
+    subtraction, at most 3u relative to the diagonal of U U*.  Since the LDL*
+    factors of a Hermitian positive definite tridiagonal satisfy |L||D||L*| = |G|,
+    the U above, built from the computed pivots, has U U* = G + E with
+    ``|E| <= 7u |G|`` entrywise, up to O(u^2).  Hence ``norm(E) <= c u norm(G,
+    inf)`` with c = :data:`PIVOT_ROUNDING`, and with Y = [U^-*; d U^-*] and G >= I,
+    ``norm(Y* Y - I) = norm(U^-1 E U^-*) <= x / (1 - x) = e`` for ``x = c u
+    norm(G, inf)`` (e is infinite once x >= 1).  The same bound holds for the
+    top-down pivots.
+    """
+
+    g: np.ndarray
+    f: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    main: np.ndarray
+    upper: np.ndarray
     orientation: str
     epsilon: float
     defect: float
@@ -123,6 +180,17 @@ def _factor_defect(y: np.ndarray) -> float:
     gram[np.diag_indices(y.shape[1])] -= 1.0
     e = linalg.hermitian_norm(gram)
     return (1.0 + e) * e
+
+
+def _epsilon(pair: OperatorPair, d: np.ndarray, gram: np.ndarray | None = None) -> float:
+    """Twice the pair's analytic commutator norm, or else the norm of the interior
+    block of d*d - dd* (the same in both orientations); ``gram`` is d*d if formed."""
+    if pair.known_commutator_norm is not None:
+        return 2.0 * pair.known_commutator_norm
+    if gram is None:
+        gram = linalg.adjoint(d) @ d
+    k = pair.interior
+    return _interior_self_commutator_norm(gram[:k, :k], d[:k])
 
 
 def _interior_self_commutator_norm(gram: np.ndarray, rows: np.ndarray) -> float:
@@ -167,8 +235,13 @@ def resolve_orientation(orientation: str) -> str:
 def bandwidth(c: np.ndarray) -> int:
     """The largest |i - j| with ``c[i, j] != 0`` (exact zeros, no tolerance); 0 if diagonal.
 
-    Diagonals are scanned from the outside in, so a dense matrix stops at once.
+    When every nonzero lies on the diagonals -1, 0 and 1 the answer is read from
+    them in one pass; otherwise diagonals are scanned from the outside in, so a
+    dense matrix stops at once.
     """
+    near = [np.diagonal(c, k) for k in (-1, 0, 1)]
+    if np.count_nonzero(c) == sum(np.count_nonzero(x) for x in near):
+        return int(bool(np.any(near[0]) or np.any(near[2])))
     for k in range(c.shape[0] - 1, 0, -1):
         if np.any(np.diagonal(c, k)) or np.any(np.diagonal(c, -k)):
             return k
@@ -176,7 +249,11 @@ def bandwidth(c: np.ndarray) -> int:
 
 
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
-    """Factor the almost-projection for a pair in the requested orientation.
+    """Factor the almost-projection densely for a pair in the requested orientation.
+
+    This is the path :func:`factor` takes for every pair whose d is not
+    bidiagonal, and the reference its band path is checked against: it factors
+    every pair, banded or not, the same way.
 
     Q projects onto range([I; d]), with d = C* (``literal``) or d = C
     (``conjugate``, which is the literal Q of the pair (A, -B)).  The factor is
@@ -197,15 +274,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     band = bandwidth(pair.c)
     d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
     gram = linalg.adjoint(d) @ d
-
-    if pair.known_commutator_norm is not None:
-        epsilon = 2.0 * pair.known_commutator_norm
-    else:
-        # interior block of C*C - CC*, one half of which is already in the Gram;
-        # its norm is the same in both orientations
-        k = pair.interior
-        epsilon = _interior_self_commutator_norm(gram[:k, :k], d[:k])
-
+    epsilon = _epsilon(pair, d, gram)
     gram[np.diag_indices(m)] += 1.0
     # an infinite diagonal does not make cholesky fail; it would zero columns of W
     if not np.all(np.isfinite(gram.diagonal())):
@@ -227,13 +296,123 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     return QBuild(
         y=y,
         orientation=resolved,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         defect=_factor_defect(y),
         dim=m,
         boundary_window=pair.boundary_window,
         epsilon_measured=pair.known_commutator_norm is None,
         bandwidth=band,
     )
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entrywise, as re^2 + im^2."""
+    return x.real * x.real + x.imag * x.imag
+
+
+def _pivots(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The LDL* pivots p[0] = g[0], p[i] = g[i] - a[i-1] / p[i-1] of the tridiagonal
+    with diagonal g and squared off-diagonal moduli a."""
+    p = g.tolist()
+    for i, ai in enumerate(a.tolist()):
+        p[i + 1] -= ai / p[i]
+    return np.array(p)
+
+
+def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
+    """Factor Q for counting: a :class:`BandQ` when d is bidiagonal, else :func:`build_q`.
+
+    d (C or C*, as in :func:`build_q`) is bidiagonal when its bandwidth is at most 1
+    and at most one of its two adjacent diagonals is nonzero: the oscillator in both
+    orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
+    commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
+    numbers are kept.  Nothing but the data chooses the path; ``epsilon`` is found
+    as :func:`build_q` finds it, so it is the same number on both.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
+        dense path).
+    """
+    resolved = resolve_orientation(orientation)
+    band = bandwidth(pair.c)
+    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
+    lower, main, upper = (np.diagonal(d, k) for k in (-1, 0, 1))
+    if band > 1 or (np.any(lower) and np.any(upper)):
+        return build_q(pair, resolved)
+    # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
+    g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
+    if not np.all(np.isfinite(g)):
+        raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+    f = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
+    a = _abs2(f)
+    top = _pivots(g, a)
+    bottom = _pivots(g[::-1], a[::-1])[::-1]
+    if not (np.all(top > 0) and np.all(bottom > 0)):
+        raise ConvergenceFailure("a pivot of I + d*d is not positive")
+    moduli = np.abs(f)
+    rows = g + np.append(0.0, moduli) + np.append(moduli, 0.0)
+    x = PIVOT_ROUNDING * (np.finfo(np.float64).eps / 2) * float(np.max(rows))
+    e = x / (1.0 - x) if x < 1.0 else np.inf
+    return BandQ(
+        g=g,
+        f=f,
+        top=top,
+        bottom=bottom,
+        # copies: views of C would keep the M-by-M array alive
+        main=main.copy(),
+        upper=upper.copy(),
+        orientation=resolved,
+        epsilon=_epsilon(pair, d),
+        defect=(1.0 + e) * e,
+        dim=pair.dim,
+        boundary_window=pair.boundary_window,
+        epsilon_measured=pair.known_commutator_norm is None,
+        bandwidth=band,
+    )
+
+
+def _band_spectra(bq: BandQ, cuts: list[int]) -> list[np.ndarray]:
+    """All 2N corner eigenvalues, ascending, at each cut N of a :class:`BandQ`.
+
+    With the head rows 0..N-2 eliminated (X = |f[N-2]|^2 / top[N-2]), the pencil
+    (P_N, S_{N+1}) leaves on rows N-1 and N
+
+        P = [[1 + |upper[N-2]|^2 + |main[N-1]|^2 - X,  conj(main[N-1]) upper[N-1]],
+             [.,                                       |upper[N-1]|^2           ]],
+        S = [[top[N-1],  f[N-1]   ],
+             [.,         bottom[N]]],
+
+    with the entries at index -1 or M read as 0 (X = 0 at N = 1) and bottom[M] as
+    1; at N = M, or for a diagonal d, the padded row adds one exact zero.  All
+    cuts share one batched Cholesky of S and one eigensolve.
+    """
+    n = np.asarray(cuts)
+    f = np.concatenate([[0.0], bq.f, [0.0]])  # f[i + 1] is f_i for i = -1..M-1
+    upper = np.concatenate([[0.0], bq.upper, [0.0]])
+    top = np.append(1.0, bq.top)  # top[i + 1] is top_i
+    bottom = np.append(bq.bottom, 1.0)
+    main = bq.main[n - 1]
+    p = np.zeros((n.size, 2, 2), dtype=f.dtype)
+    s = np.zeros_like(p)
+    p[:, 0, 0] = 1.0 + _abs2(upper[n - 1]) + _abs2(main) - _abs2(f[n - 1]) / top[n - 1]
+    p[:, 0, 1] = np.conj(main) * upper[n]
+    p[:, 1, 0] = np.conj(p[:, 0, 1])
+    p[:, 1, 1] = _abs2(upper[n])
+    s[:, 0, 0] = top[n]
+    s[:, 0, 1] = f[n]
+    s[:, 1, 0] = np.conj(f[n])
+    s[:, 1, 1] = bottom[n]
+    try:
+        inverse = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Cholesky factorization of a pencil failed: {exc}") from exc
+    tails = linalg.hermitian_eigenvalues(inverse @ p @ np.conj(inverse).swapaxes(1, 2))
+    return [
+        np.sort(np.concatenate([np.zeros(cut - 1), np.ones(cut - 1), tail]))
+        for cut, tail in zip(n.tolist(), tails)
+    ]
 
 
 def theorem_bound(epsilon: float) -> float:
@@ -260,15 +439,19 @@ def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
     return yc @ linalg.adjoint(yc)
 
 
-def corner_eigenvalues(qb: QBuild, cut: int) -> np.ndarray:
+def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending.
 
-    The corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``, which are
+    For a :class:`BandQ` they are cut - 1 exact zeros, cut - 1 exact ones and the
+    two eigenvalues of a 2-by-2 pencil (see :func:`factor`).  For a :class:`QBuild`
+    the corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``, which are
     exactly zero beyond column k = min(M, cut + bandwidth); only those k columns
     are kept.  When 2*cut <= k the corner itself is solved.  Otherwise the k-by-k
     ``yc* yc``, which has the same nonzero eigenvalues, is solved and the
     remaining 2*cut - k eigenvalues are exact zeros.
     """
+    if isinstance(qb, BandQ):
+        return _band_spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window))[0]
     yc = _corner_rows(qb, cut, min(qb.dim, cut + qb.bandwidth))
     zeros = yc.shape[0] - yc.shape[1]
     if zeros <= 0:
@@ -296,8 +479,7 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
     return s1, gap, s0, s1
 
 
-def _spectral_report(qb: QBuild, cut: int) -> SpectralReport:
-    values = corner_eigenvalues(qb, cut)
+def _spectral_report(cut: int, values: np.ndarray) -> SpectralReport:
     m_n, gap, _, _ = count_upper(values)
     return SpectralReport(cut=cut, eigenvalues=values, m_n=m_n, gap=gap)
 
@@ -352,15 +534,16 @@ def omega(
     """Count the index over a sweep of cuts and require a stable answer.
 
     Checks the arguments before anything is factored, then returns :func:`certify`
-    of :func:`build_q`; ``cuts`` defaults to :func:`default_cuts`.  To count many
-    cut lists of one pair, build Q once and call :func:`certify` for each.
+    of :func:`factor`, which takes the O(M) band path when d is bidiagonal and
+    :func:`build_q` otherwise; ``cuts`` defaults to :func:`default_cuts`.  To count
+    many cut lists of one pair, factor it once and call :func:`certify` for each.
 
     Raises
     ------
     InvalidParameter, CutTooLarge
         As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
     ConvergenceFailure
-        If I + d*d overflows or its Cholesky factorization fails (see :func:`build_q`).
+        If I + d*d overflows or cannot be factored (see :func:`factor`).
     InadmissibleCommutator, GapViolation, UnstableCount
         As raised by :func:`certify`.
     """
@@ -368,10 +551,10 @@ def omega(
         default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
     )
     check_gap_floor(gap_floor)
-    return certify(build_q(pair, orientation), cuts, gap_floor)
+    return certify(factor(pair, orientation), cuts, gap_floor)
 
 
-def certify(qb: QBuild, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResult:
+def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResult:
     """Count the index of a factored Q over a sweep of cuts and require a stable answer.
 
     For each cut N the eigenvalues of the corner block are computed (values only,
@@ -414,16 +597,24 @@ def certify(qb: QBuild, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResu
             bound=bound,
         )
 
-    reports = [_spectral_report(qb, c) for c in cuts]
+    if isinstance(qb, BandQ):
+        spectra = _band_spectra(qb, cuts)
+    else:
+        spectra = [corner_eigenvalues(qb, c) for c in cuts]
+    reports = [_spectral_report(c, values) for c, values in zip(cuts, spectra)]
 
-    violating = [(r.cut, r.gap) for r in reports if r.gap < gap_floor]
+    violating = [r for r in reports if r.gap < gap_floor]
     if violating:
-        detail = ", ".join(f"cut {c}: gap {g:.6g}" for c, g in violating)
+        detail = ", ".join(f"cut {r.cut}: gap {r.gap:.6g}" for r in violating)
         raise GapViolation(
             f"corner eigenvalues within gap_floor {gap_floor:g} of 1/2 ({detail})",
-            cuts=[c for c, _ in violating],
-            gaps=[g for _, g in violating],
+            cuts=[r.cut for r in violating],
+            gaps=[r.gap for r in violating],
             gap_floor=gap_floor,
+            nearest=[
+                float(r.eigenvalues[np.argmin(np.abs(r.eigenvalues - 0.5))])
+                for r in violating
+            ],
         )
     per_cut = [r.m_n - r.cut for r in reports]
     if len(set(per_cut)) != 1:

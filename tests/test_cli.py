@@ -229,6 +229,14 @@ def test_gap_violation_names_its_gaps(capsys):
     assert detail["gap_floor"] == 0.05
 
 
+def test_gap_violation_names_the_eigenvalue_nearest_one_half(capsys):
+    code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "60,100,50")
+    assert code == 2
+    detail = json.loads(out)["error"]["detail"]
+    # per offending cut, in the order of "cuts": 2Nl/(2Nl + 1) at l = 0.01
+    assert detail["nearest"] == pytest.approx([1.2 / 2.2, 0.5], abs=1e-12)
+
+
 def test_omega_unstable_count_exits_2(capsys):
     code, out, _ = run_cli(capsys, "omega", "--dim", "240", "--cuts", "40,100")
     assert code == 2
@@ -318,7 +326,14 @@ def test_bad_cut_spec_exits_1(capsys):
 
 
 def _refuse_to_factor(*args, **kwargs):
-    raise AssertionError("build_q reached")
+    raise AssertionError("factor reached")
+
+
+def _patch_every_factor(monkeypatch):
+    """Make both factor paths, the band one and the dense one, fail if reached."""
+    for module in (index_module, cli_module):
+        for name in ("factor", "build_q"):
+            monkeypatch.setattr(module, name, _refuse_to_factor)
 
 
 #: one value-list grammar serves omega --cuts and sweep --values on every axis
@@ -366,16 +381,14 @@ def test_value_list_grammar_reads_floats(capsys, spec, values):
 )
 @pytest.mark.parametrize("command", sorted(VALUE_LIST_COMMANDS))
 def test_malformed_value_list_exits_1_before_the_factor(capsys, monkeypatch, command, spec):
-    for module in (index_module, cli_module):
-        monkeypatch.setattr(module, "build_q", _refuse_to_factor)
+    _patch_every_factor(monkeypatch)
     code, out, err = run_cli(capsys, *VALUE_LIST_COMMANDS[command], spec)
     assert (code, err) == (1, "")
     assert json.loads(out)["error"]["type"] == "ConfigParse"
 
 
 def test_spectrum_refuses_a_collar_cut_before_the_factor(capsys, monkeypatch):
-    for module in (index_module, cli_module):
-        monkeypatch.setattr(module, "build_q", _refuse_to_factor)
+    _patch_every_factor(monkeypatch)
     code, out, _ = run_cli(capsys, "spectrum", "--dim", "240", "--cut", "211")
     assert code == 1
     err = json.loads(out)["error"]
@@ -536,6 +549,7 @@ def test_sweep_cut_axis_builds_pair_and_q_once(capsys, monkeypatch):
     for name, modules in (
         ("build_pair", (operators_module, cli_module)),
         ("build_q", (index_module, cli_module)),
+        ("factor", (index_module, cli_module)),
     ):
         wrapped = counting(name, getattr(modules[0], name))
         for module in modules:
@@ -545,7 +559,8 @@ def test_sweep_cut_axis_builds_pair_and_q_once(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["omega"] == 1
-    assert sorted(calls) == ["build_pair", "build_q"]
+    # the oscillator's d is bidiagonal, so its one factor never takes the dense path
+    assert sorted(calls) == ["build_pair", "factor"]
 
 
 def test_sweep_cut_axis_points_match_omega(capsys):

@@ -10,6 +10,7 @@ import omega_index.calibration as calibration
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 from omega_index import (
+    BandQ,
     CalibrationMissing,
     ConvergenceFailure,
     CutTooLarge,
@@ -17,6 +18,7 @@ from omega_index import (
     InadmissibleCommutator,
     InvalidParameter,
     OperatorPair,
+    QBuild,
     UnstableCount,
     build_commuting_grid,
     build_harmonic,
@@ -26,6 +28,7 @@ from omega_index import (
     count_upper,
     default_cuts,
     extract_q11,
+    factor,
     grid_points,
     hermitian_eigen,
     load_pair,
@@ -39,7 +42,7 @@ from omega_index import (
     scale_admissible,
     theorem_bound,
 )
-from omega_index.index import ORIENTATIONS, _factor_defect, bandwidth
+from omega_index.index import ORIENTATIONS, PIVOT_ROUNDING, _factor_defect, bandwidth
 
 
 def full_q(qb):
@@ -448,6 +451,18 @@ def test_bandwidth_of_each_builder_and_perturbation(grid10):
         assert build_q(dense, "conjugate").bandwidth == 119
 
 
+@pytest.mark.parametrize("offsets, expected", [
+    ((), 0), ((0,), 0), ((1,), 1), ((-1,), 1), ((0, 1), 1), ((-1, 0), 1), ((-1, 0, 1), 1),
+    ((0, 2), 2), ((-3, 0, 1), 3),
+])
+def test_bandwidth_of_banded_matrices(offsets, expected):
+    """Diagonals -1, 0 and 1 are read in one pass; anything farther out is scanned."""
+    m = sum((np.diag(np.full(6 - abs(k), 0.5 + k), k) for k in offsets), np.zeros((6, 6)))
+    assert bandwidth(m) == expected
+    m[0, 1] = m[1, 0] = 0.0  # exact zeros on a band diagonal count as zeros
+    assert bandwidth(m) == expected
+
+
 def test_bandwidth_counts_exact_zeros():
     m = np.zeros((5, 5), dtype=complex)
     assert bandwidth(m) == 0
@@ -508,19 +523,25 @@ def test_certify_refuses_a_bad_cut_before_any_solve(harmonic400_q, monkeypatch, 
 
 
 def _refuse_to_factor(*args, **kwargs):
-    raise AssertionError("build_q reached")
+    raise AssertionError("factor reached")
+
+
+def _patch_every_factor(monkeypatch):
+    """Make both factor paths, the band one and the dense one, fail if reached."""
+    for name in ("factor", "build_q"):
+        monkeypatch.setattr(index_module, name, _refuse_to_factor)
 
 
 @pytest.mark.parametrize("cut, error", [(0, InvalidParameter), (400, CutTooLarge)])
 def test_omega_refuses_a_bad_cut_before_the_factor(harmonic400, monkeypatch, cut, error):
-    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    _patch_every_factor(monkeypatch)
     with pytest.raises(error):
         omega(harmonic400, cuts=[cut])
 
 
 @pytest.mark.parametrize("cuts", [[70.9, 90.2], [70, 90.2], ["7"], [True], [np.float64(70)]])
 def test_omega_refuses_a_cut_that_is_not_an_integer(harmonic400, monkeypatch, cuts):
-    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    _patch_every_factor(monkeypatch)
     bad = next(c for c in cuts if type(c) is not int)
     with pytest.raises(InvalidParameter, match=re.escape(repr(bad))):
         omega(harmonic400, cuts=cuts)
@@ -660,6 +681,150 @@ def test_measured_epsilon_of_a_real_pair(orientation):
     k = pair.interior
     commutator = (pair.a @ pair.b - pair.b @ pair.a)[:k, :k]
     assert qb.epsilon == pytest.approx(2 * operator_norm(commutator), rel=1e-13)
+
+
+# ---------------------------------------------------------------- band path
+
+
+def _bidiagonal_pair(dim, seed, complex_, lower, scale=1.0):
+    """A windowless pair whose C has random entries on its diagonal and one neighbour."""
+    rng = np.random.default_rng(seed)
+
+    def entries(n):
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if complex_ else x
+
+    c = np.diag(entries(dim)) + np.diag(entries(dim - 1), -1 if lower else 1)
+    return OperatorPair(c=scale * c, dim=dim, basis_label="bidiagonal",
+                        known_commutator_norm=None, boundary_window=0)
+
+
+def _band_pairs():
+    harmonic = build_harmonic(0.01, 48)
+    pairs = {
+        "harmonic": harmonic,
+        "harmonic-windowless": replace(harmonic, boundary_window=0),
+        "grid": build_commuting_grid(3),
+        "grid-windowless": replace(build_commuting_grid(3), boundary_window=0),
+        "zero": zero_pair(5),
+    }
+    for target in ("a", "b"):
+        for kind in ("scalar_shift", "diagonal_decay"):
+            pairs[f"{target}:{kind}"] = perturb(harmonic, target, kind, 0.1)
+    return pairs
+
+
+BAND_PAIRS = _band_pairs()
+
+
+def _outcome(qb, cuts):
+    """The integer and every m_n, or the refusal with its per-cut counts, with the
+    admissibility gate set aside (a random C is rarely almost normal)."""
+    try:
+        result = certify(replace(qb, epsilon=0.0), cuts, gap_floor=0.0)
+    except UnstableCount as exc:
+        return "unstable", exc.detail["counts"]
+    return result.omega, [r.m_n for r in result.reports]
+
+
+def _assert_paths_agree(pair, orientation):
+    """factor and build_q agree at every cut: counts, spectra to 1e-13 and omega."""
+    band, dense = factor(pair, orientation), build_q(pair, orientation)
+    assert isinstance(band, BandQ) and isinstance(dense, QBuild)
+    for field in ("orientation", "epsilon", "dim", "boundary_window", "epsilon_measured",
+                  "bandwidth"):
+        assert getattr(band, field) == getattr(dense, field), field
+    cuts = list(range(1, pair.interior + 1))
+    for cut in cuts:
+        values, reference = corner_eigenvalues(band, cut), corner_eigenvalues(dense, cut)
+        assert values.shape == (2 * cut,) and np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - reference)) <= 1e-13, (orientation, cut)
+        assert count_upper(values)[0] == count_upper(reference)[0], (orientation, cut)
+    assert _outcome(band, cuts) == _outcome(dense, cuts)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("name", sorted(BAND_PAIRS))
+def test_band_path_matches_build_q_on_every_builder(name, orientation):
+    """Every cut from 1 up: 2N <= k = N + 1 at cut 1, 2N > k beyond, and k = M at
+    cut = dim for the windowless copies."""
+    _assert_paths_agree(BAND_PAIRS[name], orientation)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), complex_=st.booleans(),
+       lower=st.booleans(), exponent=st.floats(-2, 1))
+@example(dim=1, seed=0, complex_=False, lower=False, exponent=0.0)
+@example(dim=2, seed=1, complex_=True, lower=True, exponent=1.0)
+def test_band_path_matches_build_q_on_random_bidiagonal_c(
+    orientation, dim, seed, complex_, lower, exponent
+):
+    _assert_paths_agree(_bidiagonal_pair(dim, seed, complex_, lower, 10.0**exponent), orientation)
+
+
+def test_factor_keeps_the_dense_path_for_every_other_c(dense200):
+    tridiagonal = np.diag(np.ones(7), 1) + np.diag(np.full(7, 0.5), -1)
+    pair = OperatorPair(c=tridiagonal, dim=8, basis_label="tridiagonal",
+                        known_commutator_norm=None, boundary_window=0)
+    for orientation in ORIENTATIONS:
+        assert isinstance(factor(pair, orientation), QBuild)
+        assert isinstance(factor(dense200, orientation), QBuild)
+        assert isinstance(build_q(BAND_PAIRS["harmonic"], orientation), QBuild)
+
+
+def test_band_corner_eigenvalues_validate_cut(harmonic400):
+    band = factor(harmonic400, "conjugate")
+    with pytest.raises(CutTooLarge):
+        corner_eigenvalues(band, 351)
+    with pytest.raises(InvalidParameter):
+        corner_eigenvalues(band, 0)
+
+
+def test_factor_refuses_an_overflowing_gram():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceFailure, match="overflows"):
+            factor(build_commuting_grid(4, 1e160), "literal")
+
+
+def test_reference_pair_at_dim_3000_never_takes_the_dense_path(monkeypatch):
+    """The oscillator at lam = 0.002, dim 3000, default cuts: omega = 1 and every gap is
+    2N lam / (2N lam + 1) - 1/2, counted from O(M) numbers."""
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    lam = 0.002
+    result = omega(build_harmonic(lam, 3000))
+    assert result.omega == 1
+    assert [r.cut for r in result.reports] == default_cuts(3000)
+    for report in result.reports:
+        x = 2 * report.cut * lam
+        assert abs(report.gap - (x / (x + 1) - 0.5)) <= 1e-12, report.cut
+    assert result.defect <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("complex_", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), lower=st.booleans(),
+       exponent=st.floats(-3, 6))
+def test_band_pivots_are_backward_stable(complex_, dim, seed, lower, exponent):
+    """U U* - G of the computed pivots, in long double against the exact G = I + d*d,
+    stays within PIVOT_ROUNDING * u * norm(G, inf), in both directions."""
+    pair = _bidiagonal_pair(dim, seed, complex_, lower, 10.0**exponent)
+    band = factor(pair, "conjugate")
+    d = pair.c.astype(np.clongdouble)
+    exact = np.eye(dim, dtype=np.clongdouble) + d.conj().T @ d
+    f = band.f.astype(np.clongdouble)
+    a = (f * f.conj()).real
+    top, bottom = band.top.astype(np.longdouble), band.bottom.astype(np.longdouble)
+    for diagonal in (bottom + np.append(a / bottom[1:], 0.0), top + np.append(0.0, a / top[:-1])):
+        factored = np.diag(diagonal).astype(np.clongdouble) + np.diag(f, 1) + np.diag(f.conj(), -1)
+        residual = np.max(np.sum(np.abs(factored - exact), axis=1))
+        norm = np.max(np.sum(np.abs(exact), axis=1))
+        assert residual <= PIVOT_ROUNDING * np.finfo(np.float64).eps / 2 * norm
+    x = PIVOT_ROUNDING * np.finfo(np.float64).eps / 2 * float(
+        np.max(band.g + np.append(0.0, np.abs(band.f)) + np.append(np.abs(band.f), 0.0)))
+    assert band.defect == (1 + x / (1 - x)) * (x / (1 - x))
 
 
 # ---------------------------------------------------------------- omega
