@@ -195,9 +195,8 @@ def check_resolvent_difference(c: np.ndarray) -> BoundCheckResult:
     )
 
 
-def _f_of(m: np.ndarray) -> np.ndarray:
-    """Matrix function t -> t/(1+t)^2 via the Hermitian functional calculus."""
-    eig = linalg.hermitian_eigen(m)
+def _f_of(eig: linalg.HermitianEigen) -> np.ndarray:
+    """Matrix function t -> t/(1+t)^2 of a decomposed Hermitian matrix (functional calculus)."""
     w = eig.values / (1.0 + eig.values) ** 2
     return (eig.vectors * w) @ linalg.adjoint(eig.vectors)
 
@@ -208,15 +207,17 @@ def check_f_lipschitz(e: np.ndarray, f: np.ndarray) -> BoundCheckResult:
     f = linalg.require_square(linalg.as_matrix(f))
     if e.shape != f.shape:
         raise InvalidParameter("E and F must have the same shape")
+    eigs = []
     for name, m in (("E", e), ("F", f)):
-        values = linalg.hermitian_eigen(m).values
-        scale = max(1.0, abs(float(values[-1])))
-        if float(values[0]) < -1e-10 * scale:
+        eig = linalg.hermitian_eigen(m)
+        scale = max(1.0, abs(float(eig.values[-1])))
+        if float(eig.values[0]) < -1e-10 * scale:
             raise InvalidParameter(f"{name} must be positive semidefinite")
+        eigs.append(eig)
     d = linalg.operator_norm(e - f)
     if d >= 1.0:
         raise InvalidParameter(f"norm(E - F) must be < 1, got {d:.6g}")
-    lhs = linalg.operator_norm(_f_of(e) - _f_of(f))
+    lhs = linalg.operator_norm(_f_of(eigs[0]) - _f_of(eigs[1]))
     bound = (3.0 * d - d * d) / (1.0 - d) ** 2
     return BoundCheckResult(
         name="f_lipschitz",

@@ -20,7 +20,8 @@ range ``a:b:step``; a malformed list, cut or seed is refused before anything is 
 
 Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
-error object on stdout; 1 on usage, configuration, or I/O errors.
+error object on stdout; 1 on usage, configuration, or I/O errors, and when the
+report's defect bound is not finite (JSON has no infinity), with an error object too.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
 so identical invocations (including ``--seed``) produce byte-identical output.
@@ -38,7 +39,13 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import run_suite
-from .errors import STABILITY_ERRORS, ConfigParse, InvalidParameter, OmegaIndexError
+from .errors import (
+    STABILITY_ERRORS,
+    ConfigParse,
+    ConvergenceFailure,
+    InvalidParameter,
+    OmegaIndexError,
+)
 from .index import (
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
@@ -131,6 +138,12 @@ def _pair_spec_from_args(args) -> PairSpec:
 
 
 def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
+    # JSON has no infinity, and an infinite bound certifies nothing
+    if not np.isfinite(result.defect):
+        raise ConvergenceFailure(
+            f"the defect bound is not finite ({result.defect}): the pair is too large "
+            "for the factor's rounding bound; rescale the pair"
+        )
     return {
         "schema_version": OMEGA_SCHEMA,
         "omega": int(result.omega),

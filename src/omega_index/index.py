@@ -84,6 +84,9 @@ SCALE_MARGIN = 0.05
 #: for a G' with ||G' - G||_inf <= c * u * ||G||_inf, u the unit roundoff (see BandQ)
 PIVOT_ROUNDING = 8.0
 
+#: rows of the Gram y* y that :func:`_factor_defect` forms at a time
+DEFECT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class QBuild:
@@ -93,7 +96,8 @@ class QBuild:
     the bottom copy; it is float64 when C is real and complex128 otherwise.
     ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar masked (or the
     exact value ``2 * known_commutator_norm`` when the builder supplies one).
-    ``defect`` is ``(1 + e) * e`` with ``e = norm(y* y - I)``: since
+    ``defect`` is ``(1 + e) * e`` with e the largest row sum of ``|y* y - I|``
+    (a norm of that Hermitian matrix which bounds its spectral norm): since
     ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
     ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
     ``epsilon_measured`` is true when the pair carried no analytic commutator norm.
@@ -125,9 +129,9 @@ class BandQ:
     the spectrum (the oscillator and a diagonal pair can share one G).
 
     The other fields are those of :class:`QBuild`, with ``defect = (1 + e) e`` for
-    an a-priori e.  Forming G from d rounds each entry by at most 4u relatively
-    (u the unit roundoff), and each pivot step rounds |f|^2, a division and a
-    subtraction, at most 3u relative to the diagonal of U U*.  Since the LDL*
+    an a-priori spectral e.  Forming G from d rounds each entry by at most 4u
+    relatively (u the unit roundoff), and each pivot step rounds |f|^2, a division
+    and a subtraction, at most 3u relative to the diagonal of U U*.  Since the LDL*
     factors of a Hermitian positive definite tridiagonal satisfy |L||D||L*| = |G|,
     the U above, built from the computed pivots, has U U* = G + E with
     ``|E| <= 7u |G|`` entrywise, up to O(u^2).  Hence ``norm(E) <= c u norm(G,
@@ -175,10 +179,24 @@ class OmegaResult:
 
 
 def _factor_defect(y: np.ndarray) -> float:
-    """``(1 + e) * e`` with ``e = norm(y* y - I)``, a bound on ``norm(Q^2 - Q)`` for Q = y y*."""
-    gram = linalg.adjoint(y) @ y
-    gram[np.diag_indices(y.shape[1])] -= 1.0
-    e = linalg.hermitian_norm(gram)
+    """``(1 + e) * e``, a bound on ``norm(Q^2 - Q)`` for Q = y y*, with ``e`` the largest
+    row sum of ``|y* y - I|``.
+
+    That is the infinity-norm (for a Hermitian matrix also the 1-norm) of
+    E = y* y - I, which bounds its spectral norm, the largest absolute
+    eigenvalue, and equals it when E is diagonal; after the Gram it costs O(M^2),
+    where the spectral norm needs an eigensolve.  ``y`` is a :attr:`QBuild.y`,
+    whose top M rows W are lower triangular.  The Gram is formed
+    :data:`DEFECT_BLOCK` rows at a time, and its rows ``s..`` need only rows
+    ``s..`` of ``y``: the rows of W above them are exactly zero in those columns.
+    """
+    m = y.shape[1]
+    e = 0.0
+    for start in range(0, m, DEFECT_BLOCK):
+        rows = linalg.adjoint(y[start:, start : start + DEFECT_BLOCK]) @ y[start:]
+        i = np.arange(rows.shape[0])
+        rows[i, start + i] -= 1.0
+        e = max(e, float(np.max(np.sum(np.abs(rows), axis=1))))
     return (1.0 + e) * e
 
 
@@ -258,7 +276,12 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     Q projects onto range([I; d]), with d = C* (``literal``) or d = C
     (``conjugate``, which is the literal Q of the pair (A, -B)).  The factor is
     ``y = [W; d W]`` with W = U^-* lower triangular, where I + d*d = U U* is the
-    reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.
+    reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.  W is found
+    by :func:`~omega_index.linalg.lower_triangular_inverse` of the Cholesky factor,
+    and its strict upper triangle is written as exact zeros, which
+    :func:`corner_eigenvalues` relies on, and so does ``defect``, measured from the
+    Gram ``y* y`` without an eigensolve (see :class:`QBuild`).  ``epsilon`` takes
+    one eigensolve of the interior block when the pair has no analytic value.
 
     ``y`` has the dtype of the stored C: float64 for a real C, so that every
     product, factorization and eigensolve runs in float64, and complex128
@@ -285,7 +308,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Cholesky factorization of I + d*d failed: {exc}") from exc
     del gram
-    inverse = np.linalg.inv(chol)
+    inverse = linalg.lower_triangular_inverse(chol)
     del chol
     # W = U^-* = J L^-* J; only its lower triangle is written, the rest stays exact 0
     y = np.zeros((2 * m, m), dtype=d.dtype)
@@ -422,20 +445,10 @@ def theorem_bound(epsilon: float) -> float:
     return (4.0 * epsilon - 2.0 * epsilon**2) / (1.0 - epsilon) ** 2
 
 
-def _corner_rows(qb: QBuild, cut: int, columns: int | None = None) -> np.ndarray:
-    """The rows of ``y`` behind the corner at ``cut`` (top rows, then bottom), 2*cut of them.
-
-    Only the leading ``columns`` columns are kept, all of them by default.
-    """
-    check_cuts([cut], qb.dim, qb.boundary_window)
-    return np.concatenate(
-        [qb.y[:cut, :columns], qb.y[qb.dim : qb.dim + cut, :columns]]
-    )
-
-
 def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
     """Corner block of Q on rows/columns {top 0..cut-1} + {bottom 0..cut-1}."""
-    yc = _corner_rows(qb, cut)
+    check_cuts([cut], qb.dim, qb.boundary_window)
+    yc = np.concatenate([qb.y[:cut], qb.y[qb.dim : qb.dim + cut]])
     return yc @ linalg.adjoint(yc)
 
 
@@ -445,19 +458,30 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     For a :class:`BandQ` they are cut - 1 exact zeros, cut - 1 exact ones and the
     two eigenvalues of a 2-by-2 pencil (see :func:`factor`).  For a :class:`QBuild`
     the corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``, which are
-    exactly zero beyond column k = min(M, cut + bandwidth); only those k columns
-    are kept.  When 2*cut <= k the corner itself is solved.  Otherwise the k-by-k
-    ``yc* yc``, which has the same nonzero eigenvalues, is solved and the
-    remaining 2*cut - k eigenvalues are exact zeros.
+    exactly zero beyond column k = min(M, cut + bandwidth).  The top rows are
+    ``[w, 0]`` with w = W[:cut, :cut], as W is lower triangular; call the bottom
+    rows, cut to k columns, ``v``.  When 2*cut <= k the corner itself is solved,
+    and only the blocks ``w w*``, ``v[:, :cut] w*`` and ``v v*`` of its lower
+    triangle are formed, the only part the eigensolver reads.  Otherwise the k-by-k
+    ``yc* yc = v* v + diag(w* w, 0)``, which has the same nonzero eigenvalues, is
+    solved and the remaining 2*cut - k eigenvalues are exact zeros.
     """
+    cut = check_cuts([cut], qb.dim, qb.boundary_window)[0]
     if isinstance(qb, BandQ):
-        return _band_spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window))[0]
-    yc = _corner_rows(qb, cut, min(qb.dim, cut + qb.bandwidth))
-    zeros = yc.shape[0] - yc.shape[1]
-    if zeros <= 0:
-        return linalg.hermitian_eigenvalues(yc @ linalg.adjoint(yc))
-    values = linalg.hermitian_eigenvalues(linalg.adjoint(yc) @ yc)
-    return np.sort(np.concatenate([np.zeros(zeros), values]))
+        return _band_spectra(qb, [cut])[0]
+    k = min(qb.dim, cut + qb.bandwidth)
+    w = qb.y[:cut, :cut]
+    v = qb.y[qb.dim : qb.dim + cut, :k]
+    if 2 * cut <= k:
+        corner = np.zeros((2 * cut, 2 * cut), dtype=qb.y.dtype)
+        corner[:cut, :cut] = w @ linalg.adjoint(w)
+        corner[cut:, :cut] = v[:, :cut] @ linalg.adjoint(w)
+        corner[cut:, cut:] = v @ linalg.adjoint(v)
+        return linalg.hermitian_eigenvalues(corner)
+    gram = linalg.adjoint(v) @ v
+    gram[:cut, :cut] += linalg.adjoint(w) @ w
+    values = linalg.hermitian_eigenvalues(gram)
+    return np.sort(np.concatenate([np.zeros(2 * cut - k), values]))
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:

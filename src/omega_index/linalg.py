@@ -1,7 +1,8 @@
 """Dense matrix algebra over the complex or the real field.
 
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
-positive-definite inversion, the operator norm and an O(n^2) hermiticity gate.
+positive-definite inversion, a blocked triangular inverse, the operator norm and
+an O(n^2) hermiticity gate.
 Matrices are plain ``numpy.ndarray`` objects.  Input from outside the program is
 coerced to ``complex128`` (:func:`as_matrix`), while a real C and its factor stay
 ``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
@@ -38,6 +39,9 @@ PD_FLOOR = 1e-12
 
 #: relative residual allowed on ``m @ hpd_inverse(m) - I``
 INV_TOL = 1e-9
+
+#: order below which :func:`lower_triangular_inverse` hands a block to ``np.linalg.inv``
+TRIANGULAR_BASE = 128
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -181,6 +185,40 @@ def hermitian_norm(m: np.ndarray) -> float:
     values = hermitian_eigenvalues(m)
     # abs, not negation: the zero matrix must give 0.0, never -0.0
     return float(max(abs(values[0]), abs(values[-1])))
+
+
+def lower_triangular_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular matrix, by blocked recursion.
+
+    Split in halves, L = [[L11, 0], [L21, L22]] has the inverse
+    X = [[X11, 0], [X21, X22]] with X11 = L11^-1, X22 = L22^-1 and
+    X21 = -X22 (L21 X11), the recursive scheme whose stability Du Croz and
+    Higham analyse (IMA J. Numer. Anal. 12, 1992).  That is two half-order
+    matrix products per level, about a third of the multiply-adds of an LU-based
+    inverse.  Blocks below order :data:`TRIANGULAR_BASE` go to ``np.linalg.inv``,
+    whose pivoting may leave rounding-level values above their diagonals; every
+    other entry of the strict upper triangle is exactly zero.  Checks nothing.
+    """
+    inverse = np.zeros_like(lower)
+    _invert_lower_into(lower, inverse)
+    return inverse
+
+
+def _invert_lower_into(lower: np.ndarray, out: np.ndarray) -> None:
+    n = lower.shape[0]
+    if n < TRIANGULAR_BASE:
+        out[...] = np.linalg.inv(lower)
+        return
+    h = n // 2
+    _invert_lower_into(lower[:h, :h], out[:h, :h])
+    _invert_lower_into(lower[h:, h:], out[h:, h:])
+    # the zero block above the diagonal holds (L21 X11)^T meanwhile, so no
+    # temporary is allocated
+    scratch = out[:h, h:]
+    np.matmul(out[:h, :h].T, lower[h:, :h].T, out=scratch)
+    np.matmul(out[h:, h:], scratch.T, out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
+    scratch[...] = 0
 
 
 def hpd_inverse(m: np.ndarray) -> np.ndarray:

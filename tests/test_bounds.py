@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import omega_index.bounds as bounds_module
+import omega_index.linalg as linalg_module
 from omega_index import (
     BoundCheckResult,
     InvalidParameter,
@@ -14,6 +16,7 @@ from omega_index import (
     run_suite,
 )
 from omega_index.bounds import TARGET_BAND
+from omega_index.cli import main
 
 
 def nilpotent(c):
@@ -236,3 +239,52 @@ def test_run_suite_argument_validation():
         run_suite(seed=0, trials=0, max_dim=8)
     with pytest.raises(InvalidParameter):
         run_suite(seed=0, trials=5, max_dim=1)
+
+
+def test_f_lipschitz_decomposes_each_input_once(monkeypatch):
+    """The PSD gate's eigendecompositions are the ones the matrix functions use."""
+    calls = []
+    decompose = linalg_module.hermitian_eigen
+
+    def counting(m):
+        calls.append(m.shape)
+        return decompose(m)
+
+    monkeypatch.setattr(linalg_module, "hermitian_eigen", counting)
+    rng = np.random.default_rng(2)
+    e = np.diag(rng.uniform(0.0, 1.0, 6)).astype(complex)
+    assert check_f_lipschitz(e, e + 0.01 * np.eye(6)).passed
+    assert len(calls) == 2
+
+
+def _f_of_fresh(m):
+    eig = linalg_module.hermitian_eigen(m)
+    w = eig.values / (1.0 + eig.values) ** 2
+    return (eig.vectors * w) @ linalg_module.adjoint(eig.vectors)
+
+
+def _check_f_lipschitz_fresh(e, f):
+    """check_f_lipschitz with each matrix function taken from a fresh eigendecomposition."""
+    e, f = linalg_module.as_matrix(e), linalg_module.as_matrix(f)
+    d = linalg_module.operator_norm(e - f)
+    lhs = linalg_module.operator_norm(_f_of_fresh(e) - _f_of_fresh(f))
+    bound = (3.0 * d - d * d) / (1.0 - d) ** 2
+    return BoundCheckResult(
+        name="f_lipschitz",
+        trials=1,
+        max_lhs=lhs,
+        min_slack=bound - lhs,
+        violations=int(bounds_module._violates(lhs, bound, 1.0)),
+        extras={"distance": d},
+    )
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_verify_report_is_that_of_fresh_decompositions(capsys, monkeypatch, seed):
+    """Reusing the gate's decompositions leaves the verify report byte-identical."""
+    argv = ["verify", "--seed", str(seed), "--trials", "25", "--max-dim", "12"]
+    assert main(argv) == 0
+    reused = capsys.readouterr().out
+    monkeypatch.setattr(bounds_module, "check_f_lipschitz", _check_f_lipschitz_fresh)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reused

@@ -281,6 +281,32 @@ def test_sweep_non_finite_gap_floor_exits_1(capsys, axis, values):
     assert json.loads(out)["error"]["type"] == "InvalidParameter"
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-standard Infinity and NaN constants."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_infinite_defect_bound_exits_1_with_one_error_object(capsys):
+    """At scale 1e7 the band path's rounding bound x = 8u norm(G, inf) reaches 1."""
+    code, out, _ = run_cli(
+        capsys, "omega", "--pair", "commuting", "--grid-radius", "4", "--scale", "1e7",
+        "--cuts", "20"
+    )
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == "ConvergenceFailure"
+    assert "defect" in err["message"] and "rescale" in err["message"]
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--pair", "commuting", "--grid-radius", "4",
+        "--scale", "1e7", "--values", "20,30"
+    )
+    assert code == 0
+    points = _strict_json(out)["points"]
+    assert [p["error"]["type"] for p in points] == ["ConvergenceFailure"] * 2
+
+
 def test_missing_subcommand_exits_1(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1

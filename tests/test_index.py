@@ -42,7 +42,13 @@ from omega_index import (
     scale_admissible,
     theorem_bound,
 )
-from omega_index.index import ORIENTATIONS, PIVOT_ROUNDING, _factor_defect, bandwidth
+from omega_index.index import (
+    DEFECT_BLOCK,
+    ORIENTATIONS,
+    PIVOT_ROUNDING,
+    _factor_defect,
+    bandwidth,
+)
 
 
 def full_q(qb):
@@ -220,6 +226,44 @@ def test_factor_defect_bounds_a_real_defect():
     assert operator_norm(q @ q - q) == pytest.approx(_factor_defect(y), rel=1e-9)
 
 
+@pytest.mark.parametrize("cols", [1, 2, 17, DEFECT_BLOCK, DEFECT_BLOCK + 45])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_factor_defect_bounds_the_spectral_certificate(cols, complex_):
+    """On a random y = [W; V], W lower triangular as in QBuild, e is the largest row
+    sum of |y* y - I| over the whole Gram, and never below its spectral norm."""
+    rng = np.random.default_rng(cols)
+    y = rng.standard_normal((2 * cols, cols))
+    if complex_:
+        y = y + 1j * rng.standard_normal((2 * cols, cols))
+    y[:cols] = np.tril(y[:cols])
+    y /= 10.0 ** rng.uniform(-1, 1) * np.sqrt(cols)
+    gram = y.conj().T @ y - np.eye(cols)
+    row_sum = float(np.max(np.sum(np.abs(gram), axis=1)))
+    assert _factor_defect(y) == pytest.approx((1.0 + row_sum) * row_sum, rel=1e-12)
+    e = float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+    # a relative 1e-12 for the eigensolver's own rounding when the two coincide
+    assert _factor_defect(y) >= (1.0 + e) * e * (1.0 - 1e-12)
+
+
+def test_build_q_takes_no_order_m_eigensolve_or_general_inverse(dense200, monkeypatch):
+    """The dense factor of a pair without an analytic epsilon solves one eigenproblem,
+    the interior (M - window) block of epsilon, and inverts only base blocks."""
+    seen = {"eigvalsh": [], "inv": []}
+
+    def recording(name, fn):
+        def wrapper(m, *args, **kwargs):
+            seen[name].append(m.shape[-1])
+            return fn(m, *args, **kwargs)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    qb = build_q(dense200, "conjugate")
+    assert qb.epsilon_measured
+    assert seen["eigvalsh"] == [dense200.interior]
+    assert seen["inv"] and max(seen["inv"]) < linalg_module.TRIANGULAR_BASE
+
+
 def test_build_q_factor_failure_is_convergence_failure(monkeypatch):
     def fail(m):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -392,6 +436,19 @@ def test_corner_eigenvalues_match_full_corner(dense200_q, orientation, cut):
     """Both sides of 2N <= M give the corner's spectrum; 2N - M of it are padded zeros."""
     values = _check_corner_spectrum(dense200_q[orientation], cut)
     assert np.count_nonzero(values == 0.0) == max(0, 2 * cut - 200)
+
+
+@pytest.mark.parametrize("orientation", ["literal", "conjugate"])
+@pytest.mark.parametrize("cut", [60, 100, 140])  # 2N < k, 2N = k and 2N > k, k = M = 200
+def test_dense_corner_blocks_match_the_formed_corner(dense200_q, orientation, cut):
+    """The corner from its three lower blocks, or from the rank-side Gram, has the
+    spectrum of the formed corner block and the same count."""
+    qb = dense200_q[orientation]
+    assert min(qb.dim, cut + qb.bandwidth) == 200
+    values = corner_eigenvalues(qb, cut)
+    reference = np.linalg.eigvalsh(extract_q11(qb, cut))
+    assert np.max(np.abs(values - reference)) <= 1e-13
+    assert count_upper(values)[0] == count_upper(reference)[0]
 
 
 def test_corner_eigenvalues_windowless_grid_at_full_cut():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omega_index.linalg as linalg_module
@@ -18,6 +18,7 @@ from omega_index import (
     is_hermitian,
     operator_norm,
 )
+from omega_index.linalg import TRIANGULAR_BASE, lower_triangular_inverse
 
 
 def random_hermitian(rng, dim):
@@ -264,3 +265,30 @@ def test_hpd_inverse_rejects_near_singular():
 def test_hpd_inverse_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hpd_inverse(as_matrix([[1, 1], [0, 1]]))
+
+
+# ---------------------------------------------------------------- triangular inverse
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=TRIANGULAR_BASE - 1, seed=1)  # one base block
+@example(n=TRIANGULAR_BASE, seed=2)  # one split into two base blocks
+@example(n=2 * TRIANGULAR_BASE + 1, seed=3)  # odd, two levels
+@example(n=300, seed=4)
+def test_lower_triangular_inverse_matches_the_lu_inverse(complex_, n, seed):
+    """A Cholesky factor of I + d*d, as build_q inverts: the residual stays within
+    c n u cond(L), and so does the distance to np.linalg.inv."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, n))
+    if complex_:
+        d = d + 1j * rng.standard_normal((n, n))
+    lower = np.linalg.cholesky(np.eye(n) + d.conj().T @ d / n)
+    inverse = lower_triangular_inverse(lower)
+    assert inverse.dtype == lower.dtype and inverse.shape == (n, n)
+    tol = 4 * n * np.finfo(float).eps / 2 * np.linalg.cond(lower)
+    assert np.linalg.norm(inverse @ lower - np.eye(n), 2) <= tol
+    reference = np.linalg.inv(lower)
+    assert np.linalg.norm(inverse - reference, 2) <= tol * np.linalg.norm(reference, 2)
