@@ -20,8 +20,9 @@ range ``a:b:step``; a malformed list, cut or seed is refused before anything is 
 
 Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
-error object on stdout; 1 on usage, configuration, or I/O errors, and when the
-report's defect bound is not finite (JSON has no infinity), with an error object too.
+error object on stdout; 1 on usage, configuration, or I/O errors and on a
+``ConvergenceFailure`` (a pair too large to factor or to bound the factor's
+rounding), with an error object too.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
 so identical invocations (including ``--seed``) produce byte-identical output.
@@ -42,7 +43,6 @@ from .bounds import run_suite
 from .errors import (
     STABILITY_ERRORS,
     ConfigParse,
-    ConvergenceFailure,
     InvalidParameter,
     OmegaIndexError,
 )
@@ -138,12 +138,6 @@ def _pair_spec_from_args(args) -> PairSpec:
 
 
 def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
-    # JSON has no infinity, and an infinite bound certifies nothing
-    if not np.isfinite(result.defect):
-        raise ConvergenceFailure(
-            f"the defect bound is not finite ({result.defect}): the pair is too large "
-            "for the factor's rounding bound; rescale the pair"
-        )
     return {
         "schema_version": OMEGA_SCHEMA,
         "omega": int(result.omega),
@@ -300,6 +294,8 @@ def cmd_sweep(args) -> int:
     base_spec = _pair_spec_from_args(args)
     if args.axis == "lambda" and base_spec.builder != "harmonic":
         raise ConfigParse(f"--axis lambda needs the harmonic pair, not {args.pair}")
+    if args.axis == "cut" and args.cuts is not None:
+        raise ConfigParse("--axis cut takes its cuts from --values, not --cuts")
     check_gap_floor(args.gap_floor)
     # built once, so a bad --perturb-seed fails the sweep rather than every point
     shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.perturb_seed)

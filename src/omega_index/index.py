@@ -27,16 +27,18 @@ k = min(M, N + b), so the corner has rank at most k: its nonzero eigenvalues are
 those of the k-by-k matrix ``y_c[:, :k]* y_c[:, :k]`` and the other 2N - k are
 exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller of the two,
 the corner itself when 2N <= k and the k-by-k Gram otherwise; a banded pair such
-as the oscillator (b = 1) solves an (N + 1)-by-(N + 1) matrix at every cut.  The
-counting is meaningful only while the idempotency-defect bound
-(4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4; outside
-that regime the pair must be rescaled first (:func:`scale_admissible`).
+as the oscillator (b = 1) solves an (N + 1)-by-(N + 1) matrix at every cut.  A
+count is certified only in the regime where the defect bound (4e - 2e^2)/(1 - e)^2
+at the measured commutator size e stays below 1/4; outside it the pair must be
+rescaled first (:func:`scale_admissible`).  That gate is on the pair: Q itself
+is a projection for every C, and the measured ``defect`` bounds how far the Q
+actually counted is from one.
 
 A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
 and the commuting grid) needs none of that: :func:`factor` keeps only O(M)
-numbers (:class:`BandQ`), the tridiagonal G = I + d*d, its pivots in both
-directions and the two diagonals of d.  With k = N + 1 the corner's nonzero
+numbers (:class:`BandQ`): the off-diagonal of the tridiagonal G = I + d*d, its
+pivots in both directions and the two diagonals of d.  With k = N + 1 the corner's nonzero
 spectrum is that of the pencil (P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k]
 and S_k = W_kk^-* W_kk^-1; for a bidiagonal d both equal G on rows 0..N-2 and on
 their coupling to row N-1, so one Schur complement leaves a 2-by-2 pencil on rows
@@ -89,23 +91,24 @@ DEFECT_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class QBuild:
-    """The factor ``y`` of the projection Q = y y* and its measured quality numbers.
+class FactorHeader:
+    """What every factor of Q carries besides its numbers, on either path.
 
-    ``y`` is 2M-by-M: rows ``0..M-1`` belong to the top copy, rows ``M..2M-1`` to
-    the bottom copy; it is float64 when C is real and complex128 otherwise.
-    ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar masked (or the
-    exact value ``2 * known_commutator_norm`` when the builder supplies one).
-    ``defect`` is ``(1 + e) * e`` with e the largest row sum of ``|y* y - I|``
-    (a norm of that Hermitian matrix which bounds its spectral norm): since
-    ``Q^2 - Q = y (y* y - I) y*`` and ``norm(y)^2 <= 1 + e``, it bounds
-    ``norm(Q^2 - Q)``, and so every masked block of it, for the Q actually counted.
-    ``epsilon_measured`` is true when the pair carried no analytic commutator norm.
-    ``bandwidth`` is the largest |i - j| with C[i, j] != 0, counted from exact zeros;
-    the rows of ``y`` behind the corner at cut N vanish beyond column N + bandwidth.
+    ``orientation`` is the resolved orientation, ``literal`` or ``conjugate``.
+    ``epsilon`` is ``norm(C*C - CC*)`` with the boundary collar masked, or the
+    exact value ``2 * known_commutator_norm`` when the builder supplies one; both
+    paths find it the same way, so it is the same number on each.  ``defect`` is
+    ``(1 + e) * e`` for a bound e on ``norm(Y* Y - I)``, where Y = [W; d W] is the
+    basis of the graph the path factors: since ``Q^2 - Q = Y (Y* Y - I) Y*`` and
+    ``norm(Y)^2 <= 1 + e``, it bounds ``norm(Q^2 - Q)``, and so every corner block
+    of it, for the Q actually counted.  Each path says how it bounds e, and e is
+    infinite when the path cannot bound it.  ``dim`` and ``boundary_window`` are
+    the pair's.  ``epsilon_measured`` is true when the pair carried no analytic
+    commutator norm.  ``bandwidth`` is the largest |i - j| with C[i, j] != 0,
+    counted from exact zeros; the rows of Y behind the corner at cut N vanish
+    beyond column N + bandwidth.
     """
 
-    y: np.ndarray
     orientation: str
     epsilon: float
     defect: float
@@ -116,44 +119,48 @@ class QBuild:
 
 
 @dataclass(frozen=True)
-class BandQ:
+class QBuild(FactorHeader):
+    """The dense factor of Q: the basis ``y`` itself, with Q = y y* (see :func:`build_q`).
+
+    ``y`` is 2M-by-M: rows ``0..M-1`` belong to the top copy, rows ``M..2M-1`` to
+    the bottom copy; it is float64 when C is real and complex128 otherwise.  Its
+    e is measured: the largest row sum of ``|y* y - I|``, a norm of that Hermitian
+    matrix which bounds its spectral norm.
+    """
+
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class BandQ(FactorHeader):
     """The factor of Q for a bidiagonal d, in O(M) numbers (see :func:`factor`).
 
-    ``g`` and ``f`` are the diagonal and superdiagonal of the tridiagonal
-    G = I + d*d; ``top`` holds its top-down pivots ``top[i] = g[i] -
-    |f[i-1]|^2 / top[i-1]`` and ``bottom`` its bottom-up pivots ``bottom[i] = g[i]
-    - |f[i]|^2 / bottom[i+1]``, so G = U U* with U upper bidiagonal, ``U[i, i] =
+    With g the diagonal of the tridiagonal G = I + d*d, ``f`` is its
+    superdiagonal, ``top`` its top-down pivots ``top[i] = g[i] - |f[i-1]|^2 /
+    top[i-1]`` and ``bottom`` its bottom-up pivots ``bottom[i] = g[i] - |f[i]|^2 /
+    bottom[i+1]``, so G = U U* with U upper bidiagonal, ``U[i, i] =
     sqrt(bottom[i])`` and ``U[i, i+1] = f[i] / sqrt(bottom[i+1])``.  ``main`` and
     ``upper`` are the diagonal and superdiagonal of d (zero when d is lower
     bidiagonal); the corners read them besides G, whose values alone do not fix
     the spectrum (the oscillator and a diagonal pair can share one G).
 
-    The other fields are those of :class:`QBuild`, with ``defect = (1 + e) e`` for
-    an a-priori spectral e.  Forming G from d rounds each entry by at most 4u
-    relatively (u the unit roundoff), and each pivot step rounds |f|^2, a division
-    and a subtraction, at most 3u relative to the diagonal of U U*.  Since the LDL*
-    factors of a Hermitian positive definite tridiagonal satisfy |L||D||L*| = |G|,
-    the U above, built from the computed pivots, has U U* = G + E with
-    ``|E| <= 7u |G|`` entrywise, up to O(u^2).  Hence ``norm(E) <= c u norm(G,
-    inf)`` with c = :data:`PIVOT_ROUNDING`, and with Y = [U^-*; d U^-*] and G >= I,
-    ``norm(Y* Y - I) = norm(U^-1 E U^-*) <= x / (1 - x) = e`` for ``x = c u
-    norm(G, inf)`` (e is infinite once x >= 1).  The same bound holds for the
-    top-down pivots.
+    Y is never formed, so its e is an a-priori spectral bound.  Forming G from d
+    rounds each entry by at most 4u relatively (u the unit roundoff), and each
+    pivot step rounds |f|^2, a division and a subtraction, at most 3u relative to
+    the diagonal of U U*.  Since the LDL* factors of a Hermitian positive definite
+    tridiagonal satisfy |L||D||L*| = |G|, the U above, built from the computed
+    pivots, has U U* = G + E with ``|E| <= 7u |G|`` entrywise, up to O(u^2).
+    Hence ``norm(E) <= c u norm(G, inf)`` with c = :data:`PIVOT_ROUNDING`, and
+    with Y = [U^-*; d U^-*] and G >= I, ``norm(Y* Y - I) = norm(U^-1 E U^-*) <= x
+    / (1 - x) = e`` for ``x = c u norm(G, inf)`` (e is infinite once x >= 1).  The
+    same bound holds for the top-down pivots.
     """
 
-    g: np.ndarray
     f: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
     main: np.ndarray
     upper: np.ndarray
-    orientation: str
-    epsilon: float
-    defect: float
-    dim: int
-    boundary_window: int
-    epsilon_measured: bool
-    bandwidth: int
 
 
 @dataclass(frozen=True)
@@ -266,6 +273,30 @@ def bandwidth(c: np.ndarray) -> int:
     return 0
 
 
+def _preamble(pair: OperatorPair, orientation: str) -> tuple[np.ndarray, dict]:
+    """d and the :class:`FactorHeader` fields that need no factor: the resolved
+    orientation, the pair's dim, window and epsilon source, and its bandwidth."""
+    resolved = resolve_orientation(orientation)
+    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
+    return d, dict(
+        orientation=resolved,
+        dim=pair.dim,
+        boundary_window=pair.boundary_window,
+        epsilon_measured=pair.known_commutator_norm is None,
+        bandwidth=bandwidth(pair.c),
+    )
+
+
+def _refuse_overflow(g: np.ndarray) -> None:
+    """Raise :class:`ConvergenceFailure` unless the diagonal ``g`` of I + d*d is finite.
+
+    An infinite diagonal does not make a Cholesky factorization fail; it would
+    zero columns of W.
+    """
+    if not np.all(np.isfinite(g)):
+        raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+
+
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     """Factor the almost-projection densely for a pair in the requested orientation.
 
@@ -278,10 +309,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     ``y = [W; d W]`` with W = U^-* lower triangular, where I + d*d = U U* is the
     reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.  W is found
     by :func:`~omega_index.linalg.lower_triangular_inverse` of the Cholesky factor,
-    and its strict upper triangle is written as exact zeros, which
-    :func:`corner_eigenvalues` relies on, and so does ``defect``, measured from the
-    Gram ``y* y`` without an eigensolve (see :class:`QBuild`).  ``epsilon`` takes
-    one eigensolve of the interior block when the pair has no analytic value.
+    and its strict upper triangle is written as exact zeros, which the corner
+    solves and the Gram behind ``defect`` rely on.  ``epsilon`` takes one
+    eigensolve of the interior block when the pair has no analytic value.
 
     ``y`` has the dtype of the stored C: float64 for a real C, so that every
     product, factorization and eigensolve runs in float64, and complex128
@@ -292,16 +322,12 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     ConvergenceFailure
         If I + d*d overflows or its Cholesky factorization fails.
     """
-    resolved = resolve_orientation(orientation)
+    d, header = _preamble(pair, orientation)
     m = pair.dim
-    band = bandwidth(pair.c)
-    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
     gram = linalg.adjoint(d) @ d
     epsilon = _epsilon(pair, d, gram)
     gram[np.diag_indices(m)] += 1.0
-    # an infinite diagonal does not make cholesky fail; it would zero columns of W
-    if not np.all(np.isfinite(gram.diagonal())):
-        raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+    _refuse_overflow(gram.diagonal())
     try:
         # reverse Cholesky: with J the flip, J G J = L L* gives G = U U*, U = J L J
         chol = np.linalg.cholesky(gram[::-1, ::-1])
@@ -315,17 +341,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     np.conjugate(inverse.T[::-1, ::-1], out=y[:m], where=np.tri(m, dtype=bool))
     del inverse
     np.matmul(d, y[:m], out=y[m:])
-
-    return QBuild(
-        y=y,
-        orientation=resolved,
-        epsilon=epsilon,
-        defect=_factor_defect(y),
-        dim=m,
-        boundary_window=pair.boundary_window,
-        epsilon_measured=pair.known_commutator_norm is None,
-        bandwidth=band,
-    )
+    return QBuild(y=y, epsilon=epsilon, defect=_factor_defect(y), **header)
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -349,8 +365,7 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     and at most one of its two adjacent diagonals is nonzero: the oscillator in both
     orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
     commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
-    numbers are kept.  Nothing but the data chooses the path; ``epsilon`` is found
-    as :func:`build_q` finds it, so it is the same number on both.
+    numbers are kept.  Nothing but the data chooses the path.
 
     Raises
     ------
@@ -358,16 +373,13 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
         dense path).
     """
-    resolved = resolve_orientation(orientation)
-    band = bandwidth(pair.c)
-    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
+    d, header = _preamble(pair, orientation)
     lower, main, upper = (np.diagonal(d, k) for k in (-1, 0, 1))
-    if band > 1 or (np.any(lower) and np.any(upper)):
-        return build_q(pair, resolved)
+    if header["bandwidth"] > 1 or (np.any(lower) and np.any(upper)):
+        return build_q(pair, header["orientation"])
     # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
     g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
-    if not np.all(np.isfinite(g)):
-        raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+    _refuse_overflow(g)
     f = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
     a = _abs2(f)
     top = _pivots(g, a)
@@ -379,20 +391,15 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     x = PIVOT_ROUNDING * (np.finfo(np.float64).eps / 2) * float(np.max(rows))
     e = x / (1.0 - x) if x < 1.0 else np.inf
     return BandQ(
-        g=g,
         f=f,
         top=top,
         bottom=bottom,
         # copies: views of C would keep the M-by-M array alive
         main=main.copy(),
         upper=upper.copy(),
-        orientation=resolved,
         epsilon=_epsilon(pair, d),
         defect=(1.0 + e) * e,
-        dim=pair.dim,
-        boundary_window=pair.boundary_window,
-        epsilon_measured=pair.known_commutator_norm is None,
-        bandwidth=band,
+        **header,
     )
 
 
@@ -453,7 +460,8 @@ def extract_q11(qb: QBuild, cut: int) -> np.ndarray:
 
 
 def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
-    """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending.
+    """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending; the cut
+    is checked by :func:`check_cuts`.
 
     For a :class:`BandQ` they are cut - 1 exact zeros, cut - 1 exact ones and the
     two eigenvalues of a 2-by-2 pencil (see :func:`factor`).  For a :class:`QBuild`
@@ -466,9 +474,19 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     ``yc* yc = v* v + diag(w* w, 0)``, which has the same nonzero eigenvalues, is
     solved and the remaining 2*cut - k eigenvalues are exact zeros.
     """
-    cut = check_cuts([cut], qb.dim, qb.boundary_window)[0]
+    return _spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window))[0]
+
+
+def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> list[np.ndarray]:
+    """:func:`corner_eigenvalues` at each of the checked ``cuts``; the one place
+    that tells the two factors apart."""
     if isinstance(qb, BandQ):
-        return _band_spectra(qb, [cut])[0]
+        return _band_spectra(qb, cuts)
+    return [_dense_spectrum(qb, cut) for cut in cuts]
+
+
+def _dense_spectrum(qb: QBuild, cut: int) -> np.ndarray:
+    """The corner spectrum of a :class:`QBuild` (see :func:`corner_eigenvalues`)."""
     k = min(qb.dim, cut + qb.bandwidth)
     w = qb.y[:cut, :cut]
     v = qb.y[qb.dim : qb.dim + cut, :k]
@@ -567,7 +585,8 @@ def omega(
     InvalidParameter, CutTooLarge
         As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
     ConvergenceFailure
-        If I + d*d overflows or cannot be factored (see :func:`factor`).
+        If I + d*d overflows or cannot be factored (see :func:`factor`), or as
+        raised by :func:`certify`.
     InadmissibleCommutator, GapViolation, UnstableCount
         As raised by :func:`certify`.
     """
@@ -595,14 +614,18 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     InvalidParameter, CutTooLarge
         As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
     InadmissibleCommutator
-        If epsilon >= 1 or the defect bound at epsilon is >= 1/4; rescale with
-        :func:`scale_admissible` first.
+        If epsilon >= 1 or the defect bound at epsilon, :func:`theorem_bound`, is
+        >= 1/4: the pair's commutator lies outside the regime the count is
+        certified in.  This gates the pair, not the idempotency of the Q counted,
+        which ``defect`` measures.  Rescale with :func:`scale_admissible` first.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
         If different cuts disagree on ``M_N - N``.
     ConvergenceFailure
-        If a corner eigensolve fails or yields a non-finite eigenvalue.
+        If a corner eigensolve fails or yields a non-finite eigenvalue, or, once
+        every other gate has passed, if ``defect`` is not finite: a count whose Q
+        has no bound on its idempotency certifies nothing.
     """
     cuts = check_cuts(cuts, qb.dim, qb.boundary_window)
     check_gap_floor(gap_floor)
@@ -621,11 +644,7 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             bound=bound,
         )
 
-    if isinstance(qb, BandQ):
-        spectra = _band_spectra(qb, cuts)
-    else:
-        spectra = [corner_eigenvalues(qb, c) for c in cuts]
-    reports = [_spectral_report(c, values) for c, values in zip(cuts, spectra)]
+    reports = [_spectral_report(c, values) for c, values in zip(cuts, _spectra(qb, cuts))]
 
     violating = [r for r in reports if r.gap < gap_floor]
     if violating:
@@ -647,6 +666,11 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             f"cut sweep disagrees ({detail})",
             cuts=[r.cut for r in reports],
             counts=per_cut,
+        )
+    if not np.isfinite(qb.defect):
+        raise ConvergenceFailure(
+            f"the defect bound is not finite ({qb.defect}): the pair is too large "
+            "for the factor's rounding bound; rescale the pair"
         )
 
     warnings = []

@@ -551,6 +551,22 @@ def test_sweep_lambda_axis_refuses_a_pair_without_a_coupling(capsys, monkeypatch
     assert "lambda" in error["message"]
 
 
+def test_sweep_cut_axis_refuses_cuts(capsys, monkeypatch):
+    """The cut axis takes its cuts from --values, so a --cuts it would ignore is refused."""
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no pair may be built")
+
+    monkeypatch.setattr(cli_module, "build_pair", unexpected)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--dim", "240", "--values", "70,90", "--cuts", "5000"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigParse"
+    assert "--cuts" in error["message"]
+
+
 def test_sweep_cut_axis(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "cut", "--values", "70:110:20", "--dim", "240"

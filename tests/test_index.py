@@ -46,6 +46,7 @@ from omega_index.index import (
     DEFECT_BLOCK,
     ORIENTATIONS,
     PIVOT_ROUNDING,
+    _abs2,
     _factor_defect,
     bandwidth,
 )
@@ -281,7 +282,12 @@ def test_build_q_refuses_an_overflowing_gram():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceFailure, match="overflows"):
             build_q(pair, "literal")
-    assert omega(build_commuting_grid(4, 1e150), cuts=[20]).omega == 0
+    # the gate is not over-eager: just inside the range the dense factor is formed and
+    # bounded, and only the band path's a-priori bound, which omega takes, is infinite
+    pair = build_commuting_grid(4, 1e150)
+    assert np.isfinite(build_q(pair, "literal").defect)
+    with pytest.raises(ConvergenceFailure, match="defect bound is not finite"):
+        omega(pair, cuts=[20])
 
 
 def _svd_factor(c):
@@ -571,12 +577,36 @@ def test_corner_eigenvalues_validate_cut(harmonic400_q):
 @pytest.mark.parametrize(
     "cuts, error", [([100, 0], InvalidParameter), ([100, 351], CutTooLarge)]
 )
-def test_certify_refuses_a_bad_cut_before_any_solve(harmonic400_q, monkeypatch, cuts, error):
+def test_certify_refuses_a_bad_cut_before_any_solve(harmonic400, monkeypatch, cuts, error):
+    """Checked on a dense QBuild and on a BandQ."""
     solved = []
-    monkeypatch.setattr(index_module, "corner_eigenvalues", lambda qb, cut: solved.append(cut))
-    with pytest.raises(error):
-        certify(harmonic400_q, cuts)
+    monkeypatch.setattr(index_module, "_spectra", lambda qb, cuts: solved.extend(cuts))
+    for path in (build_q, factor):
+        qb = path(harmonic400, "conjugate")
+        with pytest.raises(error):
+            certify(qb, cuts)
     assert solved == []
+
+
+@pytest.mark.parametrize("path", [build_q, factor])
+@pytest.mark.parametrize("defect", [np.inf, np.nan])
+def test_certify_refuses_a_defect_bound_that_is_not_finite(harmonic400, path, defect):
+    """The same factor with its own finite bound passes every gate, so only the bound
+    is refused."""
+    qb = path(harmonic400, "conjugate")
+    assert certify(qb, [100]).omega == 1
+    with pytest.raises(ConvergenceFailure, match=re.escape(f"not finite ({defect})")):
+        certify(replace(qb, defect=defect), [100])
+
+
+def test_omega_refuses_an_infinite_defect_bound():
+    """At scale 1e7 the band path's rounding bound x = 8u norm(G, inf) reaches 1."""
+    with pytest.raises(ConvergenceFailure) as caught:
+        omega(build_commuting_grid(4, 1e7), cuts=[20])
+    assert caught.value.message == (
+        "the defect bound is not finite (inf): the pair is too large for the factor's "
+        "rounding bound; rescale the pair"
+    )
 
 
 def _refuse_to_factor(*args, **kwargs):
@@ -879,8 +909,12 @@ def test_band_pivots_are_backward_stable(complex_, dim, seed, lower, exponent):
         residual = np.max(np.sum(np.abs(factored - exact), axis=1))
         norm = np.max(np.sum(np.abs(exact), axis=1))
         assert residual <= PIVOT_ROUNDING * np.finfo(np.float64).eps / 2 * norm
+    # the diagonal of G as factor forms it from d = C, so the bound below is bit-exact
+    c = pair.c
+    g = (1.0 + _abs2(np.append(0.0, np.diagonal(c, 1))) + _abs2(np.diagonal(c))
+         + _abs2(np.append(np.diagonal(c, -1), 0.0)))
     x = PIVOT_ROUNDING * np.finfo(np.float64).eps / 2 * float(
-        np.max(band.g + np.append(0.0, np.abs(band.f)) + np.append(np.abs(band.f), 0.0)))
+        np.max(g + np.append(0.0, np.abs(band.f)) + np.append(np.abs(band.f), 0.0)))
     assert band.defect == (1 + x / (1 - x)) * (x / (1 - x))
 
 
