@@ -1,21 +1,21 @@
 """Orientation calibration.
 
 The corner-counting construction admits two orientations (substitute C or C*),
-and only one of them assigns the oscillator reference pair the index +1.  Rather
-than hard-coding that choice, it is *calibrated*: both orientations are run on a
-small reference pair and the one that yields +1 is pinned as the default in a
-generated constants file shipped with the package.  The computation is fully
-deterministic, so regenerating the record is bit-identical.
-
-Regenerate with ``python -m omega_index.calibration`` (see ``main``).
+and only one of them assigns the oscillator reference pair the index +1, the sign
+the paper fixes.  That orientation is :data:`~omega_index.index.DEFAULT_ORIENTATION`,
+a constant in code.  This module is the check on it: :func:`run_calibration` runs
+both orientations on a small reference pair and pins the one that yields +1, and
+the test suite requires the pin to equal the constant, so a change to the
+construction that flips the sign cannot go unnoticed.  The run is fully
+deterministic, so :func:`render_record` of it is bit-identical on every rerun.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import CalibrationMissing
+from .index import DEFAULT_ORIENTATION, ORIENTATIONS, omega
 from .operators import build_harmonic
 
 RECORD_SCHEMA = "orientation-calibration-v1"
@@ -29,13 +29,6 @@ CALIBRATION_LAMBDA = 0.01
 CALIBRATION_CUTS = (70, 85, 100)
 CALIBRATION_GAP_FLOOR = 0.05
 
-_RECORD_FILENAME = "_pinned_orientation.json"
-
-
-def record_path() -> Path:
-    """Location of the generated constants file inside the installed package."""
-    return Path(__file__).resolve().parent / _RECORD_FILENAME
-
 
 def run_calibration() -> dict:
     """Run both orientations on the reference pair and pin the one yielding +1.
@@ -44,8 +37,6 @@ def run_calibration() -> dict:
     orientation yields +1 on the reference pair (which would mean the reference
     parameters no longer discriminate and must be revisited).
     """
-    from .index import ORIENTATIONS, omega
-
     pair = build_harmonic(CALIBRATION_LAMBDA, CALIBRATION_DIM)
     results = {}
     for orientation in ORIENTATIONS:
@@ -80,39 +71,6 @@ def render_record(record: dict) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def write_record(record: dict) -> Path:
-    path = record_path()
-    path.write_text(render_record(record))
-    return path
-
-
-def load_record() -> dict:
-    path = record_path()
-    if not path.exists():
-        raise CalibrationMissing(
-            f"no pinned-orientation record at {path}; "
-            "run `python -m omega_index.calibration`"
-        )
-    try:
-        record = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CalibrationMissing(f"pinned-orientation record is corrupt: {exc}") from exc
-    if record.get("schema_version") != RECORD_SCHEMA or "pinned" not in record:
-        raise CalibrationMissing("pinned-orientation record has an unexpected schema")
-    return record
-
-
 def pinned_orientation() -> str:
-    """The calibrated default orientation, read from the generated record."""
-    return load_record()["pinned"]
-
-
-def main() -> int:
-    record = run_calibration()
-    path = write_record(record)
-    print(f"pinned orientation: {record['pinned']} -> {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    """The default orientation, :data:`~omega_index.index.DEFAULT_ORIENTATION`."""
+    return DEFAULT_ORIENTATION

@@ -49,6 +49,7 @@ from .errors import (
 from .index import (
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
+    ORIENTATIONS,
     # bound here only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
     build_q,  # noqa: F401
     certify,
@@ -60,7 +61,13 @@ from .index import (
     scale_admissible,
     theorem_bound,
 )
-from .operators import PairSpec, PerturbationSpec, build_pair
+from .operators import (
+    PERTURB_KINDS,
+    PERTURB_TARGETS,
+    PairSpec,
+    PerturbationSpec,
+    build_pair,
+)
 
 OMEGA_SCHEMA = "omega-report-v1"
 SWEEP_SCHEMA = "omega-sweep-v1"
@@ -388,11 +395,10 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
         "--perturb",
         action="append",
         metavar="TARGET:KIND:MAG[:SEED]",
-        help="apply a perturbation (kinds: scalar_shift, diagonal_decay, "
-        "random_hermitian); repeatable",
+        help=f"apply a perturbation (kinds: {', '.join(PERTURB_KINDS)}); repeatable",
     )
     group.add_argument(
-        "--orientation", choices=("literal", "conjugate", "default"), default="default"
+        "--orientation", choices=(*ORIENTATIONS, "default"), default="default"
     )
 
 
@@ -448,12 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cuts", help=f"cut sweep at every lambda/perturbation point, {_VALUE_LIST}"
     )
     p_sweep.add_argument("--gap-floor", type=float, default=DEFAULT_GAP_FLOOR)
-    p_sweep.add_argument("--perturb-target", choices=("a", "b"), default="a")
-    p_sweep.add_argument(
-        "--perturb-kind",
-        choices=("scalar_shift", "diagonal_decay", "random_hermitian"),
-        default="scalar_shift",
-    )
+    p_sweep.add_argument("--perturb-target", choices=PERTURB_TARGETS, default="a")
+    p_sweep.add_argument("--perturb-kind", choices=PERTURB_KINDS, default="scalar_shift")
     p_sweep.add_argument("--perturb-seed", type=int, default=0)
     _add_output_arguments(p_sweep, formats=("json", "text"))
     p_sweep.set_defaults(func=cmd_sweep)

@@ -63,7 +63,8 @@ class ConfigParse(OmegaIndexError):
 
 
 class CalibrationMissing(OmegaIndexError):
-    """No pinned-orientation record exists; run the calibration first."""
+    """The calibration run cannot tell the orientations apart: not exactly one
+    of them gives the reference pair the index +1."""
 
 
 #: errors that signal an admissibility/stability condition rather than misuse

@@ -48,8 +48,9 @@ data; :func:`build_q` is always the dense one.
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
-``default`` orientation is pinned by the generated calibration record (see
-:mod:`omega_index.calibration`).
+``default`` orientation is :data:`DEFAULT_ORIENTATION`, the one that gives the
+oscillator reference pair the index +1 as in the paper; the calibration run of
+:mod:`omega_index.calibration` checks that constant, it does not set it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ from .errors import (
 from .operators import OperatorPair
 
 ORIENTATIONS = ("literal", "conjugate")
+#: the orientation that gives the oscillator reference pair omega = +1, checked by
+#: :func:`omega_index.calibration.run_calibration`
+DEFAULT_ORIENTATION = "conjugate"
 
 #: admissibility threshold: counting requires theorem_bound(epsilon) < 1/4
 ADMISSIBLE_BOUND = 0.25
@@ -207,9 +211,12 @@ def _factor_defect(y: np.ndarray) -> float:
     return (1.0 + e) * e
 
 
-def _epsilon(pair: OperatorPair, d: np.ndarray, gram: np.ndarray | None = None) -> float:
+def _epsilon(
+    pair: OperatorPair, d: np.ndarray | None, gram: np.ndarray | None = None
+) -> float:
     """Twice the pair's analytic commutator norm, or else the norm of the interior
-    block of d*d - dd* (the same in both orientations); ``gram`` is d*d if formed."""
+    block of d*d - dd* (the same in both orientations); ``gram`` is d*d if formed,
+    and ``d`` is needed only when the pair has no analytic value."""
     if pair.known_commutator_norm is not None:
         return 2.0 * pair.known_commutator_norm
     if gram is None:
@@ -249,12 +256,19 @@ def resolve_orientation(orientation: str) -> str:
     if orientation in ORIENTATIONS:
         return orientation
     if orientation == "default":
-        from .calibration import pinned_orientation
-
-        return pinned_orientation()
+        return DEFAULT_ORIENTATION
     raise InvalidParameter(
         f"orientation must be one of {ORIENTATIONS + ('default',)}, got {orientation!r}"
     )
+
+
+def _tridiagonal(c: np.ndarray) -> list[np.ndarray] | None:
+    """The diagonals -1, 0 and 1 of ``c`` (views) when every nonzero lies on them,
+    else None; one pass over ``c``."""
+    near = [np.diagonal(c, k) for k in (-1, 0, 1)]
+    if np.count_nonzero(c) == sum(np.count_nonzero(x) for x in near):
+        return near
+    return None
 
 
 def bandwidth(c: np.ndarray) -> int:
@@ -264,8 +278,8 @@ def bandwidth(c: np.ndarray) -> int:
     them in one pass; otherwise diagonals are scanned from the outside in, so a
     dense matrix stops at once.
     """
-    near = [np.diagonal(c, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(c) == sum(np.count_nonzero(x) for x in near):
+    near = _tridiagonal(c)
+    if near is not None:
         return int(bool(np.any(near[0]) or np.any(near[2])))
     for k in range(c.shape[0] - 1, 0, -1):
         if np.any(np.diagonal(c, k)) or np.any(np.diagonal(c, -k)):
@@ -273,17 +287,20 @@ def bandwidth(c: np.ndarray) -> int:
     return 0
 
 
-def _preamble(pair: OperatorPair, orientation: str) -> tuple[np.ndarray, dict]:
-    """d and the :class:`FactorHeader` fields that need no factor: the resolved
-    orientation, the pair's dim, window and epsilon source, and its bandwidth."""
-    resolved = resolve_orientation(orientation)
-    d = pair.c if resolved == "conjugate" else linalg.adjoint(pair.c)
-    return d, dict(
-        orientation=resolved,
+def _graph_map(c: np.ndarray, orientation: str) -> np.ndarray:
+    """d for a resolved orientation: C itself (``conjugate``) or C* (``literal``)."""
+    return c if orientation == "conjugate" else linalg.adjoint(c)
+
+
+def _header(pair: OperatorPair, orientation: str, band: int) -> dict:
+    """The :class:`FactorHeader` fields that need no factor, for a resolved
+    orientation and the bandwidth ``band`` of C."""
+    return dict(
+        orientation=orientation,
         dim=pair.dim,
         boundary_window=pair.boundary_window,
         epsilon_measured=pair.known_commutator_norm is None,
-        bandwidth=bandwidth(pair.c),
+        bandwidth=band,
     )
 
 
@@ -322,7 +339,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     ConvergenceFailure
         If I + d*d overflows or its Cholesky factorization fails.
     """
-    d, header = _preamble(pair, orientation)
+    resolved = resolve_orientation(orientation)
+    header = _header(pair, resolved, bandwidth(pair.c))
+    d = _graph_map(pair.c, resolved)
     m = pair.dim
     gram = linalg.adjoint(d) @ d
     epsilon = _epsilon(pair, d, gram)
@@ -365,7 +384,11 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     and at most one of its two adjacent diagonals is nonzero: the oscillator in both
     orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
     commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
-    numbers are kept.  Nothing but the data chooses the path.
+    numbers are kept.  Nothing but the data chooses the path.  The test reads C,
+    which is bidiagonal exactly when C* is, so a pair for the dense path reaches
+    :func:`build_q` with no d formed; on the band path d's diagonals are C's
+    (``conjugate``) or C's conjugated with lower and upper swapped (``literal``),
+    and an M-by-M d is formed only to measure epsilon.
 
     Raises
     ------
@@ -373,10 +396,13 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
         dense path).
     """
-    d, header = _preamble(pair, orientation)
-    lower, main, upper = (np.diagonal(d, k) for k in (-1, 0, 1))
-    if header["bandwidth"] > 1 or (np.any(lower) and np.any(upper)):
-        return build_q(pair, header["orientation"])
+    resolved = resolve_orientation(orientation)
+    near = _tridiagonal(pair.c)
+    if near is None or (np.any(near[0]) and np.any(near[2])):
+        return build_q(pair, resolved)
+    lower, main, upper = near
+    if resolved == "literal":
+        lower, main, upper = np.conj(upper), np.conj(main), np.conj(lower)
     # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
     g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
     _refuse_overflow(g)
@@ -390,6 +416,7 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     rows = g + np.append(0.0, moduli) + np.append(moduli, 0.0)
     x = PIVOT_ROUNDING * (np.finfo(np.float64).eps / 2) * float(np.max(rows))
     e = x / (1.0 - x) if x < 1.0 else np.inf
+    measured = pair.known_commutator_norm is None
     return BandQ(
         f=f,
         top=top,
@@ -397,9 +424,9 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         # copies: views of C would keep the M-by-M array alive
         main=main.copy(),
         upper=upper.copy(),
-        epsilon=_epsilon(pair, d),
+        epsilon=_epsilon(pair, _graph_map(pair.c, resolved) if measured else None),
         defect=(1.0 + e) * e,
-        **header,
+        **_header(pair, resolved, int(bool(np.any(lower) or np.any(upper)))),
     )
 
 

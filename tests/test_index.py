@@ -1,4 +1,7 @@
+import builtins
+import pathlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,6 @@ import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 from omega_index import (
     BandQ,
-    CalibrationMissing,
     ConvergenceFailure,
     CutTooLarge,
     GapViolation,
@@ -43,6 +45,7 @@ from omega_index import (
     theorem_bound,
 )
 from omega_index.index import (
+    DEFAULT_ORIENTATION,
     DEFECT_BLOCK,
     ORIENTATIONS,
     PIVOT_ROUNDING,
@@ -149,16 +152,24 @@ def test_resolve_orientation():
         resolve_orientation("upside_down")
 
 
-def test_default_orientation_needs_calibration_record(monkeypatch, tmp_path):
-    monkeypatch.setattr(calibration, "record_path", lambda: tmp_path / "absent.json")
-    with pytest.raises(CalibrationMissing):
-        build_q(zero_pair(), "default")
+def test_default_orientation_is_the_calibrated_one():
+    """The constant default is the orientation the calibration run pins: a change to
+    the construction that flips the reference pair's sign fails here."""
+    record = calibration.run_calibration()
+    assert record["pinned"] == DEFAULT_ORIENTATION
+    assert record["omega_by_orientation"] == {"conjugate": 1, "literal": -1}
 
 
-def test_shipped_calibration_record_matches_its_generator():
-    """The packaged record is exactly what the calibration run renders today."""
-    generated = calibration.render_record(calibration.run_calibration())
-    assert generated == calibration.record_path().read_text()
+def test_default_orientation_reads_no_file(monkeypatch):
+    """The sign of a default report comes from code, not from a file on disk."""
+
+    def refuse(*args, **kwargs):
+        raise OSError("no file may be read")
+
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    monkeypatch.setattr(builtins, "open", refuse)
+    assert resolve_orientation("default") == "conjugate"
+    assert omega(build_harmonic(0.01, 120), cuts=[70, 85, 100]).omega == 1
 
 
 # ---------------------------------------------------------------- factored Q
@@ -886,6 +897,37 @@ def test_reference_pair_at_dim_3000_never_takes_the_dense_path(monkeypatch):
         x = 2 * report.cut * lam
         assert abs(report.gap - (x / (x + 1) - 0.5)) <= 1e-12, report.cut
     assert result.defect <= 1e-13
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch):
+    """A dense pair reaches build_q with no d formed, so factor peaks where build_q
+    does; bandwidth runs once per dense factor and never on the band path."""
+    pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
+    assert _traced_peak(factor, pair, orientation) <= 1.01 * _traced_peak(
+        build_q, pair, orientation
+    )
+    calls = []
+
+    def counted(c):
+        calls.append(c.shape)
+        return bandwidth(c)
+
+    monkeypatch.setattr(index_module, "bandwidth", counted)
+    assert isinstance(factor(pair, orientation), QBuild)
+    assert len(calls) == 1
+    assert isinstance(factor(build_harmonic(0.01, 300), orientation), BandQ)
+    assert len(calls) == 1
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,

@@ -36,8 +36,8 @@ def test_removed_fields_are_gone():
 def test_removed_parameters_are_gone():
     for fn in (omega_index.omega, omega_index.certify):
         assert "scaling" not in inspect.signature(fn).parameters
-    for fn in (calibration.write_record, calibration.load_record):
-        assert "path" not in inspect.signature(fn).parameters
+    for name in ("write_record", "load_record", "record_path"):
+        assert not hasattr(calibration, name)
 
 
 def test_sphere_subcommand_is_a_usage_error(capsys):
