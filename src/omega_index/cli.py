@@ -132,7 +132,7 @@ def _pair_spec_from_args(args) -> PairSpec:
     perturbations = tuple(
         _parse_perturbation(p, args.seed) for p in (args.perturb or [])
     )
-    return PairSpec(
+    spec = PairSpec(
         builder=_BUILDER_NAMES[args.pair],
         lam=args.lam,
         dim=args.dim,
@@ -142,6 +142,10 @@ def _pair_spec_from_args(args) -> PairSpec:
         path_b=args.file_b,
         perturbations=perturbations,
     )
+    # checked last: a bad perturbation or builder is reported as such, not as a bad seed
+    if args.seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {args.seed}")
+    return spec
 
 
 def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
@@ -304,8 +308,8 @@ def cmd_sweep(args) -> int:
     if args.axis == "cut" and args.cuts is not None:
         raise ConfigParse("--axis cut takes its cuts from --values, not --cuts")
     check_gap_floor(args.gap_floor)
-    # built once, so a bad --perturb-seed fails the sweep rather than every point
-    shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.perturb_seed)
+    # the axis perturbation draws from --seed, already checked with the pair's
+    shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.seed)
     cuts = None if args.cuts is None else _parse_values(args.cuts, int)
     values = _parse_values(args.values, int if args.axis == "cut" else float)
     qb = build_error = None
@@ -456,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gap-floor", type=float, default=DEFAULT_GAP_FLOOR)
     p_sweep.add_argument("--perturb-target", choices=PERTURB_TARGETS, default="a")
     p_sweep.add_argument("--perturb-kind", choices=PERTURB_KINDS, default="scalar_shift")
-    p_sweep.add_argument("--perturb-seed", type=int, default=0)
     _add_output_arguments(p_sweep, formats=("json", "text"))
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -20,19 +20,15 @@ Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
 report the cut-independent integer ``omega = M_N - N``.  Only eigenvalues are
 needed.  The corner at cut N is ``y_c y_c*``, where the 2N-by-M matrix ``y_c``
-holds the top N and bottom N rows of Y.  Let b be the bandwidth of C, the largest
-|i - j| with C[i, j] != 0 (one b serves C and C*).  Since W is lower triangular
-and row i of d vanishes beyond column i + b, ``y_c`` is exactly zero beyond column
-k = min(M, N + b), so the corner has rank at most k: its nonzero eigenvalues are
-those of the k-by-k matrix ``y_c[:, :k]* y_c[:, :k]`` and the other 2N - k are
-exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller of the two,
-the corner itself when 2N <= k and the k-by-k Gram otherwise; a banded pair such
-as the oscillator (b = 1) solves an (N + 1)-by-(N + 1) matrix at every cut.  A
-count is certified only in the regime where the defect bound (4e - 2e^2)/(1 - e)^2
-at the measured commutator size e stays below 1/4; outside it the pair must be
-rescaled first (:func:`scale_admissible`).  That gate is on the pair: Q itself
-is a projection for every C, and the measured ``defect`` bounds how far the Q
-actually counted is from one.
+holds the top N and bottom N rows of Y, so the corner has rank at most M: its
+nonzero eigenvalues are those of the M-by-M Gram ``y_c* y_c`` and the other
+2N - M are exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller
+of the two, the corner itself when 2N <= M and the Gram otherwise; the choice is
+fixed by M alone.  A count is certified only in the regime where the defect bound
+(4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4; outside
+it the pair must be rescaled first (:func:`scale_admissible`).  That gate is on
+the pair: Q itself is a projection for every C, and the measured ``defect``
+bounds how far the Q actually counted is from one.
 
 A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
@@ -108,9 +104,7 @@ class FactorHeader:
     of it, for the Q actually counted.  Each path says how it bounds e, and e is
     infinite when the path cannot bound it.  ``dim`` and ``boundary_window`` are
     the pair's.  ``epsilon_measured`` is true when the pair carried no analytic
-    commutator norm.  ``bandwidth`` is the largest |i - j| with C[i, j] != 0,
-    counted from exact zeros; the rows of Y behind the corner at cut N vanish
-    beyond column N + bandwidth.
+    commutator norm.
     """
 
     orientation: str
@@ -119,7 +113,6 @@ class FactorHeader:
     dim: int
     boundary_window: int
     epsilon_measured: bool
-    bandwidth: int
 
 
 @dataclass(frozen=True)
@@ -271,36 +264,18 @@ def _tridiagonal(c: np.ndarray) -> list[np.ndarray] | None:
     return None
 
 
-def bandwidth(c: np.ndarray) -> int:
-    """The largest |i - j| with ``c[i, j] != 0`` (exact zeros, no tolerance); 0 if diagonal.
-
-    When every nonzero lies on the diagonals -1, 0 and 1 the answer is read from
-    them in one pass; otherwise diagonals are scanned from the outside in, so a
-    dense matrix stops at once.
-    """
-    near = _tridiagonal(c)
-    if near is not None:
-        return int(bool(np.any(near[0]) or np.any(near[2])))
-    for k in range(c.shape[0] - 1, 0, -1):
-        if np.any(np.diagonal(c, k)) or np.any(np.diagonal(c, -k)):
-            return k
-    return 0
-
-
 def _graph_map(c: np.ndarray, orientation: str) -> np.ndarray:
     """d for a resolved orientation: C itself (``conjugate``) or C* (``literal``)."""
     return c if orientation == "conjugate" else linalg.adjoint(c)
 
 
-def _header(pair: OperatorPair, orientation: str, band: int) -> dict:
-    """The :class:`FactorHeader` fields that need no factor, for a resolved
-    orientation and the bandwidth ``band`` of C."""
+def _header(pair: OperatorPair, orientation: str) -> dict:
+    """The :class:`FactorHeader` fields that need no factor, for a resolved orientation."""
     return dict(
         orientation=orientation,
         dim=pair.dim,
         boundary_window=pair.boundary_window,
         epsilon_measured=pair.known_commutator_norm is None,
-        bandwidth=band,
     )
 
 
@@ -340,7 +315,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
         If I + d*d overflows or its Cholesky factorization fails.
     """
     resolved = resolve_orientation(orientation)
-    header = _header(pair, resolved, bandwidth(pair.c))
+    header = _header(pair, resolved)
     d = _graph_map(pair.c, resolved)
     m = pair.dim
     gram = linalg.adjoint(d) @ d
@@ -380,8 +355,8 @@ def _pivots(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     """Factor Q for counting: a :class:`BandQ` when d is bidiagonal, else :func:`build_q`.
 
-    d (C or C*, as in :func:`build_q`) is bidiagonal when its bandwidth is at most 1
-    and at most one of its two adjacent diagonals is nonzero: the oscillator in both
+    d (C or C*, as in :func:`build_q`) is bidiagonal when its nonzeros lie on the main
+    diagonal and at most one adjacent diagonal: the oscillator in both
     orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
     commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
     numbers are kept.  Nothing but the data chooses the path.  The test reads C,
@@ -426,7 +401,7 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         upper=upper.copy(),
         epsilon=_epsilon(pair, _graph_map(pair.c, resolved) if measured else None),
         defect=(1.0 + e) * e,
-        **_header(pair, resolved, int(bool(np.any(lower) or np.any(upper)))),
+        **_header(pair, resolved),
     )
 
 
@@ -492,14 +467,14 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
 
     For a :class:`BandQ` they are cut - 1 exact zeros, cut - 1 exact ones and the
     two eigenvalues of a 2-by-2 pencil (see :func:`factor`).  For a :class:`QBuild`
-    the corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``, which are
-    exactly zero beyond column k = min(M, cut + bandwidth).  The top rows are
-    ``[w, 0]`` with w = W[:cut, :cut], as W is lower triangular; call the bottom
-    rows, cut to k columns, ``v``.  When 2*cut <= k the corner itself is solved,
-    and only the blocks ``w w*``, ``v[:, :cut] w*`` and ``v v*`` of its lower
-    triangle are formed, the only part the eigensolver reads.  Otherwise the k-by-k
-    ``yc* yc = v* v + diag(w* w, 0)``, which has the same nonzero eigenvalues, is
-    solved and the remaining 2*cut - k eigenvalues are exact zeros.
+    the corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``.  The top
+    rows are ``[w, 0]`` with w = W[:cut, :cut], as W is lower triangular; call the
+    bottom rows ``v``.  Its rank side is fixed by M: when 2*cut <= M the corner
+    itself is solved, and only the blocks ``w w*``, ``v[:, :cut] w*`` and ``v v*``
+    of its lower triangle are formed, the only part the eigensolver reads.
+    Otherwise the M-by-M ``yc* yc = v* v + diag(w* w, 0)``, which has the same
+    nonzero eigenvalues, is solved and the remaining 2*cut - M eigenvalues are
+    exact zeros.
     """
     return _spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window))[0]
 
@@ -514,10 +489,10 @@ def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> list[np.ndarray]:
 
 def _dense_spectrum(qb: QBuild, cut: int) -> np.ndarray:
     """The corner spectrum of a :class:`QBuild` (see :func:`corner_eigenvalues`)."""
-    k = min(qb.dim, cut + qb.bandwidth)
+    m = qb.dim
     w = qb.y[:cut, :cut]
-    v = qb.y[qb.dim : qb.dim + cut, :k]
-    if 2 * cut <= k:
+    v = qb.y[m : m + cut]
+    if 2 * cut <= m:
         corner = np.zeros((2 * cut, 2 * cut), dtype=qb.y.dtype)
         corner[:cut, :cut] = w @ linalg.adjoint(w)
         corner[cut:, :cut] = v[:, :cut] @ linalg.adjoint(w)
@@ -526,7 +501,7 @@ def _dense_spectrum(qb: QBuild, cut: int) -> np.ndarray:
     gram = linalg.adjoint(v) @ v
     gram[:cut, :cut] += linalg.adjoint(w) @ w
     values = linalg.hermitian_eigenvalues(gram)
-    return np.sort(np.concatenate([np.zeros(2 * cut - k), values]))
+    return np.sort(np.concatenate([np.zeros(2 * cut - m), values]))
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:

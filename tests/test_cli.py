@@ -80,6 +80,27 @@ def test_threads_flag_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --threads 4" in err
 
 
+def test_perturb_seed_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "perturbation", "--values", "0.001", "--dim", "64",
+        "--cuts", "20", "--perturb-seed", "5"
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --perturb-seed 5" in err
+
+
+def test_sweep_perturbation_axis_draws_from_seed(capsys):
+    """--seed is the one seed: the axis perturbation moves with it."""
+    argv = ("sweep", "--axis", "perturbation", "--perturb-kind", "random_hermitian",
+            "--values", "0.001", "--dim", "64", "--cuts", "20")
+    epsilons = []
+    for seed in ("0", "5"):
+        code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 0
+        epsilons.append(json.loads(out)["points"][0]["report"]["epsilon"])
+    assert epsilons[0] != epsilons[1]
+
+
 def test_counting_starts_no_threads(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
@@ -427,8 +448,10 @@ def test_spectrum_refuses_a_collar_cut_before_the_factor(capsys, monkeypatch):
     ("omega", "--dim", "64", "--cuts", "20", "--seed", "-1",
      "--perturb", "a:random_hermitian:0.001"),
     ("sweep", "--axis", "perturbation", "--perturb-kind", "random_hermitian",
-     "--perturb-seed", "-3", "--values", "0:0.002:0.001", "--dim", "64", "--cuts", "20"),
+     "--seed", "-3", "--values", "0:0.002:0.001", "--dim", "64", "--cuts", "20"),
     ("verify", "--seed", "-1", "--trials", "2", "--max-dim", "4"),
+    ("omega", "--dim", "120", "--cuts", "70", "--seed", "-3"),
+    ("spectrum", "--dim", "120", "--cut", "70", "--seed", "-3"),
 ])
 def test_negative_seed_exits_1_without_a_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -51,7 +51,7 @@ from omega_index.index import (
     PIVOT_ROUNDING,
     _abs2,
     _factor_defect,
-    bandwidth,
+    _tridiagonal,
 )
 
 
@@ -456,12 +456,11 @@ def test_corner_eigenvalues_match_full_corner(dense200_q, orientation, cut):
 
 
 @pytest.mark.parametrize("orientation", ["literal", "conjugate"])
-@pytest.mark.parametrize("cut", [60, 100, 140])  # 2N < k, 2N = k and 2N > k, k = M = 200
+@pytest.mark.parametrize("cut", [60, 100, 140])  # 2N < M, 2N = M and 2N > M, M = 200
 def test_dense_corner_blocks_match_the_formed_corner(dense200_q, orientation, cut):
     """The corner from its three lower blocks, or from the rank-side Gram, has the
     spectrum of the formed corner block and the same count."""
     qb = dense200_q[orientation]
-    assert min(qb.dim, cut + qb.bandwidth) == 200
     values = corner_eigenvalues(qb, cut)
     reference = np.linalg.eigvalsh(extract_q11(qb, cut))
     assert np.max(np.abs(values - reference)) <= 1e-13
@@ -491,6 +490,15 @@ def _commuting64():
     )
 
 
+def _banded64(harmonic, offsets, unit):
+    """The oscillator's C plus ``unit`` * 0.01 on the diagonals +-offsets: a real
+    symmetric perturbation of A (unit 1) or of B (unit 1j), not bidiagonal."""
+    delta = sum(np.diag(np.full(64 - k, 0.01), k) + np.diag(np.full(64 - k, 0.01), -k)
+                for k in offsets)
+    return OperatorPair(c=harmonic.c + unit * delta, dim=64, basis_label="banded",
+                        known_commutator_norm=None, boundary_window=0)
+
+
 def _pairs64():
     """Windowless dim-64 pairs of every band: cuts may then run up to N + b >= M."""
     harmonic = replace(build_harmonic(0.01, 64), boundary_window=0)
@@ -499,10 +507,13 @@ def _pairs64():
         "commuting": _commuting64(),
         "diagonal_decay": perturb(harmonic, "a", "diagonal_decay", 0.05),
         "random_hermitian": perturb(harmonic, "b", "random_hermitian", 0.002, 3),
+        "tridiagonal": _banded64(harmonic, (1,), 1.0),
+        "pentadiagonal": _banded64(harmonic, (1, 2), 1j),
     }
 
 
-BANDS64 = {"harmonic": 1, "commuting": 0, "diagonal_decay": 1, "random_hermitian": 63}
+BANDS64 = {"harmonic": 1, "commuting": 0, "diagonal_decay": 1, "random_hermitian": 63,
+           "tridiagonal": 1, "pentadiagonal": 2}
 
 
 @pytest.fixture(scope="module")
@@ -514,46 +525,12 @@ def pairs64_q():
     }
 
 
-def test_bandwidth_of_each_builder_and_perturbation(grid10):
-    harmonic = build_harmonic(0.01, 120)
-    assert build_q(harmonic, "literal").bandwidth == 1
-    assert build_q(grid10, "literal").bandwidth == 0
-    for target in ("a", "b"):
-        assert build_q(perturb(harmonic, target, "scalar_shift", 0.1), "literal").bandwidth == 1
-        assert build_q(perturb(harmonic, target, "diagonal_decay", 0.1), "literal").bandwidth == 1
-        dense = perturb(harmonic, target, "random_hermitian", 0.002, 5)
-        assert build_q(dense, "conjugate").bandwidth == 119
-
-
-@pytest.mark.parametrize("offsets, expected", [
-    ((), 0), ((0,), 0), ((1,), 1), ((-1,), 1), ((0, 1), 1), ((-1, 0), 1), ((-1, 0, 1), 1),
-    ((0, 2), 2), ((-3, 0, 1), 3),
-])
-def test_bandwidth_of_banded_matrices(offsets, expected):
-    """Diagonals -1, 0 and 1 are read in one pass; anything farther out is scanned."""
-    m = sum((np.diag(np.full(6 - abs(k), 0.5 + k), k) for k in offsets), np.zeros((6, 6)))
-    assert bandwidth(m) == expected
-    m[0, 1] = m[1, 0] = 0.0  # exact zeros on a band diagonal count as zeros
-    assert bandwidth(m) == expected
-
-
-def test_bandwidth_counts_exact_zeros():
-    m = np.zeros((5, 5), dtype=complex)
-    assert bandwidth(m) == 0
-    m[4, 1] = 1e-300
-    assert bandwidth(m) == 3
-    m[0, 4] = 1.0
-    assert bandwidth(m) == 4
-    assert bandwidth(np.ones((1, 1))) == 0
-
-
 @pytest.mark.parametrize("orientation", ["literal", "conjugate"])
 @pytest.mark.parametrize("kind", sorted(BANDS64))
 def test_basis_is_exactly_triangular_and_banded(pairs64_q, kind, orientation):
     """W has exact zeros above its diagonal, so the corner rows vanish beyond N + b."""
     qb = pairs64_q[kind, orientation]
-    b, m = qb.bandwidth, qb.dim
-    assert b == BANDS64[kind]
+    b, m = BANDS64[kind], qb.dim
     assert np.all(np.triu(qb.y[:m], 1) == 0)
     for cut in range(1, m + 1):
         assert np.all(qb.y[:cut, cut + b :] == 0)
@@ -562,20 +539,13 @@ def test_basis_is_exactly_triangular_and_banded(pairs64_q, kind, orientation):
 
 @pytest.mark.parametrize("orientation", ["literal", "conjugate"])
 @pytest.mark.parametrize("kind", sorted(BANDS64))
-@settings(max_examples=10, deadline=None)
-@given(cut=st.integers(1, 64))
-@example(cut=1)  # 2N <= k for the harmonic pair (k = N + 1 = 2)
-@example(cut=20)  # 2N < k = M for the dense pair
-@example(cut=32)  # 2N = M
-@example(cut=33)  # 2N > M
-@example(cut=63)  # N + b >= M for b = 1
-@example(cut=64)  # the whole of Q
-def test_rank_side_matches_full_corner(pairs64_q, kind, orientation, cut):
-    """Keeping k = min(M, N + b) columns and solving the smaller side changes no eigenvalue."""
+def test_rank_side_matches_full_corner(pairs64_q, kind, orientation):
+    """At every cut, solving the smaller of the corner and the M-by-M Gram changes no
+    eigenvalue; past 2N = M the Gram side pads 2N - M exact zeros."""
     qb = pairs64_q[kind, orientation]
-    values = _check_corner_spectrum(qb, cut)
-    k = min(qb.dim, cut + qb.bandwidth)
-    assert np.count_nonzero(values == 0.0) >= 2 * cut - k
+    for cut in range(1, qb.dim + 1):
+        values = _check_corner_spectrum(qb, cut)
+        assert np.count_nonzero(values == 0.0) >= 2 * cut - qb.dim
 
 
 def test_corner_eigenvalues_validate_cut(harmonic400_q):
@@ -829,8 +799,7 @@ def _assert_paths_agree(pair, orientation):
     """factor and build_q agree at every cut: counts, spectra to 1e-13 and omega."""
     band, dense = factor(pair, orientation), build_q(pair, orientation)
     assert isinstance(band, BandQ) and isinstance(dense, QBuild)
-    for field in ("orientation", "epsilon", "dim", "boundary_window", "epsilon_measured",
-                  "bandwidth"):
+    for field in ("orientation", "epsilon", "dim", "boundary_window", "epsilon_measured"):
         assert getattr(band, field) == getattr(dense, field), field
     cuts = list(range(1, pair.interior + 1))
     for cut in cuts:
@@ -912,7 +881,7 @@ def _traced_peak(fn, *args) -> int:
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch):
     """A dense pair reaches build_q with no d formed, so factor peaks where build_q
-    does; bandwidth runs once per dense factor and never on the band path."""
+    does; C is scanned once per factor on either path and never by build_q."""
     pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
     assert _traced_peak(factor, pair, orientation) <= 1.01 * _traced_peak(
         build_q, pair, orientation
@@ -921,13 +890,15 @@ def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch)
 
     def counted(c):
         calls.append(c.shape)
-        return bandwidth(c)
+        return _tridiagonal(c)
 
-    monkeypatch.setattr(index_module, "bandwidth", counted)
+    monkeypatch.setattr(index_module, "_tridiagonal", counted)
     assert isinstance(factor(pair, orientation), QBuild)
     assert len(calls) == 1
     assert isinstance(factor(build_harmonic(0.01, 300), orientation), BandQ)
-    assert len(calls) == 1
+    assert len(calls) == 2
+    build_q(pair, orientation)
+    assert len(calls) == 2
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
