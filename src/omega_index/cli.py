@@ -20,9 +20,10 @@ range ``a:b:step``; a malformed list, cut or seed is refused before anything is 
 
 Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
-error object on stdout; 1 on usage, configuration, or I/O errors and on a
+error object on stdout; 1 on usage, configuration, or I/O errors, on a
 ``ConvergenceFailure`` (a pair too large to factor or to bound the factor's
-rounding), with an error object too.
+rounding) and on an ``InsufficientMemory`` (a dense computation refused before
+it allocates more than the machine can hold), with an error object too.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
 so identical invocations (including ``--seed``) produce byte-identical output.

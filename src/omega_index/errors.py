@@ -35,6 +35,11 @@ class InvalidParameter(OmegaIndexError):
     """A scalar argument is outside its documented domain."""
 
 
+class InsufficientMemory(OmegaIndexError):
+    """A dense computation would need more memory than this process can still
+    allocate; it is refused before anything is allocated."""
+
+
 class CutTooLarge(OmegaIndexError):
     """A requested corner cut reaches into the truncation boundary collar."""
 

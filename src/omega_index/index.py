@@ -34,11 +34,13 @@ A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
 and the commuting grid) needs none of that: :func:`factor` keeps only O(M)
 numbers (:class:`BandQ`): the off-diagonal of the tridiagonal G = I + d*d, its
-pivots in both directions and the two diagonals of d.  With k = N + 1 the corner's nonzero
-spectrum is that of the pencil (P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k]
-and S_k = W_kk^-* W_kk^-1; for a bidiagonal d both equal G on rows 0..N-2 and on
-their coupling to row N-1, so one Schur complement leaves a 2-by-2 pencil on rows
-N-1 and N.  The 2N corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and
+pivots in both directions and the two diagonals of d.  It reads them from the
+diagonals the pair stores, and a measured epsilon is the norm of a Hermitian
+tridiagonal, found by Sturm-count bisection, so no M-by-M array is formed.
+With k = N + 1 the corner's nonzero spectrum is that of the pencil (P_N, S_k),
+P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and S_k = W_kk^-* W_kk^-1; for a
+bidiagonal d both equal G on rows 0..N-2 and on their coupling to row N-1, so
+one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  The 2N corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and
 the two eigenvalues of that pencil.  :func:`factor` chooses the path from the
 data; :func:`build_q` is always the dense one.
 
@@ -88,6 +90,12 @@ PIVOT_ROUNDING = 8.0
 
 #: rows of the Gram y* y that :func:`_factor_defect` forms at a time
 DEFECT_BLOCK = 256
+
+#: M-by-M arrays of C's dtype alive at once in :func:`build_q` and the corner
+#: solves that follow it: d, the Gram with the epsilon measurement's products or
+#: the Cholesky factor with LAPACK's copy, then W's inverse, the 2M-by-M basis y
+#: and a corner with its eigensolve copy
+BUILD_Q_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -204,29 +212,94 @@ def _factor_defect(y: np.ndarray) -> float:
     return (1.0 + e) * e
 
 
-def _epsilon(
-    pair: OperatorPair, d: np.ndarray | None, gram: np.ndarray | None = None
-) -> float:
-    """Twice the pair's analytic commutator norm, or else the norm of the interior
-    block of d*d - dd* (the same in both orientations); ``gram`` is d*d if formed,
-    and ``d`` is needed only when the pair has no analytic value."""
-    if pair.known_commutator_norm is not None:
-        return 2.0 * pair.known_commutator_norm
-    if gram is None:
-        gram = linalg.adjoint(d) @ d
-    k = pair.interior
-    return _interior_self_commutator_norm(gram[:k, :k], d[:k])
-
-
 def _interior_self_commutator_norm(gram: np.ndarray, rows: np.ndarray) -> float:
     """Norm of the interior k-by-k block of d*d - dd*, given ``gram`` = (d*d)[:k, :k]
     and ``rows`` = d[:k]."""
     return linalg.hermitian_norm(gram - rows @ linalg.adjoint(rows))
 
 
+def _band_self_commutator_norm(
+    lower: np.ndarray, main: np.ndarray, upper: np.ndarray, k: int
+) -> float:
+    """Norm of the interior k-by-k block of C*C - CC* for a bidiagonal C with the
+    given diagonals -1, 0 and 1 (one of ``lower`` and ``upper`` zero), in O(M).
+
+    That block is the Hermitian tridiagonal with diagonal
+    ``|u[i-1]|^2 + |l[i]|^2 - |u[i]|^2 - |l[i-1]|^2`` and off-diagonal moduli
+    ``(|u[i]| + |l[i]|) |m[i+1] - m[i]|``, where l, m, u are ``lower``, ``main``
+    and ``upper`` and entries past either end are 0; rows up to k, so up to M,
+    enter through row k - 1.  It is the same for d = C and d = C*.
+    """
+    u2 = _abs2(np.concatenate([[0.0], upper, [0.0]]))  # u2[i + 1] is |u[i]|^2
+    l2 = _abs2(np.concatenate([[0.0], lower, [0.0]]))
+    diagonal = (u2[:-1] + l2[1:] - u2[1:] - l2[:-1])[:k]
+    off2 = ((u2[1:-1] + l2[1:-1]) * _abs2(np.diff(main)))[: k - 1]
+    return _tridiagonal_norm(diagonal, off2)
+
+
+def _tridiagonal_norm(diagonal: np.ndarray, off2: np.ndarray) -> float:
+    """The operator norm of the Hermitian tridiagonal T with real ``diagonal`` and
+    squared off-diagonal moduli ``off2``, as the upper end of a bisection bracket.
+
+    The bracket [lo, hi] on the largest absolute eigenvalue starts at [0, r], r
+    the largest Gershgorin row sum, and halves until no float lies inside it.
+    The test at x is Sturm's, by Sylvester's law of inertia: every eigenvalue
+    lies in (-x, x) exactly when T + xI has only positive LDL* pivots and T - xI
+    only negative ones.  The computed pivots are the exact pivots of a T' whose
+    off-diagonal differs from T's by a few ulps relatively (Kahan 1966), so hi
+    bounds the norm of T' and is within a few ulps of it.
+    """
+    if diagonal.size == 0:
+        return 0.0
+    off = np.sqrt(off2)
+    lo, hi = 0.0, float(np.max(np.abs(diagonal) + np.append(off, 0.0) + np.append(0.0, off)))
+    # row i carries a[i - 1]; the first row's 0 leaves its pivots at t[0] +- x
+    rows = list(zip(diagonal.tolist(), [0.0] + off2.tolist()))
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _definite_on_both_sides(rows, mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _definite_on_both_sides(rows: list[tuple[float, float]], x: float) -> bool:
+    """Whether the LDL* pivots of T + xI are all positive and those of T - xI all
+    negative, for the tridiagonal T of :func:`_tridiagonal_norm`'s ``rows``."""
+    p, q = 1.0, -1.0
+    for t, a in rows:
+        p = t + x - a / p
+        q = t - x - a / q
+        if not (p > 0.0 and q < 0.0):
+            return False
+    return True
+
+
+def _bidiagonal(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """C's diagonals -1, 0 and 1 when C is bidiagonal (its nonzeros on the main
+    diagonal and at most one neighbour), else None.  They are the pair's stored
+    diagonals, or else found by the one scan of its dense C (:func:`_tridiagonal`)."""
+    near = pair.diagonals
+    if near is None:
+        near = _tridiagonal(pair.c)
+    if near is None or (np.any(near[0]) and np.any(near[2])):
+        return None
+    return near
+
+
 def masked_commutator_norm(pair: OperatorPair) -> float:
-    """``norm(AB - BA)`` off the boundary collar: half that of C*C - CC* = 2i(AB - BA)."""
-    c, k = pair.c, pair.interior
+    """``norm(AB - BA)`` off the boundary collar: half that of C*C - CC* = 2i(AB - BA).
+
+    For a bidiagonal C this is the O(M) bisection of :func:`factor`'s measured
+    epsilon; otherwise the interior block is formed and solved densely.
+    """
+    k = pair.interior
+    near = _bidiagonal(pair)
+    if near is not None:
+        return 0.5 * _band_self_commutator_norm(*near, k)
+    c = pair.c
     return 0.5 * _interior_self_commutator_norm(linalg.adjoint(c[:, :k]) @ c[:, :k], c[:k])
 
 
@@ -303,7 +376,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     by :func:`~omega_index.linalg.lower_triangular_inverse` of the Cholesky factor,
     and its strict upper triangle is written as exact zeros, which the corner
     solves and the Gram behind ``defect`` rely on.  ``epsilon`` takes one
-    eigensolve of the interior block when the pair has no analytic value.
+    eigensolve of the interior block when the pair has no analytic value, for
+    every pair: this is the dense reference for the band path's bisection too.
+    A pair stored by its diagonals is read through its dense view ``c``.
 
     ``y`` has the dtype of the stored C: float64 for a real C, so that every
     product, factorization and eigensolve runs in float64, and complex128
@@ -311,15 +386,26 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
 
     Raises
     ------
+    InsufficientMemory
+        If :data:`BUILD_Q_ARRAYS` M-by-M arrays, and the dense view of a pair
+        stored by its diagonals, would not fit in memory; checked first.
     ConvergenceFailure
         If I + d*d overflows or its Cholesky factorization fails.
     """
     resolved = resolve_orientation(orientation)
     header = _header(pair, resolved)
-    d = _graph_map(pair.c, resolved)
     m = pair.dim
+    linalg.require_memory(
+        pair.c_bytes + BUILD_Q_ARRAYS * pair.dtype.itemsize * m**2,
+        f"the dense factor of a dim-{m} pair",
+    )
+    d = _graph_map(pair.c, resolved)
     gram = linalg.adjoint(d) @ d
-    epsilon = _epsilon(pair, d, gram)
+    if pair.known_commutator_norm is None:
+        k = pair.interior
+        epsilon = _interior_self_commutator_norm(gram[:k, :k], d[:k])
+    else:
+        epsilon = 2.0 * pair.known_commutator_norm
     gram[np.diag_indices(m)] += 1.0
     _refuse_overflow(gram.diagonal())
     try:
@@ -360,21 +446,31 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
     commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
     numbers are kept.  Nothing but the data chooses the path.  The test reads C,
-    which is bidiagonal exactly when C* is, so a pair for the dense path reaches
-    :func:`build_q` with no d formed; on the band path d's diagonals are C's
-    (``conjugate``) or C's conjugated with lower and upper swapped (``literal``),
-    and an M-by-M d is formed only to measure epsilon.
+    which is bidiagonal exactly when C* is: the diagonals a pair stores are read
+    directly, and a dense C is scanned once, so a pair for the dense path reaches
+    :func:`build_q` with no d formed.  On the band path d's diagonals are C's
+    (``conjugate``) or C's conjugated with lower and upper swapped (``literal``).
+    ``epsilon`` is twice the analytic commutator norm or else measured on the
+    interior block of d*d - dd*, which is tridiagonal here; its norm is the upper
+    end of a bisection bracket one ulp wide (:func:`_tridiagonal_norm`), not the
+    eigensolve :func:`build_q` uses.  No M-by-M array is formed.
 
     Raises
     ------
     ConvergenceFailure
         If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
         dense path).
+    InsufficientMemory
+        As raised by :func:`build_q`.
     """
     resolved = resolve_orientation(orientation)
-    near = _tridiagonal(pair.c)
-    if near is None or (np.any(near[0]) and np.any(near[2])):
+    near = _bidiagonal(pair)
+    if near is None:
         return build_q(pair, resolved)
+    if pair.known_commutator_norm is None:
+        epsilon = _band_self_commutator_norm(*near, pair.interior)
+    else:
+        epsilon = 2.0 * pair.known_commutator_norm
     lower, main, upper = near
     if resolved == "literal":
         lower, main, upper = np.conj(upper), np.conj(main), np.conj(lower)
@@ -391,15 +487,14 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     rows = g + np.append(0.0, moduli) + np.append(moduli, 0.0)
     x = PIVOT_ROUNDING * (np.finfo(np.float64).eps / 2) * float(np.max(rows))
     e = x / (1.0 - x) if x < 1.0 else np.inf
-    measured = pair.known_commutator_norm is None
     return BandQ(
         f=f,
         top=top,
         bottom=bottom,
-        # copies: views of C would keep the M-by-M array alive
+        # copies: views of a dense C would keep the M-by-M array alive
         main=main.copy(),
         upper=upper.copy(),
-        epsilon=_epsilon(pair, _graph_map(pair.c, resolved) if measured else None),
+        epsilon=epsilon,
         defect=(1.0 + e) * e,
         **_header(pair, resolved),
     )
@@ -699,7 +794,9 @@ def scale_admissible(
     otherwise ``s = (1 - margin) * sqrt(target / kappa)`` with a 5% margin, where
     kappa is the known commutator norm or, failing that, the masked measurement.
 
-    Returns ``(scaled_pair, s_a, s_b)``; both factors are equal.
+    Returns ``(scaled_pair, s_a, s_b)``; both factors are equal.  The scaled pair
+    is stored as the given one is, so a pair stored by its diagonals is scaled in
+    O(M).
     """
     if not (np.isfinite(target) and target > 0):
         raise InvalidParameter(f"target must be positive, got {target}")
@@ -712,4 +809,6 @@ def scale_admissible(
     known = None
     if pair.known_commutator_norm is not None:
         known = pair.known_commutator_norm * s * s
-    return replace(pair, c=s * pair.c, known_commutator_norm=known), s, s
+    near = pair.diagonals
+    stored = s * pair.stored if near is None else tuple(s * x for x in near)
+    return replace(pair, stored=stored, known_commutator_norm=known), s, s

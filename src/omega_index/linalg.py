@@ -1,8 +1,9 @@
 """Dense matrix algebra over the complex or the real field.
 
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
-positive-definite inversion, a blocked triangular inverse, the operator norm and
-an O(n^2) hermiticity gate.
+positive-definite inversion, a blocked triangular inverse, the operator norm,
+an O(n^2) hermiticity gate, and the memory probe that every dense path consults
+before it allocates (:func:`require_memory`).
 Matrices are plain ``numpy.ndarray`` objects.  Input from outside the program is
 coerced to ``complex128`` (:func:`as_matrix`), while a real C and its factor stay
 ``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InsufficientMemory,
     NonHermitianInput,
     NotPositiveDefinite,
 )
@@ -234,7 +236,9 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If the smallest eigenvalue is at or below the floor.
     ConvergenceFailure
-        If the residual ``norm(m @ inv - I)`` misses the accuracy contract.
+        If the residual ``norm(m @ inv - I)`` misses the accuracy contract.  Its
+        Frobenius norm, an upper bound, decides a clear pass; only the rest pay
+        for the operator norm.
     """
     eig = hermitian_eigen(m)
     w, v = eig.values, eig.vectors
@@ -245,12 +249,57 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
             f"smallest eigenvalue {float(w[0]):.3e} is not above the floor {floor:.3e}"
         )
     inv = (v / w) @ adjoint(v)
-    residual = operator_norm(m @ inv - np.eye(m.shape[0]))
     # allow the residual to grow with the condition number, as any backward-stable
     # inverse does
     cond = float(w[-1]) / float(w[0])
-    if residual > INV_TOL * max(1.0, cond):
+    tol = INV_TOL * max(1.0, cond)
+    error = m @ inv - np.eye(m.shape[0])
+    # the Frobenius norm bounds the operator norm, so a small one decides the
+    # contract without an eigensolve, as in is_hermitian
+    if float(np.linalg.norm(error)) <= tol * (1.0 - FROBENIUS_MARGIN):
+        return inv
+    residual = operator_norm(error)
+    if residual > tol:
         raise ConvergenceFailure(
             f"inverse residual {residual:.3e} exceeds tolerance for condition {cond:.3e}"
         )
     return inv
+
+
+def memory_headroom() -> float:
+    """Bytes this process may still allocate: the smaller of the headroom under its
+    address-space limit (``RLIMIT_AS`` less the current virtual size) and the
+    machine's ``MemAvailable``; infinite where neither can be read."""
+    headroom = np.inf
+    try:
+        import resource
+
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            with open("/proc/self/statm") as handle:
+                pages = int(handle.read().split()[0])
+            headroom = limit - pages * resource.getpagesize()
+    except (ImportError, OSError, ValueError):
+        pass
+    try:
+        with open("/proc/meminfo") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    headroom = min(headroom, int(line.split()[1]) * 1024)
+    except (OSError, ValueError):
+        pass
+    return headroom
+
+
+def require_memory(nbytes: float, what: str) -> None:
+    """Raise :class:`InsufficientMemory` unless ``nbytes`` fit in
+    :func:`memory_headroom`; called with a dense path's footprint before that
+    path allocates anything."""
+    available = memory_headroom()
+    if nbytes > available:
+        raise InsufficientMemory(
+            f"{what} needs about {nbytes / 2**20:.0f} MiB, but only "
+            f"{available / 2**20:.0f} MiB can be allocated",
+            needed_bytes=int(nbytes),
+            available_bytes=int(available),
+        )

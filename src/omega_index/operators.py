@@ -1,9 +1,10 @@
 """Builders for the operator pairs under study.
 
 A pair is two Hermitian M-by-M matrices (A, B), truncations of selfadjoint operators
-to the span of the first M basis vectors, stored as C = A + iB.  Truncation corrupts
-a boundary collar of the basis; every pair therefore carries a ``boundary_window``
-marking the trailing indices that norm measurements must mask.
+to the span of the first M basis vectors, stored as C = A + iB: the M-by-M array, or
+only its three central diagonals when C is banded (see :class:`OperatorPair`).
+Truncation corrupts a boundary collar of the basis; every pair therefore carries a
+``boundary_window`` marking the trailing indices that norm measurements must mask.
 
 Available builders, each of which forms C directly:
 
@@ -39,18 +40,34 @@ PERTURB_KINDS = ("scalar_shift", "diagonal_decay", "random_hermitian")
 PERTURB_TARGETS = ("a", "b")
 
 
+#: complex M-by-M arrays alive at once while :func:`perturb` draws and adds a
+#: ``random_hermitian`` delta (the Gaussian draws, their Hermitian part, its
+#: eigensolve copy and the sum), beside the pair's own C
+RANDOM_HERMITIAN_ARRAYS = 4
+
+#: bytes of one complex128 entry, the widest entry any dense path allocates
+COMPLEX_BYTES = np.dtype(np.complex128).itemsize
+
+
 @dataclass(frozen=True, init=False)
 class OperatorPair:
     """A Hermitian pair, stored as the one matrix C = A + iB, plus truncation metadata.
 
-    ``OperatorPair(a=A, b=B, ...)`` gates Hermitian A and B from outside the program
-    and forms C once, as float64 when its imaginary part is exactly zero;
-    ``OperatorPair(c=C, ...)`` stores a C the program built itself, ungated.
+    C is stored either as the M-by-M array or, when every nonzero lies on the
+    diagonals -1, 0 and 1, as those three diagonals: O(M) numbers, which is how
+    :func:`build_harmonic`, :func:`build_commuting_grid` and the diagonal
+    perturbations of :func:`perturb` store it.  ``OperatorPair(a=A, b=B, ...)``
+    gates Hermitian A and B from outside the program and stores a dense C, as
+    float64 when its imaginary part is exactly zero; ``OperatorPair(c=C, ...)``
+    stores a dense C the program built itself, ungated; ``OperatorPair(stored=S,
+    ...)`` stores either form, ungated, as :func:`dataclasses.replace` passes it.
 
     Attributes
     ----------
-    c : ndarray
-        C = A + iB, M-by-M, float64 or complex128.
+    stored : ndarray or tuple of ndarray
+        C as stored: the M-by-M array (float64 or complex128), or the diagonals
+        ``(lower, main, upper)`` of lengths M - 1, M and M - 1 and one dtype, every
+        other entry of C being zero.
     dim : int
         M.
     basis_label : str
@@ -63,17 +80,18 @@ class OperatorPair:
         mask indices ``>= dim - boundary_window``.
     """
 
-    c: np.ndarray
+    stored: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
     dim: int
     basis_label: str
     known_commutator_norm: float | None
     boundary_window: int
 
     def __init__(self, a=None, b=None, *, dim, basis_label, known_commutator_norm,
-                 boundary_window, c=None):
-        if (a is None) != (b is None) or (a is None) == (c is None):
-            raise InvalidParameter("a pair takes either c or both a and b")
-        if c is None:
+                 boundary_window, c=None, stored=None):
+        forms = (a is not None or b is not None) + (c is not None) + (stored is not None)
+        if forms != 1 or (a is None) != (b is None):
+            raise InvalidParameter("a pair takes either c, stored, or both a and b")
+        if a is not None:
             a, b = (linalg.as_matrix(m) for m in (a, b))
             if a.shape != b.shape:
                 raise DimensionMismatch(f"pair shapes {a.shape} and {b.shape} differ")
@@ -84,30 +102,80 @@ class OperatorPair:
             if not np.any(c.imag):
                 # exact zeros only: a real C keeps every later kernel in float64
                 c = np.ascontiguousarray(c.real)
-        if c.shape != (dim, dim):
-            raise DimensionMismatch(f"pair shape {c.shape} does not match dim {dim}")
+        if c is not None:
+            stored = c
+        if isinstance(stored, tuple):
+            dtype = np.result_type(*stored)
+            stored = tuple(np.asarray(x, dtype=dtype) for x in stored)
+            shapes = tuple(x.shape for x in stored)
+            if shapes != ((dim - 1,), (dim,), (dim - 1,)):
+                raise DimensionMismatch(f"pair diagonals {shapes} do not match dim {dim}")
+        elif stored.shape != (dim, dim):
+            raise DimensionMismatch(f"pair shape {stored.shape} does not match dim {dim}")
         if not 0 <= boundary_window < dim / 2:
             raise InvalidParameter(f"boundary_window {boundary_window} must satisfy 0 <= W < dim/2")
         if known_commutator_norm is not None and not 0 <= known_commutator_norm < np.inf:
             raise InvalidParameter("known_commutator_norm must be finite and >= 0")
         # a frozen dataclass: its fields are written here only
-        vars(self).update(c=c, dim=dim, basis_label=basis_label, boundary_window=boundary_window,
+        vars(self).update(stored=stored, dim=dim, basis_label=basis_label,
+                          boundary_window=boundary_window,
                           known_commutator_norm=known_commutator_norm)
+
+    @property
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The stored diagonals ``(lower, main, upper)`` of C, or None for a dense pair."""
+        return self.stored if isinstance(self.stored, tuple) else None
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of C, float64 or complex128, in either storage."""
+        diagonals = self.diagonals
+        return self.stored.dtype if diagonals is None else diagonals[1].dtype
+
+    @property
+    def c_bytes(self) -> int:
+        """Bytes that reading :attr:`c` allocates: none for a dense pair, M^2 entries
+        for a pair stored by its diagonals."""
+        return 0 if self.diagonals is None else self.dtype.itemsize * self.dim**2
+
+    @property
+    def c(self) -> np.ndarray:
+        """C = A + iB as an M-by-M array: the stored one, or for a pair stored by its
+        diagonals a new read-only array on every access."""
+        return self._dense(0)
 
     @property
     def a(self) -> np.ndarray:
         """A = (C + C*)/2, exactly Hermitian; a new read-only array on every access."""
-        return _read_only((self.c + linalg.adjoint(self.c)) / 2.0)
+        c = self._dense(2)
+        return _read_only((c + linalg.adjoint(c)) / 2.0)
 
     @property
     def b(self) -> np.ndarray:
         """B = -i(C - C*)/2, exactly Hermitian; a new read-only array on every access."""
-        return _read_only((self.c - linalg.adjoint(self.c)) * -0.5j)
+        c = self._dense(2)
+        return _read_only((c - linalg.adjoint(c)) * -0.5j)
 
     @property
     def interior(self) -> int:
         """Number of trustworthy leading indices, ``dim - boundary_window``."""
         return self.dim - self.boundary_window
+
+    def _dense(self, temporaries: int) -> np.ndarray:
+        """:attr:`c`, once it is known to fit in memory beside ``temporaries`` more
+        M-by-M arrays (see :func:`~omega_index.linalg.require_memory`)."""
+        footprint = self.c_bytes + temporaries * COMPLEX_BYTES * self.dim**2
+        if footprint:
+            linalg.require_memory(footprint, f"a dense view of the dim-{self.dim} pair")
+        diagonals = self.diagonals
+        if diagonals is None:
+            return self.stored
+        lower, main, upper = diagonals
+        c = np.diag(main)
+        i = np.arange(self.dim - 1)
+        c[i + 1, i] = lower
+        c[i, i + 1] = upper
+        return _read_only(c)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -174,17 +242,17 @@ def build_harmonic(lam: float, dim: int) -> OperatorPair:
     so the interior commutator is [A, B] = i*lam*I exactly and
     ``known_commutator_norm = lam``.  C = sqrt(2*lam) * a is real, rounded as the sum
     sqrt(lam)*X + i*sqrt(lam)*P rounds.  The truncation artifact lives entirely in
-    the final row/column; ``boundary_window = max(1, dim // 8)``.
+    the final row/column; ``boundary_window = max(1, dim // 8)``.  C is stored by
+    its diagonals, so the pair takes O(M) memory.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InvalidParameter(f"lam must be positive, got {lam}")
     if dim < 8:
         raise InvalidParameter(f"dim must be at least 8, got {dim}")
     n = np.arange(dim - 1)
-    c = np.zeros((dim, dim))
-    c[n, n + 1] = 2.0 * (np.sqrt(lam) * (np.sqrt(n + 1.0) * (1.0 / np.sqrt(2.0))))
+    upper = 2.0 * (np.sqrt(lam) * (np.sqrt(n + 1.0) * (1.0 / np.sqrt(2.0))))
     return OperatorPair(
-        c=c,
+        stored=(np.zeros(dim - 1), np.zeros(dim), upper),
         dim=dim,
         basis_label="oscillator",
         known_commutator_norm=float(lam),
@@ -209,6 +277,7 @@ def build_commuting_grid(radius: int, scale: float = 1.0) -> OperatorPair:
     Points are ordered by n^2 + m^2 ascending (lexicographic tie-break) so that a
     leading cut is radially monotone.  Shells with n^2 + m^2 > radius^2 are clipped
     by the square and form the boundary collar; every complete shell is interior.
+    C is diagonal and stored by its diagonals.
     """
     if radius < 1:
         raise InvalidParameter(f"radius must be at least 1, got {radius}")
@@ -216,11 +285,12 @@ def build_commuting_grid(radius: int, scale: float = 1.0) -> OperatorPair:
         raise InvalidParameter("scale must be finite")
     pts = grid_points(radius)
     dim = len(pts)
-    c = np.diag(np.array([complex(scale * n, scale * m) for n, m in pts]))
+    main = np.array([complex(scale * n, scale * m) for n, m in pts])
+    off = np.zeros(dim - 1, dtype=main.dtype)
     r2 = radius * radius
     window = sum(1 for n, m in pts if n * n + m * m > r2)
     return OperatorPair(
-        c=c,
+        stored=(off, main, off),
         dim=dim,
         basis_label=f"grid-radius-{radius}",
         known_commutator_norm=0.0,
@@ -287,23 +357,41 @@ def perturb(
     a counter-based generator keyed only by ``seed``, so results do not depend on
     thread scheduling.  For the two non-scalar kinds the analytic commutator value
     no longer applies and ``known_commutator_norm`` is dropped.
+
+    The two diagonal kinds add to C's main diagonal, in O(M) for a pair stored by
+    its diagonals, which the result is too.  ``random_hermitian`` makes the pair
+    dense; its footprint is checked against
+    :func:`~omega_index.linalg.require_memory` before anything is drawn.
     """
     spec = PerturbationSpec(target=target, kind=kind, magnitude=magnitude, seed=seed)
     if spec.magnitude == 0.0:
         return pair
     dim = pair.dim
-    if spec.kind == "scalar_shift":
-        delta = spec.magnitude * np.eye(dim)
-        known = pair.known_commutator_norm
-    elif spec.kind == "diagonal_decay":
-        delta = spec.magnitude * np.diag(1.0 / (np.arange(dim) + 1.0))
-        known = None
-    else:
+    if spec.kind == "random_hermitian":
+        linalg.require_memory(
+            pair.c_bytes + RANDOM_HERMITIAN_ARRAYS * COMPLEX_BYTES * dim**2,
+            f"a random_hermitian perturbation at dim {dim}",
+        )
         delta = spec.magnitude * _random_unit_hermitian(dim, spec.seed)
+        if spec.target == "b":
+            delta = 1j * delta
+        # in place: the sum is the one new M-by-M array
+        return replace(pair, stored=np.add(pair.c, delta, out=delta), known_commutator_norm=None)
+    if spec.kind == "scalar_shift":
+        values = spec.magnitude * np.ones(dim)
+        known = pair.known_commutator_norm
+    else:
+        values = spec.magnitude * (1.0 / (np.arange(dim) + 1.0))
         known = None
     if spec.target == "b":
-        delta = 1j * delta
-    return replace(pair, c=pair.c + delta, known_commutator_norm=known)
+        values = 1j * values
+    if pair.diagonals is None:
+        stored = pair.c + np.diag(values)
+    else:
+        lower, main, upper = pair.diagonals
+        main = main + values
+        stored = (lower.astype(main.dtype), main, upper.astype(main.dtype))
+    return replace(pair, stored=stored, known_commutator_norm=known)
 
 
 def matrix_to_payload(m: np.ndarray) -> dict:

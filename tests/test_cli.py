@@ -7,6 +7,7 @@ import pytest
 
 import omega_index.cli as cli_module
 import omega_index.index as index_module
+import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
 from omega_index import build_harmonic, omega, save_matrix
 from omega_index.cli import main
@@ -326,6 +327,41 @@ def test_an_infinite_defect_bound_exits_1_with_one_error_object(capsys):
     assert code == 0
     points = _strict_json(out)["points"]
     assert [p["error"]["type"] for p in points] == ["ConvergenceFailure"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--dim", "25000", "--lambda", "0.0002", "--perturb", "a:random_hermitian:0.001"),
+    ("omega", "--dim", "400", "--perturb", "a:random_hermitian:0.001"),
+    ("spectrum", "--dim", "3000", "--cut", "400", "--perturb", "a:random_hermitian:0.001"),
+])
+def test_a_dense_request_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch, argv):
+    """The memory probe is patched to 1 MiB: a random_hermitian pair at dim 25000
+    would need 40 GB, and even dim 400 needs 10 MB, so each is refused before the
+    perturbation is drawn, with no traceback."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    monkeypatch.setattr(operators_module, "_random_unit_hermitian", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert "random_hermitian perturbation" in error["message"]
+    assert error["detail"]["available_bytes"] == 2**20
+    assert error["detail"]["needed_bytes"] > 2**20
+
+
+def test_the_oscillator_at_dim_50000_certifies_with_default_cuts(capsys, monkeypatch):
+    """lam = 1e-4 needs N >= 0.61/lam to certify, so default cuts need M >= 4.9/lam;
+    at M = 5e4 no dense array could be afforded under a 1 MiB probe, and none is
+    asked for.  Every gap is 2N lam/(2N lam + 1) - 1/2 to 1e-12."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    code, out, _ = run_cli(capsys, "omega", "--lambda", "1e-4", "--dim", "50000")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["omega"] == 1 and len(doc["cuts"]) == 5
+    for entry in doc["cuts"]:
+        x = 2 * entry["n"] * 1e-4
+        assert entry["m_n"] == entry["n"] + 1
+        assert abs(entry["gap"] - (x / (x + 1) - 0.5)) <= 1e-12
 
 
 def test_missing_subcommand_exits_1(capsys):

@@ -1,6 +1,8 @@
 import builtins
+import json
 import pathlib
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omega_index.calibration as calibration
+import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 from omega_index import (
@@ -18,7 +21,9 @@ from omega_index import (
     CutTooLarge,
     GapViolation,
     InadmissibleCommutator,
+    InsufficientMemory,
     InvalidParameter,
+    OmegaIndexError,
     OperatorPair,
     QBuild,
     UnstableCount,
@@ -52,6 +57,7 @@ from omega_index.index import (
     _abs2,
     _factor_defect,
     _tridiagonal,
+    _tridiagonal_norm,
 )
 
 
@@ -795,12 +801,29 @@ def _outcome(qb, cuts):
     return result.omega, [r.m_n for r in result.reports]
 
 
+#: how far factor's bisection epsilon may lie from build_q's eigensolve of the same
+#: interior block, relative to the larger of that epsilon and the largest |C|^2:
+#: each is within rounding of the norm of a block formed from entries of that size
+EPSILON_AGREEMENT = 1e-13
+
+
+def _assert_epsilon_agrees(band, dense, pair):
+    if not dense.epsilon_measured:
+        assert band.epsilon == dense.epsilon
+        return
+    scale = float(np.max(np.abs(pair.c), initial=0.0)) ** 2
+    assert abs(band.epsilon - dense.epsilon) <= EPSILON_AGREEMENT * max(dense.epsilon, scale)
+
+
 def _assert_paths_agree(pair, orientation):
-    """factor and build_q agree at every cut: counts, spectra to 1e-13 and omega."""
+    """factor and build_q agree at every cut: counts, spectra to 1e-13 and omega;
+    epsilon is the same number when it is analytic and agrees to
+    EPSILON_AGREEMENT when it is measured."""
     band, dense = factor(pair, orientation), build_q(pair, orientation)
     assert isinstance(band, BandQ) and isinstance(dense, QBuild)
-    for field in ("orientation", "epsilon", "dim", "boundary_window", "epsilon_measured"):
+    for field in ("orientation", "dim", "boundary_window", "epsilon_measured"):
         assert getattr(band, field) == getattr(dense, field), field
+    _assert_epsilon_agrees(band, dense, pair)
     cuts = list(range(1, pair.interior + 1))
     for cut in cuts:
         values, reference = corner_eigenvalues(band, cut), corner_eigenvalues(dense, cut)
@@ -868,6 +891,116 @@ def test_reference_pair_at_dim_3000_never_takes_the_dense_path(monkeypatch):
     assert result.defect <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-6, 6),
+       diagonal=st.booleans(), sparse=st.booleans())
+@example(n=1, seed=0, exponent=0.0, diagonal=False, sparse=False)  # the zero matrix
+@example(n=5, seed=1, exponent=0.0, diagonal=False, sparse=True)
+def test_tridiagonal_norm_bisects_to_the_eigensolver_norm(n, seed, exponent, diagonal, sparse):
+    """The Sturm bisection of a random Hermitian tridiagonal, with or without a
+    diagonal and with some off-diagonal entries zero, agrees with eigvalsh to
+    1e-13 relatively: each is within rounding of the norm."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    t = rng.standard_normal(n) * scale * diagonal
+    e = (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)) * scale
+    if sparse:
+        e[rng.random(n - 1) < 0.5] = 0
+    dense = np.diag(t).astype(complex) + np.diag(e, 1) + np.diag(e.conj(), -1)
+    reference = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+    norm = _tridiagonal_norm(t, _abs2(e))
+    assert abs(norm - reference) <= 1e-13 * reference
+
+
+def _report(pair, orientation, cuts):
+    """The omega report as the CLI prints it, or the refusal with its detail."""
+    try:
+        result = omega(pair, cuts, orientation, gap_floor=0.0)
+    except OmegaIndexError as exc:
+        return type(exc).__name__, exc.message, repr(exc.detail)
+    return json.dumps(cli_module._omega_doc(result), indent=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(builder=st.sampled_from(["harmonic", "commuting_grid"]), lam=st.floats(0.002, 0.05),
+       dim=st.integers(16, 120), radius=st.integers(2, 5), scale=st.floats(0.05, 2.0),
+       target=st.sampled_from(["a", "b"]),
+       kind=st.sampled_from([None, "scalar_shift", "diagonal_decay"]),
+       magnitude=st.floats(0.0, 0.3), orientation=st.sampled_from(ORIENTATIONS))
+def test_band_storage_counts_as_its_dense_view(
+    builder, lam, dim, radius, scale, target, kind, magnitude, orientation
+):
+    """Every builder, bare or with a diagonal perturbation of A or B, in both
+    orientations: the pair stored by its diagonals and the dense pair of its C give
+    byte-identical reports and corner spectra, and a measured epsilon agrees with
+    build_q's eigensolve to EPSILON_AGREEMENT."""
+    if builder == "harmonic":
+        pair = build_harmonic(lam, dim)
+    else:
+        pair = build_commuting_grid(radius, scale)
+    if kind is not None:
+        pair = perturb(pair, target, kind, magnitude)
+    dense = OperatorPair(c=pair.c, dim=pair.dim, basis_label=pair.basis_label,
+                         known_commutator_norm=pair.known_commutator_norm,
+                         boundary_window=pair.boundary_window)
+    assert pair.diagonals is not None and dense.diagonals is None
+    cuts = sorted({max(1, pair.interior // 4), pair.interior // 2, pair.interior})
+    assert _report(pair, orientation, cuts) == _report(dense, orientation, cuts)
+    band = factor(pair, orientation)
+    assert isinstance(band, BandQ)
+    for cut in cuts:
+        assert np.array_equal(
+            corner_eigenvalues(band, cut), corner_eigenvalues(factor(dense, orientation), cut)
+        )
+    _assert_epsilon_agrees(band, build_q(pair, orientation), pair)
+    assert masked_commutator_norm(pair) == masked_commutator_norm(dense)
+    if band.epsilon_measured:
+        assert band.epsilon == 2 * masked_commutator_norm(pair)
+
+
+def test_oscillator_at_dim_20000_certifies_from_o_m_numbers(monkeypatch):
+    """lam = 1e-3, M = 2e4 with default cuts, where a dense C would take 3.2 GB:
+    omega = 1 in well under a second, with a tracemalloc peak under 20 MiB and no
+    M-by-M array formed; likewise with a measured epsilon."""
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    monkeypatch.setattr(OperatorPair, "_dense", _refuse_to_factor)
+    lam, dim = 1e-3, 20000
+    start = time.perf_counter()
+    result = omega(build_harmonic(lam, dim))
+    assert time.perf_counter() - start < 1.0
+    assert result.omega == 1 and [r.cut for r in result.reports] == default_cuts(dim)
+    for report in result.reports:
+        x = 2 * report.cut * lam
+        assert abs(report.gap - (x / (x + 1) - 0.5)) <= 1e-12, report.cut
+    assert _traced_peak(lambda: omega(build_harmonic(lam, dim))) < 20 * 2**20
+    decayed = perturb(build_harmonic(lam, dim), "a", "diagonal_decay", 0.001)
+    start = time.perf_counter()
+    result = omega(decayed)
+    assert time.perf_counter() - start < 1.0
+    assert result.omega == 1 and result.warnings
+    assert 2 * lam < result.epsilon < 2.1 * lam
+    assert _traced_peak(lambda: omega(decayed)) < 20 * 2**20
+
+
+def test_build_q_refuses_what_will_not_fit_before_it_allocates(monkeypatch):
+    """With the memory probe patched below the dense factor's footprint, build_q and
+    a factor that needs it are refused before d is formed or anything is
+    allocated; the band path needs no such memory."""
+    pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
+    footprint = index_module.BUILD_Q_ARRAYS * 16 * 300**2
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    monkeypatch.setattr(index_module, "_graph_map", _refuse_to_factor)
+    for run in (build_q, factor):
+        with pytest.raises(InsufficientMemory, match="dense factor of a dim-300 pair") as info:
+            run(pair, "conjugate")
+        assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    band = build_harmonic(0.01, 300)
+    with pytest.raises(InsufficientMemory):
+        build_q(band)
+    assert omega(band, cuts=[100]).omega == 1
+
+
 def _traced_peak(fn, *args) -> int:
     """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
     tracemalloc.start()
@@ -881,7 +1014,8 @@ def _traced_peak(fn, *args) -> int:
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch):
     """A dense pair reaches build_q with no d formed, so factor peaks where build_q
-    does; C is scanned once per factor on either path and never by build_q."""
+    does; a dense C is scanned once per factor on either path, the diagonals a
+    builder stores are read with no scan, and build_q scans nothing."""
     pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
     assert _traced_peak(factor, pair, orientation) <= 1.01 * _traced_peak(
         build_q, pair, orientation
@@ -895,7 +1029,11 @@ def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch)
     monkeypatch.setattr(index_module, "_tridiagonal", counted)
     assert isinstance(factor(pair, orientation), QBuild)
     assert len(calls) == 1
-    assert isinstance(factor(build_harmonic(0.01, 300), orientation), BandQ)
+    harmonic = build_harmonic(0.01, 300)
+    assert isinstance(factor(harmonic, orientation), BandQ)
+    assert len(calls) == 1
+    dense_view = replace(harmonic, stored=harmonic.c)
+    assert isinstance(factor(dense_view, orientation), BandQ)
     assert len(calls) == 2
     build_q(pair, orientation)
     assert len(calls) == 2

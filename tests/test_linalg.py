@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import omega_index.linalg as linalg_module
 from omega_index import (
     ConvergenceFailure,
+    InsufficientMemory,
     NonHermitianInput,
     NotPositiveDefinite,
     adjoint,
@@ -18,7 +19,12 @@ from omega_index import (
     is_hermitian,
     operator_norm,
 )
-from omega_index.linalg import TRIANGULAR_BASE, lower_triangular_inverse
+from omega_index.linalg import (
+    TRIANGULAR_BASE,
+    lower_triangular_inverse,
+    memory_headroom,
+    require_memory,
+)
 
 
 def random_hermitian(rng, dim):
@@ -267,6 +273,28 @@ def test_hpd_inverse_rejects_non_hermitian():
         hpd_inverse(as_matrix([[1, 1], [0, 1]]))
 
 
+def test_hpd_inverse_decides_a_clear_residual_without_an_eigensolve(monkeypatch):
+    """The Frobenius pre-test passes a well-conditioned inverse with no operator norm;
+    a residual the contract cannot accept still pays for one and is refused with
+    the exact norm in the message."""
+    m = random_hermitian(np.random.default_rng(8), 12) + 12 * np.eye(12)
+    calls = []
+    real_norm = linalg_module.operator_norm
+
+    def counted(x):
+        calls.append(x.shape)
+        return real_norm(x)
+
+    monkeypatch.setattr(linalg_module, "operator_norm", counted)
+    inverse = hpd_inverse(m)
+    assert calls == []
+    assert np.linalg.norm(m @ inverse - np.eye(12), 2) <= linalg_module.INV_TOL
+    monkeypatch.setattr(linalg_module, "INV_TOL", 1e-30)
+    with pytest.raises(ConvergenceFailure, match="inverse residual .* exceeds tolerance"):
+        hpd_inverse(m)
+    assert calls == [(12, 12)]
+
+
 # ---------------------------------------------------------------- triangular inverse
 
 
@@ -292,3 +320,32 @@ def test_lower_triangular_inverse_matches_the_lu_inverse(complex_, n, seed):
     assert np.linalg.norm(inverse @ lower - np.eye(n), 2) <= tol
     reference = np.linalg.inv(lower)
     assert np.linalg.norm(inverse - reference, 2) <= tol * np.linalg.norm(reference, 2)
+
+
+# ---------------------------------------------------------------- memory probe
+
+
+def test_memory_headroom_is_positive_here():
+    assert memory_headroom() > 0
+
+
+def test_memory_headroom_reads_the_address_space_limit(monkeypatch):
+    """A limit just above the current virtual size leaves about that much headroom;
+    the limit is patched, never set, and nothing is allocated."""
+    import resource
+
+    with open("/proc/self/statm") as handle:
+        size = int(handle.read().split()[0]) * resource.getpagesize()
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (size + 2**20, resource.RLIM_INFINITY))
+    assert memory_headroom() <= 2**20
+    with pytest.raises(InsufficientMemory, match="a test array needs about 2 MiB") as info:
+        require_memory(2 * 2**20, "a test array")
+    assert info.value.detail["needed_bytes"] == 2 * 2**20
+    assert info.value.detail["available_bytes"] <= 2**20
+
+
+def test_require_memory_passes_what_fits(monkeypatch):
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: 1000.0)
+    require_memory(1000, "a test array")
+    with pytest.raises(InsufficientMemory):
+        require_memory(1001, "a test array")

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import omega_index.linalg as linalg_module
+import omega_index.operators as operators_module
 from omega_index import (
     ConfigParse,
     DimensionMismatch,
+    InsufficientMemory,
     InvalidParameter,
     NonHermitianInput,
     OperatorPair,
@@ -278,6 +280,90 @@ def test_operator_pair_takes_c_or_a_and_b():
         OperatorPair(a=c, **meta)
     with pytest.raises(DimensionMismatch):
         OperatorPair(c=np.zeros((3, 3)), **meta)
+
+
+def _dense_from_diagonals(pair):
+    """C with the stored diagonals -1, 0 and 1 written into a zero matrix."""
+    lower, main, upper = pair.diagonals
+    c = np.zeros((pair.dim, pair.dim), dtype=main.dtype)
+    i = np.arange(pair.dim - 1)
+    c[np.diag_indices(pair.dim)] = main
+    c[i + 1, i] = lower
+    c[i, i + 1] = upper
+    return c
+
+
+def test_builders_store_diagonals():
+    for pair in (build_harmonic(0.01, 40), build_commuting_grid(3, 0.5)):
+        lower, main, upper = pair.diagonals
+        assert lower.shape == upper.shape == (pair.dim - 1,) and main.shape == (pair.dim,)
+        assert lower.dtype == main.dtype == upper.dtype == pair.dtype == pair.c.dtype
+        assert pair.c_bytes == pair.dtype.itemsize * pair.dim**2
+        assert np.array_equal(pair.c, _dense_from_diagonals(pair))
+        with pytest.raises(ValueError):
+            pair.c[0, 1] = 1.0
+    assert not np.any(build_harmonic(0.01, 40).diagonals[0])
+
+
+def test_diagonal_perturbations_keep_diagonal_storage_and_match_the_dense_sum():
+    """scalar_shift and diagonal_decay add to the stored main diagonal; the dense C
+    is the one a dense pair gets from the same perturbation, bit for bit."""
+    harmonic = build_harmonic(0.02, 30)
+    dense = OperatorPair(c=harmonic.c, dim=30, basis_label="dense",
+                         known_commutator_norm=0.02, boundary_window=harmonic.boundary_window)
+    for target in ("a", "b"):
+        for kind in ("scalar_shift", "diagonal_decay"):
+            band = perturb(harmonic, target, kind, 0.3)
+            reference = perturb(dense, target, kind, 0.3)
+            assert band.diagonals is not None and reference.diagonals is None
+            assert np.array_equal(band.c, reference.c) and band.dtype == reference.dtype
+            assert band.known_commutator_norm == reference.known_commutator_norm
+    noisy = perturb(harmonic, "b", "random_hermitian", 0.01, 4)
+    assert noisy.diagonals is None and noisy.c_bytes == 0
+    assert np.array_equal(noisy.c, perturb(dense, "b", "random_hermitian", 0.01, 4).c)
+
+
+def test_scale_admissible_keeps_diagonal_storage():
+    """Rescaling multiplies the stored diagonals, with an analytic or a measured
+    commutator norm alike, and never forms C."""
+    for pair in (build_harmonic(0.5, 64), perturb(build_harmonic(0.5, 64), "a", "diagonal_decay", 0.2)):
+        dense = pair.c
+        scaled, s, _ = scale_admissible(pair, 0.02)
+        assert s < 1 and scaled.diagonals is not None
+        for x, y in zip(scaled.diagonals, pair.diagonals):
+            assert np.array_equal(x, s * y)
+        assert np.array_equal(scaled.c, s * dense)
+
+
+def test_operator_pair_checks_stored_diagonals():
+    meta = dict(dim=3, basis_label="x", known_commutator_norm=None, boundary_window=0)
+    with pytest.raises(DimensionMismatch):
+        OperatorPair(stored=(np.zeros(2), np.zeros(2), np.zeros(2)), **meta)
+    with pytest.raises(InvalidParameter):
+        OperatorPair(c=np.zeros((3, 3)), stored=(np.zeros(2), np.zeros(3), np.zeros(2)), **meta)
+    pair = OperatorPair(stored=(np.zeros(2), np.zeros(3), np.ones(2, dtype=complex)), **meta)
+    assert {x.dtype for x in pair.diagonals} == {np.dtype(complex)}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated")
+
+
+def test_dense_views_of_a_band_pair_are_refused_before_they_are_formed(monkeypatch):
+    """With the memory probe patched to 1 MiB, C, A and B of a dim-1000 band pair
+    (8 MB each) are refused, and so is a random_hermitian perturbation, before
+    anything is drawn; the diagonal perturbations and rescaling need no M-by-M array."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    monkeypatch.setattr(np, "diag", _refuse)
+    monkeypatch.setattr(operators_module, "_random_unit_hermitian", _refuse)
+    pair = build_harmonic(0.01, 1000)
+    for view in ("c", "a", "b"):
+        with pytest.raises(InsufficientMemory, match="dense view of the dim-1000 pair"):
+            getattr(pair, view)
+    with pytest.raises(InsufficientMemory, match="random_hermitian perturbation at dim 1000"):
+        perturb(pair, "a", "random_hermitian", 0.01)
+    shifted = perturb(perturb(pair, "b", "scalar_shift", 0.1), "a", "diagonal_decay", 0.1)
+    assert scale_admissible(shifted, 0.001)[0].diagonals is not None
 
 
 def test_operator_pair_rejects_wide_window():
