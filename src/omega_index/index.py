@@ -34,15 +34,16 @@ A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
 and the commuting grid) needs none of that: :func:`factor` keeps only O(M)
 numbers (:class:`BandQ`): the off-diagonal of the tridiagonal G = I + d*d, its
-pivots in both directions and the two diagonals of d.  It reads them from the
-diagonals the pair stores, and a measured epsilon is the norm of a Hermitian
-tridiagonal, found by Sturm-count bisection, so no M-by-M array is formed.
-With k = N + 1 the corner's nonzero spectrum is that of the pencil (P_N, S_k),
-P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and S_k = W_kk^-* W_kk^-1; for a
-bidiagonal d both equal G on rows 0..N-2 and on their coupling to row N-1, so
-one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  The 2N corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and
-the two eigenvalues of that pencil.  :func:`factor` chooses the path from the
-data; :func:`build_q` is always the dense one.
+pivots in both directions and the two diagonals of d.  d is bidiagonal exactly
+when C is, which is exactly when the pair stores C by its diagonals, so the
+path is read from the pair's storage.  A measured epsilon is the norm of a
+Hermitian tridiagonal, found by Sturm-count bisection, so no M-by-M array is
+formed.  With k = N + 1 the corner's nonzero spectrum is that of the pencil
+(P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and S_k = W_kk^-* W_kk^-1;
+for a bidiagonal d both equal G on rows 0..N-2 and on their coupling to row
+N-1, so one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  The 2N
+corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and the two
+eigenvalues of that pencil.  :func:`build_q` is always the dense path.
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
@@ -277,28 +278,16 @@ def _definite_on_both_sides(rows: list[tuple[float, float]], x: float) -> bool:
     return True
 
 
-def _bidiagonal(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """C's diagonals -1, 0 and 1 when C is bidiagonal (its nonzeros on the main
-    diagonal and at most one neighbour), else None.  They are the pair's stored
-    diagonals, or else found by the one scan of its dense C (:func:`_tridiagonal`)."""
-    near = pair.diagonals
-    if near is None:
-        near = _tridiagonal(pair.c)
-    if near is None or (np.any(near[0]) and np.any(near[2])):
-        return None
-    return near
-
-
 def masked_commutator_norm(pair: OperatorPair) -> float:
     """``norm(AB - BA)`` off the boundary collar: half that of C*C - CC* = 2i(AB - BA).
 
-    For a bidiagonal C this is the O(M) bisection of :func:`factor`'s measured
-    epsilon; otherwise the interior block is formed and solved densely.
+    For a pair stored by its diagonals this is the O(M) bisection of
+    :func:`factor`'s measured epsilon; otherwise the interior block is formed and
+    solved densely.
     """
     k = pair.interior
-    near = _bidiagonal(pair)
-    if near is not None:
-        return 0.5 * _band_self_commutator_norm(*near, k)
+    if pair.diagonals is not None:
+        return 0.5 * _band_self_commutator_norm(*pair.diagonals, k)
     c = pair.c
     return 0.5 * _interior_self_commutator_norm(linalg.adjoint(c[:, :k]) @ c[:, :k], c[:k])
 
@@ -326,15 +315,6 @@ def resolve_orientation(orientation: str) -> str:
     raise InvalidParameter(
         f"orientation must be one of {ORIENTATIONS + ('default',)}, got {orientation!r}"
     )
-
-
-def _tridiagonal(c: np.ndarray) -> list[np.ndarray] | None:
-    """The diagonals -1, 0 and 1 of ``c`` (views) when every nonzero lies on them,
-    else None; one pass over ``c``."""
-    near = [np.diagonal(c, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(c) == sum(np.count_nonzero(x) for x in near):
-        return near
-    return None
 
 
 def _graph_map(c: np.ndarray, orientation: str) -> np.ndarray:
@@ -445,15 +425,16 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     diagonal and at most one adjacent diagonal: the oscillator in both
     orientations, its ``scalar_shift`` and ``diagonal_decay`` perturbations, the
     commuting grid and the zero pair.  Then G = I + d*d is tridiagonal and only O(M)
-    numbers are kept.  Nothing but the data chooses the path.  The test reads C,
-    which is bidiagonal exactly when C* is: the diagonals a pair stores are read
-    directly, and a dense C is scanned once, so a pair for the dense path reaches
-    :func:`build_q` with no d formed.  On the band path d's diagonals are C's
-    (``conjugate``) or C's conjugated with lower and upper swapped (``literal``).
-    ``epsilon`` is twice the analytic commutator norm or else measured on the
-    interior block of d*d - dd*, which is tridiagonal here; its norm is the upper
-    end of a bisection bracket one ulp wide (:func:`_tridiagonal_norm`), not the
-    eigensolve :func:`build_q` uses.  No M-by-M array is formed.
+    numbers are kept.  d is bidiagonal exactly when C is, and C is bidiagonal
+    exactly when the pair stores its diagonals (see
+    :class:`~omega_index.operators.OperatorPair`), so the path is read from the
+    storage and a pair for the dense path reaches :func:`build_q` with no d formed.
+    On the band path d's diagonals are C's (``conjugate``) or C's conjugated with
+    lower and upper swapped (``literal``).  ``epsilon`` is twice the analytic
+    commutator norm or else measured on the interior block of d*d - dd*, which is
+    tridiagonal here; its norm is the upper end of a bisection bracket one ulp wide
+    (:func:`_tridiagonal_norm`), not the eigensolve :func:`build_q` uses.  No M-by-M
+    array is formed.
 
     Raises
     ------
@@ -464,14 +445,13 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         As raised by :func:`build_q`.
     """
     resolved = resolve_orientation(orientation)
-    near = _bidiagonal(pair)
-    if near is None:
+    if pair.diagonals is None:
         return build_q(pair, resolved)
     if pair.known_commutator_norm is None:
-        epsilon = _band_self_commutator_norm(*near, pair.interior)
+        epsilon = _band_self_commutator_norm(*pair.diagonals, pair.interior)
     else:
         epsilon = 2.0 * pair.known_commutator_norm
-    lower, main, upper = near
+    lower, main, upper = pair.diagonals
     if resolved == "literal":
         lower, main, upper = np.conj(upper), np.conj(main), np.conj(lower)
     # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
@@ -491,9 +471,8 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         f=f,
         top=top,
         bottom=bottom,
-        # copies: views of a dense C would keep the M-by-M array alive
-        main=main.copy(),
-        upper=upper.copy(),
+        main=main,
+        upper=upper,
         epsilon=epsilon,
         defect=(1.0 + e) * e,
         **_header(pair, resolved),
@@ -809,6 +788,5 @@ def scale_admissible(
     known = None
     if pair.known_commutator_norm is not None:
         known = pair.known_commutator_norm * s * s
-    near = pair.diagonals
-    stored = s * pair.stored if near is None else tuple(s * x for x in near)
+    stored = s * pair.stored if pair.diagonals is None else tuple(s * x for x in pair.diagonals)
     return replace(pair, stored=stored, known_commutator_norm=known), s, s

@@ -1,8 +1,8 @@
 """Builders for the operator pairs under study.
 
 A pair is two Hermitian M-by-M matrices (A, B), truncations of selfadjoint operators
-to the span of the first M basis vectors, stored as C = A + iB: the M-by-M array, or
-only its three central diagonals when C is banded (see :class:`OperatorPair`).
+to the span of the first M basis vectors, stored as C = A + iB: only its three central
+diagonals when C is bidiagonal, else the M-by-M array (see :class:`OperatorPair`).
 Truncation corrupts a boundary collar of the basis; every pair therefore carries a
 ``boundary_window`` marking the trailing indices that norm measurements must mask.
 
@@ -45,6 +45,13 @@ PERTURB_TARGETS = ("a", "b")
 #: eigensolve copy and the sum), beside the pair's own C
 RANDOM_HERMITIAN_ARRAYS = 4
 
+#: bytes that parsing a ``dense-complex-v1`` file takes per ``[`` in its text,
+#: beyond the text itself: the list of each entry, its two floats and the arrays
+#: made from them (tracemalloc peaks of 144-204 bytes at dims 50-400, whether the
+#: entries are dense, zero, integer or indented; per byte of the file the same
+#: peaks span 4.4 to 24 times, so a file's size alone cannot bound them)
+PARSE_LIST_BYTES = 208
+
 #: bytes of one complex128 entry, the widest entry any dense path allocates
 COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
@@ -53,21 +60,26 @@ COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 class OperatorPair:
     """A Hermitian pair, stored as the one matrix C = A + iB, plus truncation metadata.
 
-    C is stored either as the M-by-M array or, when every nonzero lies on the
-    diagonals -1, 0 and 1, as those three diagonals: O(M) numbers, which is how
-    :func:`build_harmonic`, :func:`build_commuting_grid` and the diagonal
-    perturbations of :func:`perturb` store it.  ``OperatorPair(a=A, b=B, ...)``
-    gates Hermitian A and B from outside the program and stores a dense C, as
-    float64 when its imaginary part is exactly zero; ``OperatorPair(c=C, ...)``
-    stores a dense C the program built itself, ungated; ``OperatorPair(stored=S,
-    ...)`` stores either form, ungated, as :func:`dataclasses.replace` passes it.
+    C is stored by its diagonals -1, 0 and 1, O(M) numbers, exactly when it is
+    bidiagonal: every nonzero on the main diagonal and at most one adjacent
+    diagonal, as for :func:`build_harmonic`, :func:`build_commuting_grid` and the
+    diagonal perturbations of :func:`perturb`.  Any other C is stored as the M-by-M
+    array.  The constructor alone makes that choice: an array C is scanned once
+    and replaced by copies of its diagonals when it is bidiagonal, and diagonals
+    whose lower and upper are both nonzero are refused.  ``OperatorPair(a=A, b=B,
+    ...)`` gates Hermitian A and B from outside the program and forms C, as float64
+    when its imaginary part is exactly zero; ``OperatorPair(stored=S, ...)`` takes
+    C, as an array or as diagonals, from the program itself, ungated, as
+    :func:`dataclasses.replace` passes it.  Every stored array is a read-only view,
+    so no pair, nor any copy made by ``replace``, can be changed in place.
 
     Attributes
     ----------
     stored : ndarray or tuple of ndarray
-        C as stored: the M-by-M array (float64 or complex128), or the diagonals
-        ``(lower, main, upper)`` of lengths M - 1, M and M - 1 and one dtype, every
-        other entry of C being zero.
+        C as stored, read-only: the M-by-M array (float64 or complex128), or the
+        diagonals ``(lower, main, upper)`` of lengths M - 1, M and M - 1 and one
+        dtype, at most one of ``lower`` and ``upper`` nonzero, every other entry of
+        C being zero.
     dim : int
         M.
     basis_label : str
@@ -87,10 +99,9 @@ class OperatorPair:
     boundary_window: int
 
     def __init__(self, a=None, b=None, *, dim, basis_label, known_commutator_norm,
-                 boundary_window, c=None, stored=None):
-        forms = (a is not None or b is not None) + (c is not None) + (stored is not None)
-        if forms != 1 or (a is None) != (b is None):
-            raise InvalidParameter("a pair takes either c, stored, or both a and b")
+                 boundary_window, stored=None):
+        if (a is None) != (b is None) or (a is None) == (stored is None):
+            raise InvalidParameter("a pair takes either stored or both a and b")
         if a is not None:
             a, b = (linalg.as_matrix(m) for m in (a, b))
             if a.shape != b.shape:
@@ -98,20 +109,22 @@ class OperatorPair:
             for name, m in (("a", a), ("b", b)):
                 if not linalg.is_hermitian(m, linalg.HERMITIAN_TOL):
                     raise NonHermitianInput(f"matrix {name} is not Hermitian to tolerance")
-            c = a + 1j * b
-            if not np.any(c.imag):
+            stored = a + 1j * b
+            if not np.any(stored.imag):
                 # exact zeros only: a real C keeps every later kernel in float64
-                c = np.ascontiguousarray(c.real)
-        if c is not None:
-            stored = c
+                stored = np.ascontiguousarray(stored.real)
+        if not isinstance(stored, tuple):
+            if stored.shape != (dim, dim):
+                raise DimensionMismatch(f"pair shape {stored.shape} does not match dim {dim}")
+            stored = _bidiagonal(stored) or _read_only(stored)
         if isinstance(stored, tuple):
             dtype = np.result_type(*stored)
-            stored = tuple(np.asarray(x, dtype=dtype) for x in stored)
+            stored = tuple(_read_only(np.asarray(x, dtype=dtype)) for x in stored)
             shapes = tuple(x.shape for x in stored)
             if shapes != ((dim - 1,), (dim,), (dim - 1,)):
                 raise DimensionMismatch(f"pair diagonals {shapes} do not match dim {dim}")
-        elif stored.shape != (dim, dim):
-            raise DimensionMismatch(f"pair shape {stored.shape} does not match dim {dim}")
+            if np.any(stored[0]) and np.any(stored[2]):
+                raise InvalidParameter("stored diagonals -1 and 1 are both nonzero")
         if not 0 <= boundary_window < dim / 2:
             raise InvalidParameter(f"boundary_window {boundary_window} must satisfy 0 <= W < dim/2")
         if known_commutator_norm is not None and not 0 <= known_commutator_norm < np.inf:
@@ -179,8 +192,19 @@ class OperatorPair:
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
+    """A read-only view of ``m``, which itself stays as writable as it was."""
+    m = m.view()
     m.flags.writeable = False
     return m
+
+
+def _bidiagonal(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Copies of the diagonals -1, 0 and 1 of ``c`` when ``c`` is bidiagonal, else
+    None; one pass over ``c``."""
+    near = tuple(np.diagonal(c, k).copy() for k in (-1, 0, 1))
+    lower, main, upper = (np.count_nonzero(x) for x in near)
+    bidiagonal = np.count_nonzero(c) == lower + main + upper and not (lower and upper)
+    return near if bidiagonal else None
 
 
 @dataclass(frozen=True)
@@ -389,8 +413,7 @@ def perturb(
         stored = pair.c + np.diag(values)
     else:
         lower, main, upper = pair.diagonals
-        main = main + values
-        stored = (lower.astype(main.dtype), main, upper.astype(main.dtype))
+        stored = (lower, main + values, upper)
     return replace(pair, stored=stored, known_commutator_norm=known)
 
 
@@ -410,9 +433,19 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a ``dense-complex-v1`` JSON matrix file."""
+    """Read a ``dense-complex-v1`` JSON matrix file.
+
+    Raises :class:`~omega_index.errors.InsufficientMemory` before the file is read
+    whole when parsing it would not fit: its ``[`` are counted in one streamed pass
+    and each is charged :data:`PARSE_LIST_BYTES` beside the file's own bytes.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path, "rb") as handle:
+            lists = sum(block.count(b"[") for block in iter(lambda: handle.read(2**20), b""))
+            linalg.require_memory(handle.tell() + PARSE_LIST_BYTES * lists,
+                                  f"parsing matrix file {path}")
+            handle.seek(0)
+            doc = json.load(handle)
     except OSError as exc:
         raise ConfigParse(f"cannot read matrix file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

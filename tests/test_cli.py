@@ -349,6 +349,21 @@ def test_a_dense_request_beyond_memory_exits_1_with_one_error_object(capsys, mon
     assert error["detail"]["needed_bytes"] > 2**20
 
 
+def test_a_file_pair_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch, tmp_path):
+    """The memory probe is patched to 1 MiB: parsing a dim-100 file needs about
+    2 MiB, so --pair file is refused before the file is parsed, with no traceback."""
+    pa, pb = zero_pair_files(tmp_path, dim=100)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    monkeypatch.setattr(operators_module.json, "loads", None)
+    code, out, err = run_cli(capsys, "omega", "--pair", "file", "--file-a", pa, "--file-b", pb)
+    monkeypatch.undo()
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith(f"parsing matrix file {pa} needs about")
+    assert error["detail"]["needed_bytes"] > error["detail"]["available_bytes"] == 2**20
+
+
 def test_the_oscillator_at_dim_50000_certifies_with_default_cuts(capsys, monkeypatch):
     """lam = 1e-4 needs N >= 0.61/lam to certify, so default cuts need M >= 4.9/lam;
     at M = 5e4 no dense array could be afforded under a 1 MiB probe, and none is

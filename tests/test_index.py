@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import omega_index.calibration as calibration
 import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
+import omega_index.operators as operators_module
 from omega_index import (
     BandQ,
     ConvergenceFailure,
@@ -56,7 +58,6 @@ from omega_index.index import (
     PIVOT_ROUNDING,
     _abs2,
     _factor_defect,
-    _tridiagonal,
     _tridiagonal_norm,
 )
 
@@ -501,7 +502,7 @@ def _banded64(harmonic, offsets, unit):
     symmetric perturbation of A (unit 1) or of B (unit 1j), not bidiagonal."""
     delta = sum(np.diag(np.full(64 - k, 0.01), k) + np.diag(np.full(64 - k, 0.01), -k)
                 for k in offsets)
-    return OperatorPair(c=harmonic.c + unit * delta, dim=64, basis_label="banded",
+    return OperatorPair(stored=harmonic.c + unit * delta, dim=64, basis_label="banded",
                         known_commutator_norm=None, boundary_window=0)
 
 
@@ -769,7 +770,7 @@ def _bidiagonal_pair(dim, seed, complex_, lower, scale=1.0):
         return x + 1j * rng.standard_normal(n) if complex_ else x
 
     c = np.diag(entries(dim)) + np.diag(entries(dim - 1), -1 if lower else 1)
-    return OperatorPair(c=scale * c, dim=dim, basis_label="bidiagonal",
+    return OperatorPair(stored=scale * c, dim=dim, basis_label="bidiagonal",
                         known_commutator_norm=None, boundary_window=0)
 
 
@@ -855,7 +856,7 @@ def test_band_path_matches_build_q_on_random_bidiagonal_c(
 
 def test_factor_keeps_the_dense_path_for_every_other_c(dense200):
     tridiagonal = np.diag(np.ones(7), 1) + np.diag(np.full(7, 0.5), -1)
-    pair = OperatorPair(c=tridiagonal, dim=8, basis_label="tridiagonal",
+    pair = OperatorPair(stored=tridiagonal, dim=8, basis_label="tridiagonal",
                         known_commutator_norm=None, boundary_window=0)
     for orientation in ORIENTATIONS:
         assert isinstance(factor(pair, orientation), QBuild)
@@ -931,8 +932,8 @@ def test_band_storage_counts_as_its_dense_view(
     builder, lam, dim, radius, scale, target, kind, magnitude, orientation
 ):
     """Every builder, bare or with a diagonal perturbation of A or B, in both
-    orientations: the pair stored by its diagonals and the dense pair of its C give
-    byte-identical reports and corner spectra, and a measured epsilon agrees with
+    orientations: the pair entered as its dense C stores the same diagonals bit for
+    bit and gives the byte-identical report, and a measured epsilon agrees with
     build_q's eigensolve to EPSILON_AGREEMENT."""
     if builder == "harmonic":
         pair = build_harmonic(lam, dim)
@@ -940,22 +941,72 @@ def test_band_storage_counts_as_its_dense_view(
         pair = build_commuting_grid(radius, scale)
     if kind is not None:
         pair = perturb(pair, target, kind, magnitude)
-    dense = OperatorPair(c=pair.c, dim=pair.dim, basis_label=pair.basis_label,
+    dense = OperatorPair(stored=pair.c, dim=pair.dim, basis_label=pair.basis_label,
                          known_commutator_norm=pair.known_commutator_norm,
                          boundary_window=pair.boundary_window)
-    assert pair.diagonals is not None and dense.diagonals is None
+    for x, y in zip(dense.diagonals, pair.diagonals):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     cuts = sorted({max(1, pair.interior // 4), pair.interior // 2, pair.interior})
     assert _report(pair, orientation, cuts) == _report(dense, orientation, cuts)
     band = factor(pair, orientation)
     assert isinstance(band, BandQ)
-    for cut in cuts:
-        assert np.array_equal(
-            corner_eigenvalues(band, cut), corner_eigenvalues(factor(dense, orientation), cut)
-        )
     _assert_epsilon_agrees(band, build_q(pair, orientation), pair)
-    assert masked_commutator_norm(pair) == masked_commutator_norm(dense)
     if band.epsilon_measured:
         assert band.epsilon == 2 * masked_commutator_norm(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       offsets=st.sets(st.sampled_from([-1, 0, 1])), far=st.booleans(),
+       complex_=st.booleans(), orientation=st.sampled_from(ORIENTATIONS))
+def test_a_pair_stores_its_diagonals_exactly_when_c_is_bidiagonal(
+    dim, seed, offsets, far, complex_, orientation
+):
+    """C with its nonzeros on a random subset of the diagonals -1, 0 and 1, and
+    sometimes one entry further out, entered through ``stored`` and through the
+    a/b gate: the pair stores its diagonals exactly when C is bidiagonal, and its c
+    is the input bit for bit.  A bidiagonal C factors to a BandQ with no dense
+    view formed and reports as the pair built from its diagonals; diagonals with
+    both neighbours of the main one nonzero are refused."""
+    rng = np.random.default_rng(seed)
+
+    def entries(n):
+        # quarter-integers, so that A = (C + C*)/2, B and A + iB are exact
+        x = rng.integers(-4, 5, n) / 4
+        return x + 1j * rng.integers(-4, 5, n) / 4 if complex_ else x
+
+    c = sum((np.diag(entries(dim - abs(k)), k) for k in offsets), np.zeros((dim, dim)))
+    if far and dim >= 3:
+        i = int(rng.integers(dim - 2))
+        j = int(rng.integers(i + 2, dim))
+        c[(i, j) if rng.integers(2) else (j, i)] = 0.5
+    rows, cols = np.nonzero(c)
+    bidiagonal = bool(np.all(np.abs(rows - cols) <= 1)) and not (
+        np.any(rows - cols == 1) and np.any(cols - rows == 1))
+    meta = dict(dim=dim, basis_label="random", known_commutator_norm=None, boundary_window=0)
+    a, b = (c + c.conj().T) / 2, (c - c.conj().T) * -0.5j
+    gated_c = a + 1j * b
+    if not np.any(gated_c.imag):
+        gated_c = gated_c.real
+    near = tuple(np.diagonal(c, k) for k in (-1, 0, 1))
+    cuts = sorted({1, max(1, dim // 2), dim})
+    for pair, expected in ((OperatorPair(stored=c, **meta), c),
+                           (OperatorPair(a=a, b=b, **meta), gated_c)):
+        assert (pair.diagonals is not None) == bidiagonal
+        assert pair.dtype == expected.dtype and pair.c.tobytes() == expected.tobytes()
+        assert np.array_equal(pair.c, c)
+        if not bidiagonal:
+            assert isinstance(factor(pair, orientation), QBuild)
+            continue
+        # the gate stores a C with no imaginary part as real
+        real = pair.dtype.kind == "f"
+        reference = OperatorPair(stored=tuple(x.real if real else x for x in near), **meta)
+        with mock.patch.object(OperatorPair, "_dense", _refuse_to_factor):
+            assert isinstance(factor(pair, orientation), BandQ)
+            assert _report(pair, orientation, cuts) == _report(reference, orientation, cuts)
+    if np.any(near[0]) and np.any(near[2]):
+        with pytest.raises(InvalidParameter, match="both nonzero"):
+            OperatorPair(stored=near, **meta)
 
 
 def test_oscillator_at_dim_20000_certifies_from_o_m_numbers(monkeypatch):
@@ -1014,28 +1065,30 @@ def _traced_peak(fn, *args) -> int:
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
 def test_factor_forms_nothing_that_build_q_forms_again(orientation, monkeypatch):
     """A dense pair reaches build_q with no d formed, so factor peaks where build_q
-    does; a dense C is scanned once per factor on either path, the diagonals a
-    builder stores are read with no scan, and build_q scans nothing."""
+    does.  An array C is scanned once, when a pair is built from it; the diagonals
+    a builder stores are never scanned, and neither factor nor build_q scans."""
     pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
     assert _traced_peak(factor, pair, orientation) <= 1.01 * _traced_peak(
         build_q, pair, orientation
     )
     calls = []
+    scan = operators_module._bidiagonal
 
     def counted(c):
         calls.append(c.shape)
-        return _tridiagonal(c)
+        return scan(c)
 
-    monkeypatch.setattr(index_module, "_tridiagonal", counted)
-    assert isinstance(factor(pair, orientation), QBuild)
-    assert len(calls) == 1
+    monkeypatch.setattr(operators_module, "_bidiagonal", counted)
     harmonic = build_harmonic(0.01, 300)
-    assert isinstance(factor(harmonic, orientation), BandQ)
-    assert len(calls) == 1
+    assert calls == []
+    noisy = perturb(harmonic, "a", "random_hermitian", 0.002, 7)
+    assert len(calls) == 1 and noisy.diagonals is None
     dense_view = replace(harmonic, stored=harmonic.c)
+    assert len(calls) == 2 and dense_view.diagonals is not None
+    assert isinstance(factor(noisy, orientation), QBuild)
     assert isinstance(factor(dense_view, orientation), BandQ)
-    assert len(calls) == 2
-    build_q(pair, orientation)
+    build_q(noisy, orientation)
+    build_q(dense_view, orientation)
     assert len(calls) == 2
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,15 +272,40 @@ def test_derived_a_and_b_are_read_only():
         pair.b[0, 1] = 1.0
 
 
-def test_operator_pair_takes_c_or_a_and_b():
+def test_operator_pair_takes_stored_or_a_and_b():
     c = np.zeros((2, 2))
     meta = dict(dim=2, basis_label="x", known_commutator_norm=None, boundary_window=0)
     with pytest.raises(InvalidParameter):
-        OperatorPair(a=c, c=c, **meta)
+        OperatorPair(a=c, b=c, stored=c, **meta)
     with pytest.raises(InvalidParameter):
         OperatorPair(a=c, **meta)
+    with pytest.raises(InvalidParameter):
+        OperatorPair(**meta)
     with pytest.raises(DimensionMismatch):
-        OperatorPair(c=np.zeros((3, 3)), **meta)
+        OperatorPair(stored=np.zeros((3, 3)), **meta)
+
+
+def test_pair_arrays_are_read_only_in_every_copy():
+    """A pair's stored arrays, and those of a replace() copy, cannot be written in
+    place; the array a pair was built from stays writable to its owner."""
+    c = np.array(perturb(build_harmonic(0.01, 40), "a", "random_hermitian", 0.01, 3).c)
+    pair = OperatorPair(stored=c, dim=40, basis_label="noisy", known_commutator_norm=None,
+                        boundary_window=5)
+    copy = replace(pair, basis_label="copy")
+    for p in (pair, copy):
+        with pytest.raises(ValueError):
+            p.c[0, 0] = 5.0
+    assert c.flags.writeable
+    band = build_harmonic(0.01, 120)
+    before = band.c
+    for x in band.diagonals:
+        with pytest.raises(ValueError):
+            x[0] = 99.0
+    assert np.array_equal(band.c, before)
+    gated = OperatorPair(a=pair.a, b=pair.b, dim=40, basis_label="gated",
+                         known_commutator_norm=None, boundary_window=5)
+    with pytest.raises(ValueError):
+        gated.c[0, 0] = 5.0
 
 
 def _dense_from_diagonals(pair):
@@ -306,21 +332,26 @@ def test_builders_store_diagonals():
 
 
 def test_diagonal_perturbations_keep_diagonal_storage_and_match_the_dense_sum():
-    """scalar_shift and diagonal_decay add to the stored main diagonal; the dense C
-    is the one a dense pair gets from the same perturbation, bit for bit."""
+    """scalar_shift and diagonal_decay add to the stored main diagonal, and the C
+    they give is harmonic.c + diag(values) bit for bit; a dense pair stays dense
+    and gets the same sum."""
     harmonic = build_harmonic(0.02, 30)
-    dense = OperatorPair(c=harmonic.c, dim=30, basis_label="dense",
-                         known_commutator_norm=0.02, boundary_window=harmonic.boundary_window)
-    for target in ("a", "b"):
-        for kind in ("scalar_shift", "diagonal_decay"):
-            band = perturb(harmonic, target, kind, 0.3)
-            reference = perturb(dense, target, kind, 0.3)
-            assert band.diagonals is not None and reference.diagonals is None
-            assert np.array_equal(band.c, reference.c) and band.dtype == reference.dtype
-            assert band.known_commutator_norm == reference.known_commutator_norm
     noisy = perturb(harmonic, "b", "random_hermitian", 0.01, 4)
     assert noisy.diagonals is None and noisy.c_bytes == 0
-    assert np.array_equal(noisy.c, perturb(dense, "b", "random_hermitian", 0.01, 4).c)
+    for target in ("a", "b"):
+        for kind in ("scalar_shift", "diagonal_decay"):
+            values = 0.3 * (np.ones(30) if kind == "scalar_shift" else 1.0 / (np.arange(30) + 1.0))
+            if target == "b":
+                values = 1j * values
+            band = perturb(harmonic, target, kind, 0.3)
+            expected = harmonic.c + np.diag(values)
+            assert band.diagonals is not None and band.dtype == expected.dtype
+            assert band.c.tobytes() == expected.tobytes()
+            known = harmonic.known_commutator_norm if kind == "scalar_shift" else None
+            assert band.known_commutator_norm == known
+            dense = perturb(noisy, target, kind, 0.3)
+            assert dense.diagonals is None
+            assert np.array_equal(dense.c, noisy.c + np.diag(values))
 
 
 def test_scale_admissible_keeps_diagonal_storage():
@@ -340,7 +371,10 @@ def test_operator_pair_checks_stored_diagonals():
     with pytest.raises(DimensionMismatch):
         OperatorPair(stored=(np.zeros(2), np.zeros(2), np.zeros(2)), **meta)
     with pytest.raises(InvalidParameter):
-        OperatorPair(c=np.zeros((3, 3)), stored=(np.zeros(2), np.zeros(3), np.zeros(2)), **meta)
+        OperatorPair(a=np.zeros((3, 3)), b=np.zeros((3, 3)),
+                     stored=(np.zeros(2), np.zeros(3), np.zeros(2)), **meta)
+    with pytest.raises(InvalidParameter, match="both nonzero"):
+        OperatorPair(stored=(np.ones(2), np.zeros(3), np.ones(2)), **meta)
     pair = OperatorPair(stored=(np.zeros(2), np.zeros(3), np.ones(2, dtype=complex)), **meta)
     assert {x.dtype for x in pair.diagonals} == {np.dtype(complex)}
 
@@ -514,6 +548,23 @@ def test_load_matrix_rejects_bad_documents(tmp_path):
         load_matrix(path)
     with pytest.raises(ConfigParse):
         load_matrix(tmp_path / "missing.json")
+
+
+def test_load_matrix_refuses_a_file_it_cannot_parse_before_it_reads_it(tmp_path, monkeypatch):
+    """With the memory probe patched just below the footprint, a dim-40 file is
+    refused before it is read whole or parsed; the footprint is the file's bytes
+    plus PARSE_LIST_BYTES for each of its 40 * 41 + 1 lists."""
+    path = tmp_path / "m.json"
+    save_matrix(np.eye(40), path)
+    footprint = path.stat().st_size + operators_module.PARSE_LIST_BYTES * (40 * 41 + 1)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    monkeypatch.setattr(operators_module.json, "loads", _refuse)
+    with pytest.raises(InsufficientMemory, match="parsing matrix file") as info:
+        load_matrix(path)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert np.array_equal(load_matrix(path), np.eye(40))
 
 
 def test_load_pair_rejects_non_hermitian(tmp_path):

@@ -38,6 +38,7 @@ def test_removed_parameters_are_gone():
         assert "scaling" not in inspect.signature(fn).parameters
     for name in ("write_record", "load_record", "record_path"):
         assert not hasattr(calibration, name)
+    assert "c" not in inspect.signature(omega_index.OperatorPair).parameters
 
 
 def test_sphere_subcommand_is_a_usage_error(capsys):
