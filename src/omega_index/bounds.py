@@ -1,10 +1,14 @@
 """Randomized oracles for the package's operator-norm inequalities.
 
-Each ``check_*`` function verifies one inequality on one input and returns a
-:class:`BoundCheckResult`; :func:`run_suite` drives all five families over seeded
-random ensembles.  The ensembles are keyed by a counter-based generator derived
-from ``(seed, family, trial)``, so a suite run is bit-for-bit reproducible and
-independent of execution order.
+Each ``check_*`` function verifies one inequality on one input, or on a stack
+``(k, n, n)`` of inputs in one numpy call per step, and returns one
+:class:`BoundCheckResult` over its ``k`` trials; one matrix is a stack of one.
+:func:`run_suite` drives all five families over seeded random ensembles.  Each
+trial draws its inputs from a counter-based generator derived from
+``(seed, family, trial)``, so a suite run is bit-for-bit reproducible and
+independent of execution order: the suite groups a family's trials by order and
+checks them in stacks of at most :data:`STACK_BYTES` of input, and the grouping
+changes no bit of the report.
 
 Bounds are strict inequalities analytically; every check grants a round-off
 allowance of ``1e-9`` times the problem scale so floating point cannot produce
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 from .index import q_blocks_from_c, theorem_bound
 
 #: relative round-off allowance on all inequality checks
@@ -31,14 +35,26 @@ ROUNDOFF_ALLOWANCE = 1e-9
 
 SUITE_LAMBDAS = (0.1, 1.0, 10.0)
 
+#: bytes of n-by-n complex input in one stack of the suite, which holds at least
+#: one matrix: 8 trials at order 32.  About fifteen stack-sized temporaries are
+#: live at once, so this is what keeps the suite's memory flat
+STACK_BYTES = 2**17
+
+#: stack-sized 2n-by-2n complex arrays that :func:`check_theorem_defect`, the
+#: suite's largest step, holds at once
+DEFECT_ARRAYS = 6
+
+_COMPLEX_BYTES = np.dtype(np.complex128).itemsize
+
 
 @dataclass(frozen=True)
 class BoundCheckResult:
     """Outcome of one inequality family.
 
-    ``max_lhs`` is the largest left-hand side seen, ``min_slack`` the smallest
-    ``bound - lhs`` over all trials (on success it is >= minus the round-off
-    allowance), ``violations`` the number of trials beyond the allowance.
+    ``trials`` counts the inputs checked, ``max_lhs`` is the largest left-hand
+    side seen, ``min_slack`` the smallest ``bound - lhs`` over all trials (on
+    success it is >= minus the round-off allowance), ``violations`` the number
+    of trials beyond the allowance.
     ``extras`` carries family-specific observational data.
     """
 
@@ -54,8 +70,35 @@ class BoundCheckResult:
         return self.violations == 0
 
 
-def _violates(lhs: float, bound: float, scale: float) -> bool:
-    return bound - lhs < -ROUNDOFF_ALLOWANCE * max(1.0, abs(scale))
+def _violates(lhs, bound, scale):
+    return bound - lhs < -ROUNDOFF_ALLOWANCE * np.maximum(1.0, abs(scale))
+
+
+def _result(name: str, lhs, slack, violations, **extras) -> BoundCheckResult:
+    """One result over a stack's trials, merged as :func:`_merge` merges trials:
+    extras ending in ``violations`` are summed, the others maximized."""
+    return BoundCheckResult(
+        name=name,
+        trials=len(lhs),
+        max_lhs=float(np.max(lhs)),
+        min_slack=float(np.min(slack)),
+        violations=int(np.count_nonzero(violations)),
+        extras={
+            key: int(np.sum(value)) if key.endswith("violations") else float(np.max(value))
+            for key, value in extras.items()
+        },
+    )
+
+
+def _stack(c) -> np.ndarray:
+    """``c`` as a stack of square complex matrices, each checked as
+    :func:`linalg.as_matrix` checks one; one matrix is a stack of one."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got ndim={c.ndim}")
+    # the rows of all matrices, one under another: a view, checked in one pass
+    rows = linalg.as_matrix(c.reshape(-1, c.shape[-1]))
+    return linalg.require_square(rows.reshape(-1, *c.shape[-2:]))
 
 
 def _rng(seed: int, family: int, trial: int) -> np.random.Generator:
@@ -66,11 +109,12 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, dim))
-    phases = np.diag(r).copy()
+def _haar_unitary(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre matrices."""
+    q, r = np.linalg.qr(x)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., np.newaxis, :]
 
 
 #: relative width of the band around the target epsilon that random_near_normal hits
@@ -91,72 +135,92 @@ def random_near_normal(
     factor in [1/4, 4]), which usually lands in the band in two or three steps,
     and bisects the bracket whenever the proposal leaves it.
     """
-    u = _haar_unitary(rng, dim)
+    draws = _draw_near_normal(rng, dim)
+    return _near_normal(*(x[np.newaxis] for x in draws), np.array([target_epsilon]))[0]
+
+
+def _draw_near_normal(rng: np.random.Generator, dim: int) -> tuple:
+    """The draws of :func:`random_near_normal`, in its order: the Ginibre matrix of
+    the unitary, the eigenvalues, and the non-normal direction."""
+    x = _ginibre(rng, dim)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    normal = (u * z) @ linalg.adjoint(u)
-    g = _ginibre(rng, dim)
-    g /= linalg.operator_norm(g)
-    lo, hi = 0.0, np.inf
-    delta = np.sqrt(target_epsilon)
+    return x, z, _ginibre(rng, dim)
+
+
+def _near_normal(x, z, g, target) -> np.ndarray:
+    """:func:`random_near_normal` on stacks of its draws, with one bisection per
+    matrix, all of them run in step until each lands in its band."""
+    u = _haar_unitary(x)
+    normal = (u * z[:, np.newaxis, :]) @ linalg.adjoint(u)
+    g /= linalg.operator_norm(g)[:, np.newaxis, np.newaxis]
+    lo, hi = np.zeros(len(target)), np.full(len(target), np.inf)
+    delta = np.sqrt(target)
+    out = np.empty_like(normal)
+    active = np.arange(len(target))
     for _ in range(TARGET_STEPS):
-        c = normal + delta * g
+        if not len(active):
+            return out
+        c = normal[active] + delta[active, np.newaxis, np.newaxis] * g[active]
         eps = _epsilon_of(c)
-        if abs(eps - target_epsilon) < TARGET_BAND * target_epsilon:
-            return c
-        if eps < target_epsilon:
-            lo = delta
-        else:
-            hi = delta
-        ratio = target_epsilon / eps if eps > 0.0 else 4.0
-        proposal = delta * min(4.0, max(0.25, ratio))
-        delta = proposal if lo < proposal < hi else (lo + hi) / 2.0
+        goal, step = target[active], delta[active]
+        hit = abs(eps - goal) < TARGET_BAND * goal
+        out[active[hit]] = c[hit]
+        below = eps < goal
+        lo[active] = np.where(below, step, lo[active])
+        hi[active] = np.where(below, hi[active], step)
+        ratio = np.divide(goal, eps, out=np.full_like(eps, 4.0), where=eps > 0.0)
+        proposal = step * np.minimum(4.0, np.maximum(0.25, ratio))
+        inside = (lo[active] < proposal) & (proposal < hi[active])
+        delta[active] = np.where(inside, proposal, (lo[active] + hi[active]) / 2.0)
+        active = active[~hit]
     # unreachable in practice; epsilon(lo) is below the target, so still < 1
-    return normal + lo * g
+    out[active] = normal[active] + lo[active, np.newaxis, np.newaxis] * g[active]
+    return out
 
 
-def _epsilon_of(c: np.ndarray) -> float:
+def _epsilon_of(c: np.ndarray):
     cs = linalg.adjoint(c)
     return linalg.operator_norm(cs @ c - c @ cs)
 
 
-def check_resolvent_bound(c: np.ndarray, lam: float) -> BoundCheckResult:
-    """``norm(C (lam + C*C)^-1) <= 1/sqrt(lam)`` and its mirrored form."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidParameter(f"lam must be positive, got {lam}")
-    c = linalg.require_square(linalg.as_matrix(c))
-    eye = np.eye(c.shape[0], dtype=np.complex128)
+def check_resolvent_bound(c: np.ndarray, lam: float | np.ndarray) -> BoundCheckResult:
+    """``norm(C (lam + C*C)^-1) <= 1/sqrt(lam)`` and its mirrored form.
+
+    ``lam`` is one value, or one per matrix of a stack.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    bad = ~(np.isfinite(lam) & (lam > 0))
+    if np.any(bad):
+        raise InvalidParameter(f"lam must be positive, got {lam[bad][0] if lam.ndim else lam}")
+    c = _stack(c)
+    if lam.ndim and lam.shape != c.shape[:1]:
+        raise InvalidParameter(f"lam must be one value or one per matrix, got shape {lam.shape}")
+    eye = np.eye(c.shape[-1], dtype=np.complex128)
     cs = linalg.adjoint(c)
-    lhs_right = linalg.operator_norm(c @ linalg.hpd_inverse(lam * eye + cs @ c))
-    lhs_left = linalg.operator_norm(linalg.hpd_inverse(lam * eye + c @ cs) @ c)
-    lhs = max(lhs_right, lhs_left)
+    shift = lam[..., np.newaxis, np.newaxis] * eye
+    lhs_right = linalg.operator_norm(c @ linalg.hpd_inverse(shift + cs @ c))
+    lhs_left = linalg.operator_norm(linalg.hpd_inverse(shift + c @ cs) @ c)
+    lhs = np.maximum(lhs_right, lhs_left)
     bound = 1.0 / np.sqrt(lam)
-    violations = int(_violates(lhs, bound, bound))
-    return BoundCheckResult(
-        name="resolvent_bound",
-        trials=1,
-        max_lhs=lhs,
-        min_slack=bound - lhs,
-        violations=violations,
-        extras={"lhs_times_sqrt_lam": lhs * np.sqrt(lam)},
+    return _result(
+        "resolvent_bound",
+        lhs,
+        bound - lhs,
+        _violates(lhs, bound, bound),
+        lhs_times_sqrt_lam=lhs * np.sqrt(lam),
     )
 
 
 def check_intertwine(c: np.ndarray) -> BoundCheckResult:
     """Exact finite-dimensional identity ``C (I + C*C)^-1 = (I + CC*)^-1 C``."""
-    c = linalg.require_square(linalg.as_matrix(c))
-    eye = np.eye(c.shape[0], dtype=np.complex128)
+    c = _stack(c)
+    eye = np.eye(c.shape[-1], dtype=np.complex128)
     cs = linalg.adjoint(c)
     left = c @ linalg.hpd_inverse(eye + cs @ c)
     right = linalg.hpd_inverse(eye + c @ cs) @ c
     residual = linalg.operator_norm(left - right)
     tol = 1e-10 * (1.0 + linalg.operator_norm(c))
-    return BoundCheckResult(
-        name="intertwine_identity",
-        trials=1,
-        max_lhs=residual,
-        min_slack=tol - residual,
-        violations=int(residual > tol),
-    )
+    return _result("intertwine_identity", residual, tol - residual, residual > tol)
 
 
 def check_resolvent_difference(c: np.ndarray) -> BoundCheckResult:
@@ -165,67 +229,70 @@ def check_resolvent_difference(c: np.ndarray) -> BoundCheckResult:
     The smaller constant ``e/(2(1+e))`` is recorded in ``extras`` as data; it
     never fails the check.
     """
-    c = linalg.require_square(linalg.as_matrix(c))
+    c = _stack(c)
     epsilon = _epsilon_of(c)
-    if epsilon >= 1.0:
-        raise InvalidParameter(f"epsilon must be < 1, got {epsilon:.6g}")
-    eye = np.eye(c.shape[0], dtype=np.complex128)
+    if np.any(epsilon >= 1.0):
+        raise InvalidParameter(f"epsilon must be < 1, got {epsilon[epsilon >= 1.0][0]:.6g}")
+    eye = np.eye(c.shape[-1], dtype=np.complex128)
     cs = linalg.adjoint(c)
     gamma_inv = linalg.hpd_inverse(eye + cs @ c)
     delta_inv = linalg.hpd_inverse(eye + c @ cs)
     diff = gamma_inv - delta_inv
-    lhs = max(
+    lhs = np.maximum(
         linalg.operator_norm(diff @ c),
         linalg.operator_norm(c @ diff),
     )
     bound = epsilon / (1.0 - epsilon)
     stated = epsilon / (2.0 * (1.0 + epsilon))
-    return BoundCheckResult(
-        name="resolvent_difference",
-        trials=1,
-        max_lhs=lhs,
-        min_slack=bound - lhs,
-        violations=int(_violates(lhs, bound, 1.0)),
-        extras={
-            "epsilon": epsilon,
-            "stated_bound": stated,
-            "stated_violations": int(_violates(lhs, stated, 1.0)),
-            "stated_max_excess": max(0.0, lhs - stated),
-        },
+    return _result(
+        "resolvent_difference",
+        lhs,
+        bound - lhs,
+        _violates(lhs, bound, 1.0),
+        epsilon=epsilon,
+        stated_bound=stated,
+        stated_violations=_violates(lhs, stated, 1.0),
+        stated_max_excess=np.maximum(0.0, lhs - stated),
     )
 
 
 def _f_of(eig: linalg.HermitianEigen) -> np.ndarray:
-    """Matrix function t -> t/(1+t)^2 of a decomposed Hermitian matrix (functional calculus)."""
+    """Matrix function t -> t/(1+t)^2 of decomposed Hermitian matrices (functional calculus)."""
     w = eig.values / (1.0 + eig.values) ** 2
-    return (eig.vectors * w) @ linalg.adjoint(eig.vectors)
+    return (eig.vectors * w[..., np.newaxis, :]) @ linalg.adjoint(eig.vectors)
+
+
+def _f_lipschitz_bound(d: float) -> float:
+    return (3.0 * d - d * d) / (1.0 - d) ** 2
+
+
+def _each(bound, values: np.ndarray) -> np.ndarray:
+    """A scalar bound at each of ``values``.  The bounds square with Python's float
+    power, the C library's ``pow``, which now and then differs in the last bit
+    from numpy's ``x * x``; so they are taken one value at a time."""
+    return np.array([bound(v) for v in values.tolist()])
 
 
 def check_f_lipschitz(e: np.ndarray, f: np.ndarray) -> BoundCheckResult:
     """``norm(E(I+E)^-2 - F(I+F)^-2) <= (3d - d^2)/(1-d)^2`` with d = norm(E-F)."""
-    e = linalg.require_square(linalg.as_matrix(e))
-    f = linalg.require_square(linalg.as_matrix(f))
+    e = _stack(e)
+    f = _stack(f)
     if e.shape != f.shape:
         raise InvalidParameter("E and F must have the same shape")
     eigs = []
     for name, m in (("E", e), ("F", f)):
         eig = linalg.hermitian_eigen(m)
-        scale = max(1.0, abs(float(eig.values[-1])))
-        if float(eig.values[0]) < -1e-10 * scale:
+        scale = np.maximum(1.0, abs(eig.values[:, -1]))
+        if np.any(eig.values[:, 0] < -1e-10 * scale):
             raise InvalidParameter(f"{name} must be positive semidefinite")
         eigs.append(eig)
     d = linalg.operator_norm(e - f)
-    if d >= 1.0:
-        raise InvalidParameter(f"norm(E - F) must be < 1, got {d:.6g}")
+    if np.any(d >= 1.0):
+        raise InvalidParameter(f"norm(E - F) must be < 1, got {d[d >= 1.0][0]:.6g}")
     lhs = linalg.operator_norm(_f_of(eigs[0]) - _f_of(eigs[1]))
-    bound = (3.0 * d - d * d) / (1.0 - d) ** 2
-    return BoundCheckResult(
-        name="f_lipschitz",
-        trials=1,
-        max_lhs=lhs,
-        min_slack=bound - lhs,
-        violations=int(_violates(lhs, bound, 1.0)),
-        extras={"distance": d},
+    bound = _each(_f_lipschitz_bound, d)
+    return _result(
+        "f_lipschitz", lhs, bound - lhs, _violates(lhs, bound, 1.0), distance=d
     )
 
 
@@ -235,18 +302,17 @@ def check_theorem_defect(c: np.ndarray) -> BoundCheckResult:
     Q is assembled from C by :func:`q_blocks_from_c`; both norms are exact and
     unmasked.
     """
-    c = linalg.require_square(linalg.as_matrix(c))
+    c = _stack(c)
     epsilon = _epsilon_of(c)
-    q, _, _ = q_blocks_from_c(c)
+    q = q_blocks_from_c(c)[0]
     defect = linalg.operator_norm(q @ q - q)
-    bound = theorem_bound(epsilon)
-    return BoundCheckResult(
-        name="projection_defect",
-        trials=1,
-        max_lhs=defect,
-        min_slack=bound - defect,
-        violations=int(_violates(defect, bound, 1.0)),
-        extras={"epsilon": epsilon},
+    bound = _each(theorem_bound, epsilon)
+    return _result(
+        "projection_defect",
+        defect,
+        bound - defect,
+        _violates(defect, bound, 1.0),
+        epsilon=epsilon,
     )
 
 
@@ -260,7 +326,7 @@ def _merge(name: str, results: list[BoundCheckResult]) -> BoundCheckResult:
                 extras[key] = max(extras.get(key, float("-inf")), value)
     return BoundCheckResult(
         name=name,
-        trials=len(results),
+        trials=sum(r.trials for r in results),
         max_lhs=max(r.max_lhs for r in results),
         min_slack=min(r.min_slack for r in results),
         violations=sum(r.violations for r in results),
@@ -268,30 +334,112 @@ def _merge(name: str, results: list[BoundCheckResult]) -> BoundCheckResult:
     )
 
 
-def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    w = _ginibre(rng, dim) / np.sqrt(dim)
-    return w @ linalg.adjoint(w)
+# Each family draws one trial's inputs from its generator in a fixed order, and
+# checks a stack of trials of one order.
 
 
-def _random_scaled_pair(rng: np.random.Generator, dim: int, target_epsilon: float) -> np.ndarray:
+def _draw_resolvent(rng: np.random.Generator, dim: int, trial: int) -> tuple:
+    return _ginibre(rng, dim), SUITE_LAMBDAS[trial % len(SUITE_LAMBDAS)]
+
+
+def _draw_intertwine(rng: np.random.Generator, dim: int, trial: int) -> tuple:
+    return (_ginibre(rng, dim),)
+
+
+def _draw_difference(rng: np.random.Generator, dim: int, trial: int) -> tuple:
+    return (float(rng.uniform(0.01, 0.1)), *_draw_near_normal(rng, dim))
+
+
+def _check_difference(target, x, z, g) -> BoundCheckResult:
+    return check_resolvent_difference(_near_normal(x, z, g, target))
+
+
+def _draw_lipschitz(rng: np.random.Generator, dim: int, trial: int) -> tuple:
+    return _ginibre(rng, dim), _ginibre(rng, dim), float(rng.uniform(0.01, 0.12))
+
+
+def _check_lipschitz(w, s, shift) -> BoundCheckResult:
+    """E a random PSD matrix, F = E + shift * S for a unit Hermitian S."""
+    dim = w.shape[-1]
+    w = w / np.sqrt(dim)
+    e = w @ linalg.adjoint(w)
+    s = (s + linalg.adjoint(s)) / 2.0
+    s /= linalg.operator_norm(s)[:, np.newaxis, np.newaxis]
+    f = e + shift[:, np.newaxis, np.newaxis] * s
+    # lift just enough to stay PSD; the lift is bounded by the perturbation
+    # size so norm(E - F) stays below 0.3
+    low = linalg.hermitian_eigen(f).values[:, 0]
+    lift = low < 0
+    f[lift] -= low[lift, np.newaxis, np.newaxis] * np.eye(dim)
+    return check_f_lipschitz(e, f)
+
+
+def _draw_defect(rng: np.random.Generator, dim: int, trial: int) -> tuple:
+    return float(rng.uniform(0.01, 0.1)), _ginibre(rng, dim), _ginibre(rng, dim)
+
+
+def _check_defect(target, a, b) -> BoundCheckResult:
     """C = A + iB for a random Hermitian pair scaled so that norm(C*C - CC*) is the target."""
-    a = _ginibre(rng, dim)
-    b = _ginibre(rng, dim)
     a = (a + linalg.adjoint(a)) / 2.0
     b = (b + linalg.adjoint(b)) / 2.0
-    c = a + 1j * b
-    eps = _epsilon_of(c)
-    if eps > 0:
-        s = np.sqrt(target_epsilon / eps)
-        a, b = s * a, s * b
-    return a + 1j * b
+    eps = _epsilon_of(a + 1j * b)
+    scaled = eps > 0
+    s = np.sqrt(target[scaled] / eps[scaled])[:, np.newaxis, np.newaxis]
+    a[scaled], b[scaled] = s * a[scaled], s * b[scaled]
+    return check_theorem_defect(a + 1j * b)
+
+
+def _stack_size(dim: int) -> int:
+    return max(1, STACK_BYTES // (_COMPLEX_BYTES * dim * dim))
+
+
+def suite_bytes(max_dim: int) -> int:
+    """Bytes :func:`run_suite` may hold at once for orders up to ``max_dim``: the
+    :data:`DEFECT_ARRAYS` 2n-by-2n arrays of a largest stack in
+    :func:`check_theorem_defect`.  A stack holds at most :data:`STACK_BYTES` of
+    n-by-n input, or one matrix, so its 2n-by-2n arrays hold four times that."""
+    return DEFECT_ARRAYS * 4 * max(STACK_BYTES, _COMPLEX_BYTES * max_dim**2)
+
+
+def _trial(seed: int, family: int, trial: int, max_dim: int) -> tuple:
+    """A trial's generator and the order it draws first."""
+    rng = _rng(seed, family, trial)
+    return rng, int(rng.integers(2, max_dim + 1))
+
+
+def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) -> list:
+    """The results of one family's stacks: its trials grouped by order, each group
+    checked in stacks of :func:`_stack_size` trials.  Each generator is made
+    twice, to read the order and then to draw, rather than kept: a thousand of
+    them hold about a MiB."""
+    orders = np.array([_trial(seed, family, t, max_dim)[1] for t in range(trials)])
+    results = []
+    for dim in np.unique(orders).tolist():
+        members = np.flatnonzero(orders == dim).tolist()
+        size = _stack_size(dim)
+        for start in range(0, len(members), size):
+            draws = zip(*(
+                draw(_trial(seed, family, t, max_dim)[0], dim, t)
+                for t in members[start : start + size]
+            ))
+            results.append(check(*(np.stack(column) for column in draws)))
+    return results
 
 
 def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
     """Run all five inequality families over seeded ensembles.
 
     Deterministic for a fixed ``(seed, trials, max_dim)``; failures are reported
-    in the results, never raised.
+    in the results, never raised.  Each family's trials are checked in stacks of
+    one order, at most :data:`STACK_BYTES` of input each.
+
+    Raises
+    ------
+    InvalidParameter
+        If an argument is out of range.
+    InsufficientMemory
+        If :func:`suite_bytes` of ``max_dim`` would not fit; checked before
+        anything is drawn.
     """
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
@@ -299,57 +447,16 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if max_dim < 2:
         raise InvalidParameter(f"max_dim must be >= 2, got {max_dim}")
-
-    resolvent = []
-    for t in range(trials):
-        rng = _rng(seed, 0, t)
-        dim = int(rng.integers(2, max_dim + 1))
-        c = _ginibre(rng, dim)
-        lam = SUITE_LAMBDAS[t % len(SUITE_LAMBDAS)]
-        resolvent.append(check_resolvent_bound(c, lam))
-
-    intertwine = []
-    for t in range(trials):
-        rng = _rng(seed, 1, t)
-        dim = int(rng.integers(2, max_dim + 1))
-        intertwine.append(check_intertwine(_ginibre(rng, dim)))
-
-    resolvent_diff = []
-    for t in range(trials):
-        rng = _rng(seed, 2, t)
-        dim = int(rng.integers(2, max_dim + 1))
-        target = float(rng.uniform(0.01, 0.1))
-        c = random_near_normal(rng, dim, target)
-        resolvent_diff.append(check_resolvent_difference(c))
-
-    lipschitz = []
-    for t in range(trials):
-        rng = _rng(seed, 3, t)
-        dim = int(rng.integers(2, max_dim + 1))
-        e = _random_psd(rng, dim)
-        s = _ginibre(rng, dim)
-        s = (s + linalg.adjoint(s)) / 2.0
-        s /= linalg.operator_norm(s)
-        shift = float(rng.uniform(0.01, 0.12))
-        f = e + shift * s
-        # lift just enough to stay PSD; the lift is bounded by the perturbation
-        # size so norm(E - F) stays below 0.3
-        low = float(linalg.hermitian_eigen(f).values[0])
-        if low < 0:
-            f = f - low * np.eye(dim)
-        lipschitz.append(check_f_lipschitz(e, f))
-
-    defect = []
-    for t in range(trials):
-        rng = _rng(seed, 4, t)
-        dim = int(rng.integers(2, max_dim + 1))
-        target = float(rng.uniform(0.01, 0.1))
-        defect.append(check_theorem_defect(_random_scaled_pair(rng, dim, target)))
-
+    linalg.require_memory(suite_bytes(max_dim), f"the verify suite at max_dim {max_dim}")
+    # looked up at each call, so a patched check_* is the one that runs
+    families = (
+        ("resolvent_bound", _draw_resolvent, check_resolvent_bound),
+        ("intertwine_identity", _draw_intertwine, check_intertwine),
+        ("resolvent_difference", _draw_difference, _check_difference),
+        ("f_lipschitz", _draw_lipschitz, _check_lipschitz),
+        ("projection_defect", _draw_defect, _check_defect),
+    )
     return [
-        _merge("resolvent_bound", resolvent),
-        _merge("intertwine_identity", intertwine),
-        _merge("resolvent_difference", resolvent_diff),
-        _merge("f_lipschitz", lipschitz),
-        _merge("projection_defect", defect),
+        _merge(name, _run_family(seed, family, trials, max_dim, draw, check))
+        for family, (name, draw, check) in enumerate(families)
     ]

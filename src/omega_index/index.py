@@ -293,9 +293,9 @@ def masked_commutator_norm(pair: OperatorPair) -> float:
 
 
 def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (Q, gamma, delta) from a square matrix C."""
+    """Assemble (Q, gamma, delta) from a square matrix C, or from each of a stack."""
     c = linalg.require_square(c)
-    m = c.shape[0]
+    m = c.shape[-1]
     eye = np.eye(m, dtype=np.complex128)
     cs = linalg.adjoint(c)
     gamma = eye + cs @ c

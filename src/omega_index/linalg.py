@@ -4,7 +4,14 @@ Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion, a blocked triangular inverse, the operator norm,
 an O(n^2) hermiticity gate, and the memory probe that every dense path consults
 before it allocates (:func:`require_memory`).
-Matrices are plain ``numpy.ndarray`` objects.  Input from outside the program is
+Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
+:func:`operator_norm`, :func:`hermitian_eigen`, :func:`hpd_inverse`,
+:func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
+``(..., n, n)`` of matrices and solve it in one numpy call per step, with every
+gate applied to each matrix on its own; a norm, verdict or defect is then an
+array with one entry per matrix.  A single matrix keeps its two-dimensional
+arithmetic, down to the full-array Frobenius norms of the pre-tests, and gets
+a float or a bool.  Input from outside the program is
 coerced to ``complex128`` (:func:`as_matrix`), while a real C and its factor stay
 ``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` work in the dtype they are given.  Functions that take
@@ -57,14 +64,15 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """``m``, once it is checked to be a square matrix or a stack of them."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,10 @@ class HermitianEigen:
     Attributes
     ----------
     values : ndarray
-        Real eigenvalues, sorted ascending.
+        Real eigenvalues, sorted ascending (along the last axis, for a stack).
     vectors : ndarray
-        Unitary matrix whose columns are the matching orthonormal eigenvectors.
+        Unitary matrix whose columns are the matching orthonormal eigenvectors
+        (one per matrix, for a stack).
         No phase convention is guaranteed; consumers should use counts and
         subspaces only.
     """
@@ -85,17 +94,32 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Return ``norm(m - adjoint(m))`` relative to ``norm(m)`` (0 for the zero matrix)."""
+def _frobenius(m: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(m, axis=None if m.ndim == 2 else (-2, -1))
+
+
+def _first(flags, *values) -> list[float]:
+    """The entries of ``values`` at the first matrix for which ``flags`` holds."""
+    i = int(np.argmax(flags))
+    return [float(np.ravel(v)[i]) for v in values]
+
+
+def hermiticity_defect(m: np.ndarray):
+    """Return ``norm(m - adjoint(m))`` relative to ``norm(m)`` (0 for the zero matrix),
+    for each matrix of a stack."""
     require_square(m)
     nm = operator_norm(m)
-    if nm == 0.0:
-        return 0.0
-    return operator_norm(m - adjoint(m)) / nm
+    if not np.any(nm):
+        return 0.0 if m.ndim == 2 else np.zeros_like(nm)
+    skew = operator_norm(m - adjoint(m))
+    defect = np.divide(skew, nm, out=np.zeros(np.shape(nm)), where=nm != 0.0)
+    return float(defect) if m.ndim == 2 else defect
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Decide ``hermiticity_defect(m) <= tol``, for most inputs in O(n^2).
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
+    """Decide ``hermiticity_defect(m) <= tol``, for most inputs in O(n^2); for a
+    stack, one verdict per matrix.
 
     With s = ``norm(m - adjoint(m), 'fro')``, F = ``norm(m, 'fro')`` and n the
     order, the operator norms obey ``s/sqrt(n) <= norm(m - adjoint(m)) <= s`` and
@@ -104,20 +128,21 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     the two thresholds pay for :func:`hermiticity_defect`.
     """
     require_square(m)
-    skew = float(np.linalg.norm(m - adjoint(m)))
-    if skew == 0.0:
-        return 0.0 <= tol
-    frob = float(np.linalg.norm(m))
-    root_n = float(np.sqrt(m.shape[0]))
-    if skew * root_n <= tol * frob * (1.0 - FROBENIUS_MARGIN):
-        return True
-    if skew > tol * frob * root_n * (1.0 + FROBENIUS_MARGIN):
-        return False
-    return hermiticity_defect(m) <= tol
+    skew = _frobenius(m - adjoint(m))
+    frob = _frobenius(m)
+    root_n = float(np.sqrt(m.shape[-1]))
+    proven = skew * root_n <= tol * frob * (1.0 - FROBENIUS_MARGIN)
+    refuted = skew > tol * frob * root_n * (1.0 + FROBENIUS_MARGIN)
+    verdict = np.where(skew == 0.0, 0.0 <= tol, proven)
+    undecided = (skew != 0.0) & ~proven & ~refuted
+    if np.any(undecided):
+        verdict[undecided] = hermiticity_defect(m[undecided] if m.ndim > 2 else m) <= tol
+    return bool(verdict) if m.ndim == 2 else verdict
 
 
 def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
+    """Eigendecomposition of a (numerically) Hermitian matrix, or of each matrix
+    of a stack.
 
     The input is symmetrized via ``(m + adjoint(m)) / 2`` before decomposition;
     inputs whose asymmetry exceeds ``HERMITIAN_TOL`` relative to their norm are
@@ -126,14 +151,15 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     Raises
     ------
     NonHermitianInput
-        If ``norm(m - adjoint(m)) > HERMITIAN_TOL * norm(m)``.
+        If ``norm(m - adjoint(m)) > HERMITIAN_TOL * norm(m)`` for any matrix; the
+        message gives the largest relative asymmetry.
     ConvergenceFailure
         If the underlying eigensolver does not converge.
     """
     require_square(m)
-    if not is_hermitian(m):
+    if not np.all(is_hermitian(m)):
         raise NonHermitianInput(
-            f"matrix is not Hermitian: relative asymmetry {hermiticity_defect(m):.3e} "
+            f"matrix is not Hermitian: relative asymmetry {np.max(hermiticity_defect(m)):.3e} "
             f"exceeds {HERMITIAN_TOL:.1e}"
         )
     try:
@@ -162,21 +188,24 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(f"eigenvalue computation failed: {exc}") from exc
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, as the square root of the top eigenvalue of ``mᴴm``.
+def operator_norm(m: np.ndarray):
+    """Largest singular value, as the square root of the top eigenvalue of ``mᴴm``:
+    a float for a matrix, an array with one per matrix for a stack.
 
     For Hermitian input this equals the largest absolute eigenvalue.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise DimensionMismatch(f"expected a 2-d matrix or a stack of them, got ndim={m.ndim}")
     if m.size == 0:
-        return 0.0
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     try:
-        top = float(np.linalg.eigvalsh(adjoint(m) @ m)[-1])
+        top = np.linalg.eigvalsh(adjoint(m) @ m)[..., -1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"singular value computation failed: {exc}") from exc
-    return float(np.sqrt(max(top, 0.0)))
+    # where, not maximum: this keeps max(top, 0.0) for a -0.0 and a nan top too
+    norms = np.sqrt(np.where(top < 0.0, 0.0, top))
+    return float(norms) if m.ndim == 2 else norms
 
 
 def hermitian_norm(m: np.ndarray) -> float:
@@ -224,7 +253,7 @@ def _invert_lower_into(lower: np.ndarray, out: np.ndarray) -> None:
 
 
 def hpd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix.
+    """Inverse of a Hermitian positive definite matrix, or of each matrix of a stack.
 
     Computed through the eigendecomposition so the result is Hermitian by
     construction.  The smallest eigenvalue must exceed ``PD_FLOOR * norm(m)``.
@@ -238,30 +267,38 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     ConvergenceFailure
         If the residual ``norm(m @ inv - I)`` misses the accuracy contract.  Its
         Frobenius norm, an upper bound, decides a clear pass; only the rest pay
-        for the operator norm.
+        for the operator norm.  Each matrix of a stack is held to its own floor
+        and residual; the message names the first that misses.
     """
     eig = hermitian_eigen(m)
     w, v = eig.values, eig.vectors
-    largest = max(abs(float(w[0])), abs(float(w[-1])))
-    floor = PD_FLOOR * largest
-    if float(w[0]) <= floor:
+    lowest, highest = w[..., 0], w[..., -1]
+    floor = PD_FLOOR * np.maximum(abs(lowest), abs(highest))
+    singular = lowest <= floor
+    if np.any(singular):
+        low, bar = _first(singular, lowest, floor)
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {float(w[0]):.3e} is not above the floor {floor:.3e}"
+            f"smallest eigenvalue {low:.3e} is not above the floor {bar:.3e}"
         )
-    inv = (v / w) @ adjoint(v)
+    inv = (v / w[..., np.newaxis, :]) @ adjoint(v)
     # allow the residual to grow with the condition number, as any backward-stable
     # inverse does
-    cond = float(w[-1]) / float(w[0])
-    tol = INV_TOL * max(1.0, cond)
-    error = m @ inv - np.eye(m.shape[0])
+    cond = highest / lowest
+    tol = INV_TOL * np.maximum(1.0, cond)
+    error = m @ inv - np.eye(m.shape[-1])
     # the Frobenius norm bounds the operator norm, so a small one decides the
     # contract without an eigensolve, as in is_hermitian
-    if float(np.linalg.norm(error)) <= tol * (1.0 - FROBENIUS_MARGIN):
+    undecided = ~(_frobenius(error) <= tol * (1.0 - FROBENIUS_MARGIN))
+    if not np.any(undecided):
         return inv
+    if m.ndim > 2:
+        error, tol, cond = error[undecided], tol[undecided], cond[undecided]
     residual = operator_norm(error)
-    if residual > tol:
+    missed = residual > tol
+    if np.any(missed):
+        res, con = _first(missed, residual, cond)
         raise ConvergenceFailure(
-            f"inverse residual {residual:.3e} exceeds tolerance for condition {cond:.3e}"
+            f"inverse residual {res:.3e} exceeds tolerance for condition {con:.3e}"
         )
     return inv
 

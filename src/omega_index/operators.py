@@ -448,7 +448,7 @@ def load_matrix(path) -> np.ndarray:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigParse(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigParse(f"matrix file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MATRIX_FORMAT:
         raise ConfigParse(

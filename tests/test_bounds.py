@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import omega_index.bounds as bounds_module
 import omega_index.linalg as linalg_module
 from omega_index import (
     BoundCheckResult,
+    DimensionMismatch,
+    InsufficientMemory,
     InvalidParameter,
     check_f_lipschitz,
     check_intertwine,
@@ -15,7 +19,7 @@ from omega_index import (
     random_near_normal,
     run_suite,
 )
-from omega_index.bounds import TARGET_BAND
+from omega_index.bounds import SUITE_LAMBDAS, TARGET_BAND, _merge, _rng, suite_bytes
 from omega_index.cli import main
 
 
@@ -260,22 +264,18 @@ def test_f_lipschitz_decomposes_each_input_once(monkeypatch):
 def _f_of_fresh(m):
     eig = linalg_module.hermitian_eigen(m)
     w = eig.values / (1.0 + eig.values) ** 2
-    return (eig.vectors * w) @ linalg_module.adjoint(eig.vectors)
+    return (eig.vectors * w[..., np.newaxis, :]) @ linalg_module.adjoint(eig.vectors)
 
 
 def _check_f_lipschitz_fresh(e, f):
-    """check_f_lipschitz with each matrix function taken from a fresh eigendecomposition."""
-    e, f = linalg_module.as_matrix(e), linalg_module.as_matrix(f)
+    """check_f_lipschitz on a stack, with each matrix function taken from a fresh
+    eigendecomposition."""
+    e, f = bounds_module._stack(e), bounds_module._stack(f)
     d = linalg_module.operator_norm(e - f)
     lhs = linalg_module.operator_norm(_f_of_fresh(e) - _f_of_fresh(f))
-    bound = (3.0 * d - d * d) / (1.0 - d) ** 2
-    return BoundCheckResult(
-        name="f_lipschitz",
-        trials=1,
-        max_lhs=lhs,
-        min_slack=bound - lhs,
-        violations=int(bounds_module._violates(lhs, bound, 1.0)),
-        extras={"distance": d},
+    bound = np.array([(3.0 * x - x * x) / (1.0 - x) ** 2 for x in d.tolist()])
+    return bounds_module._result(
+        "f_lipschitz", lhs, bound - lhs, bounds_module._violates(lhs, bound, 1.0), distance=d
     )
 
 
@@ -288,3 +288,154 @@ def test_verify_report_is_that_of_fresh_decompositions(capsys, monkeypatch, seed
     monkeypatch.setattr(bounds_module, "check_f_lipschitz", _check_f_lipschitz_fresh)
     assert main(argv) == 0
     assert capsys.readouterr().out == reused
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _ginibre(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _hermitian_part(m):
+    return (m + linalg_module.adjoint(m)) / 2.0
+
+
+def _reference_suite(seed, trials, max_dim):
+    """run_suite as one check_* per trial, merged with _merge: the suite's loop
+    before trials were stacked, with the same draws in the same order."""
+    resolvent, intertwine, difference, lipschitz, defect = [], [], [], [], []
+    for t in range(trials):
+        rng = _rng(seed, 0, t)
+        dim = int(rng.integers(2, max_dim + 1))
+        resolvent.append(check_resolvent_bound(_ginibre(rng, dim), SUITE_LAMBDAS[t % 3]))
+    for t in range(trials):
+        rng = _rng(seed, 1, t)
+        dim = int(rng.integers(2, max_dim + 1))
+        intertwine.append(check_intertwine(_ginibre(rng, dim)))
+    for t in range(trials):
+        rng = _rng(seed, 2, t)
+        dim = int(rng.integers(2, max_dim + 1))
+        target = float(rng.uniform(0.01, 0.1))
+        difference.append(check_resolvent_difference(random_near_normal(rng, dim, target)))
+    for t in range(trials):
+        rng = _rng(seed, 3, t)
+        dim = int(rng.integers(2, max_dim + 1))
+        w = _ginibre(rng, dim) / np.sqrt(dim)
+        e = w @ linalg_module.adjoint(w)
+        s = _hermitian_part(_ginibre(rng, dim))
+        s /= operator_norm(s)
+        f = e + float(rng.uniform(0.01, 0.12)) * s
+        low = float(linalg_module.hermitian_eigen(f).values[0])
+        if low < 0:
+            f = f - low * np.eye(dim)
+        lipschitz.append(check_f_lipschitz(e, f))
+    for t in range(trials):
+        rng = _rng(seed, 4, t)
+        dim = int(rng.integers(2, max_dim + 1))
+        target = float(rng.uniform(0.01, 0.1))
+        a = _hermitian_part(_ginibre(rng, dim))
+        b = _hermitian_part(_ginibre(rng, dim))
+        c = a + 1j * b
+        eps = operator_norm(linalg_module.adjoint(c) @ c - c @ linalg_module.adjoint(c))
+        if eps > 0:
+            scale = np.sqrt(target / eps)
+            a, b = scale * a, scale * b
+        defect.append(check_theorem_defect(a + 1j * b))
+    return [
+        _merge("resolvent_bound", resolvent),
+        _merge("intertwine_identity", intertwine),
+        _merge("resolvent_difference", difference),
+        _merge("f_lipschitz", lipschitz),
+        _merge("projection_defect", defect),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    trials=st.integers(1, 12),
+    max_dim=st.integers(2, 12),
+)
+@example(seed=303, trials=12, max_dim=2)
+def test_stacking_changes_no_bit_of_the_suite(seed, trials, max_dim):
+    """run_suite equals the per-trial loop field by field, whether each stack
+    holds one matrix or every trial of its order (at max_dim 2, all of them)."""
+    reference = _reference_suite(seed, trials, max_dim)
+    for budget in (1, trials * 16 * max_dim**2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds_module, "STACK_BYTES", budget)
+            assert run_suite(seed, trials, max_dim) == reference
+
+
+def _stack_of(dim, k, make, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.stack([make(rng, dim) for _ in range(k)])
+
+
+def _near_normal(rng, dim):
+    return random_near_normal(rng, dim, float(rng.uniform(0.01, 0.1)))
+
+
+def _psd(rng, dim):
+    w = _ginibre(rng, dim) / np.sqrt(dim)
+    return w @ linalg_module.adjoint(w)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_each_check_on_a_stack_is_the_merge_of_its_matrices(dim):
+    k = 5
+    ginibre = _stack_of(dim, k, _ginibre)
+    near = _stack_of(dim, k, _near_normal)
+    e = _stack_of(dim, k, _psd)
+    f = e + 0.05 * np.eye(dim)
+    lam = np.array([0.1, 1.0, 10.0, 0.1, 1.0])
+    cases = [
+        (check_resolvent_bound(ginibre, lam),
+         [check_resolvent_bound(c, x) for c, x in zip(ginibre, lam.tolist())]),
+        (check_resolvent_bound(ginibre, 2.0),
+         [check_resolvent_bound(c, 2.0) for c in ginibre]),
+        (check_intertwine(ginibre), [check_intertwine(c) for c in ginibre]),
+        (check_resolvent_difference(near), [check_resolvent_difference(c) for c in near]),
+        (check_f_lipschitz(e, f), [check_f_lipschitz(x, y) for x, y in zip(e, f)]),
+        (check_theorem_defect(near), [check_theorem_defect(c) for c in near]),
+    ]
+    for stacked, single in cases:
+        assert stacked.trials == k
+        assert stacked == _merge(stacked.name, single)
+
+
+def test_a_stack_is_gated_matrix_by_matrix():
+    """One bad matrix in a stack refuses the whole check, as it refuses alone."""
+    near = _stack_of(3, 4, _near_normal)
+    bad = near.copy()
+    bad[2] = 0.0
+    bad[2, 0, 1] = 2.0  # epsilon 4, as nilpotent(2.0)
+    with pytest.raises(InvalidParameter, match="epsilon must be < 1, got 4"):
+        check_resolvent_difference(bad)
+    with pytest.raises(InvalidParameter, match="lam must be positive, got 0.0"):
+        check_resolvent_bound(near, np.array([1.0, 1.0, 0.0, 1.0]))
+    e = _stack_of(3, 4, _psd)
+    e[1] = -np.eye(3)
+    with pytest.raises(InvalidParameter, match="E must be positive semidefinite"):
+        check_f_lipschitz(e, e)
+    bad = near.copy()
+    bad[3, 1, 1] = np.nan
+    with pytest.raises(DimensionMismatch, match="finite"):
+        check_intertwine(bad)
+
+
+def test_run_suite_refuses_what_will_not_fit_before_it_draws(monkeypatch):
+    """With the memory probe patched just below the suite's footprint, nothing is
+    drawn; at the footprint itself the suite runs."""
+    footprint = suite_bytes(8)
+    assert footprint == bounds_module.DEFECT_ARRAYS * 4 * bounds_module.STACK_BYTES
+    assert suite_bytes(10**5) == bounds_module.DEFECT_ARRAYS * 4 * 16 * 10**10
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_module, "_rng", None)
+        with pytest.raises(InsufficientMemory, match="the verify suite at max_dim 8") as info:
+            run_suite(seed=0, trials=2, max_dim=8)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert all(r.passed for r in run_suite(seed=0, trials=2, max_dim=8))

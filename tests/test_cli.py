@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import omega_index.bounds as bounds_module
 import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
@@ -362,6 +363,37 @@ def test_a_file_pair_beyond_memory_exits_1_with_one_error_object(capsys, monkeyp
     assert error["type"] == "InsufficientMemory"
     assert error["message"].startswith(f"parsing matrix file {pa} needs about")
     assert error["detail"]["needed_bytes"] > error["detail"]["available_bytes"] == 2**20
+
+
+def test_an_undecodable_matrix_file_exits_1_with_one_config_parse_object(capsys, tmp_path):
+    """A file that is not valid Unicode is a ConfigParse error, not a traceback:
+    here a UTF-16 byte-order mark before an odd number of bytes, which the
+    detected utf-16-le codec cannot decode."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"format": 1}')
+    code, out, err = run_cli(
+        capsys, "omega", "--pair", "file", "--file-a", str(bad), "--file-b", str(bad)
+    )
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "ConfigParse"
+    assert error["message"].startswith(f"matrix file {bad} is not valid JSON")
+
+
+def test_a_verify_order_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """With the memory probe patched just below the suite's footprint at max_dim
+    100000, verify is refused before any trial is drawn, with no traceback."""
+    footprint = bounds_module.suite_bytes(100000)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    monkeypatch.setattr(bounds_module, "_rng", None)
+    code, out, err = run_cli(
+        capsys, "verify", "--max-dim", "100000", "--trials", "1", "--seed", "0"
+    )
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith("the verify suite at max_dim 100000 needs about")
+    assert error["detail"]["needed_bytes"] == footprint
 
 
 def test_the_oscillator_at_dim_50000_certifies_with_default_cuts(capsys, monkeypatch):

@@ -349,3 +349,52 @@ def test_require_memory_passes_what_fits(monkeypatch):
     require_memory(1000, "a test array")
     with pytest.raises(InsufficientMemory):
         require_memory(1001, "a test array")
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _stack(make, k=4, dim=5, seed=21):
+    rng = np.random.default_rng(seed)
+    return np.stack([make(rng, dim) for _ in range(k)])
+
+
+def _hpd(rng, dim):
+    g = _ginibre(rng, dim)
+    return g @ g.conj().T + np.eye(dim)
+
+
+def test_a_stack_gets_the_bits_of_its_matrices():
+    """Every kernel on a stack returns, matrix by matrix, what it returns for
+    that matrix alone."""
+    ginibre = _stack(_ginibre)
+    hermitian = _stack(random_hermitian)
+    hpd = _stack(_hpd)
+    assert operator_norm(ginibre).tolist() == [operator_norm(m) for m in ginibre]
+    assert hermiticity_defect(ginibre).tolist() == [hermiticity_defect(m) for m in ginibre]
+    mixed = np.stack([hermitian[0], ginibre[1], hermitian[2] + 1e-11 * ginibre[2]])
+    assert is_hermitian(mixed).tolist() == [is_hermitian(m) for m in mixed] == [True, False, True]
+    eig = hermitian_eigen(hermitian)
+    for i, m in enumerate(hermitian):
+        alone = hermitian_eigen(m)
+        assert np.array_equal(eig.values[i], alone.values)
+        assert np.array_equal(eig.vectors[i], alone.vectors)
+    inverse = hpd_inverse(hpd)
+    for i, m in enumerate(hpd):
+        assert np.array_equal(inverse[i], hpd_inverse(m))
+    assert np.array_equal(adjoint(ginibre)[2], adjoint(ginibre[2]))
+    assert hermiticity_defect(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
+
+
+def test_a_stack_is_gated_matrix_by_matrix():
+    """One matrix that fails a gate refuses the stack, with its own numbers."""
+    hpd = _stack(_hpd)
+    skew = hpd.copy()
+    skew[1] = as_matrix([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                         [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    with pytest.raises(NonHermitianInput, match=f"{hermiticity_defect(skew[1]):.3e}"):
+        hermitian_eigen(skew)
+    singular = hpd.copy()
+    singular[3] = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
+    with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue -1.000e\\+00"):
+        hpd_inverse(singular)
