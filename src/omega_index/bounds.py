@@ -8,7 +8,10 @@ trial draws its inputs from a counter-based generator derived from
 ``(seed, family, trial)``, so a suite run is bit-for-bit reproducible and
 independent of execution order: the suite groups a family's trials by order and
 checks them in stacks of at most :data:`STACK_BYTES` of input, and the grouping
-changes no bit of the report.
+changes no bit of the report.  Below :data:`SERIAL_BLAS_MAX_DIM` the whole suite
+runs on one BLAS thread (:func:`linalg.blas_threads`): on matrices this small a
+second thread buys no wall time and spin-waits after every call, and the report
+has the same bits at any thread count.
 
 Bounds are strict inequalities analytically; every check grants a round-off
 allowance of ``1e-9`` times the problem scale so floating point cannot produce
@@ -22,6 +25,7 @@ that constant is tracked but never fails a run.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +47,12 @@ STACK_BYTES = 2**17
 #: stack-sized 2n-by-2n complex arrays that :func:`check_theorem_defect`, the
 #: suite's largest step, holds at once
 DEFECT_ARRAYS = 6
+
+#: ``max_dim`` from which :func:`run_suite` keeps the BLAS threads it finds.
+#: Below it the suite runs on one thread: for ``eigh`` and a product on complex
+#: matrices one thread took at most ~15% more wall time than two up to order
+#: ~192, at half the CPU, and two threads win from order 256
+SERIAL_BLAS_MAX_DIM = 192
 
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
@@ -431,7 +441,9 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
 
     Deterministic for a fixed ``(seed, trials, max_dim)``; failures are reported
     in the results, never raised.  Each family's trials are checked in stacks of
-    one order, at most :data:`STACK_BYTES` of input each.
+    one order, at most :data:`STACK_BYTES` of input each.  Below
+    :data:`SERIAL_BLAS_MAX_DIM` all five families run in one
+    ``linalg.blas_threads(1)`` scope, which restores the thread count on return.
 
     Raises
     ------
@@ -456,7 +468,11 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         ("f_lipschitz", _draw_lipschitz, _check_lipschitz),
         ("projection_defect", _draw_defect, _check_defect),
     )
-    return [
-        _merge(name, _run_family(seed, family, trials, max_dim, draw, check))
-        for family, (name, draw, check) in enumerate(families)
-    ]
+    # one switch for the whole suite: each switch around real work costs a
+    # thread wake-up of a few milliseconds
+    serial = max_dim < SERIAL_BLAS_MAX_DIM
+    with linalg.blas_threads(1) if serial else contextlib.nullcontext():
+        return [
+            _merge(name, _run_family(seed, family, trials, max_dim, draw, check))
+            for family, (name, draw, check) in enumerate(families)
+        ]

@@ -2,8 +2,9 @@
 
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion, a blocked triangular inverse, the operator norm,
-an O(n^2) hermiticity gate, and the memory probe that every dense path consults
-before it allocates (:func:`require_memory`).
+an O(n^2) hermiticity gate, the memory probe that every dense path consults
+before it allocates (:func:`require_memory`), and a scoped BLAS thread count
+(:func:`blas_threads`).
 Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
 :func:`operator_norm`, :func:`hermitian_eigen`, :func:`hpd_inverse`,
 :func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
@@ -23,6 +24,10 @@ the Gram products the certifier forms itself, and check nothing.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,14 @@ INV_TOL = 1e-9
 
 #: order below which :func:`lower_triangular_inverse` hands a block to ``np.linalg.inv``
 TRIANGULAR_BASE = 128
+
+#: (set, get) pairs of the thread-count functions that OpenBLAS builds export,
+#: in the order :func:`blas_threads` looks for them: numpy's own wheel first
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -340,3 +353,49 @@ def require_memory(nbytes: float, what: str) -> None:
             needed_bytes=int(nbytes),
             available_bytes=int(available),
         )
+
+
+@functools.cache
+def _openblas_threads():
+    """The (set, get) thread-count functions of an OpenBLAS this process has
+    already mapped, or None where there is none to find (another BLAS, or no
+    ``/proc``).  Each library is opened with ``RTLD_NOLOAD``, so none is loaded
+    twice."""
+    if not hasattr(os, "RTLD_NOLOAD"):  # not a POSIX dynamic loader
+        return None
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = [line.split()[-1] for line in handle]
+    except OSError:
+        return None
+    # dict, not set: the libraries keep the order of their mappings
+    for path in dict.fromkeys(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for names in OPENBLAS_THREAD_SYMBOLS:
+            if all(hasattr(library, name) for name in names):
+                return tuple(getattr(library, name) for name in names)
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the block with the loaded OpenBLAS at ``count`` threads, and restore
+    the previous count on exit, also when the block raises.
+
+    The count is the whole process's, so the block should be the only BLAS
+    work running.  Where no OpenBLAS is found the block runs unchanged.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    previous = get_threads()
+    set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(previous)

@@ -52,6 +52,12 @@ RANDOM_HERMITIAN_ARRAYS = 4
 #: peaks span 4.4 to 24 times, so a file's size alone cannot bound them)
 PARSE_LIST_BYTES = 208
 
+#: bytes that :func:`build_commuting_grid` takes per lattice point while it sorts
+#: the points: a list slot, a tuple and an int for the point and for its sort
+#: key (tracemalloc peaks of 180-192 bytes at radii 100-500, where some ints are
+#: cached small ones, and 202 bytes on a lattice shifted so that none are)
+GRID_POINT_BYTES = 208
+
 #: bytes of one complex128 entry, the widest entry any dense path allocates
 COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
@@ -301,12 +307,17 @@ def build_commuting_grid(radius: int, scale: float = 1.0) -> OperatorPair:
     Points are ordered by n^2 + m^2 ascending (lexicographic tie-break) so that a
     leading cut is radially monotone.  Shells with n^2 + m^2 > radius^2 are clipped
     by the square and form the boundary collar; every complete shell is interior.
-    C is diagonal and stored by its diagonals.
+    C is diagonal and stored by its diagonals.  Its (2r+1)^2 points are charged
+    :data:`GRID_POINT_BYTES` each against
+    :func:`~omega_index.linalg.require_memory` before any is made.
     """
     if radius < 1:
         raise InvalidParameter(f"radius must be at least 1, got {radius}")
     if not np.isfinite(scale):
         raise InvalidParameter("scale must be finite")
+    linalg.require_memory(
+        GRID_POINT_BYTES * (2 * radius + 1) ** 2, f"the commuting grid of radius {radius}"
+    )
     pts = grid_points(radius)
     dim = len(pts)
     main = np.array([complex(scale * n, scale * m) for n, m in pts])

@@ -10,7 +10,7 @@ import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
-from omega_index import build_harmonic, omega, save_matrix
+from omega_index import InsufficientMemory, build_harmonic, omega, save_matrix
 from omega_index.cli import main
 
 
@@ -378,6 +378,46 @@ def test_an_undecodable_matrix_file_exits_1_with_one_config_parse_object(capsys,
     error = _strict_json(out)["error"]
     assert error["type"] == "ConfigParse"
     assert error["message"].startswith(f"matrix file {bad} is not valid JSON")
+
+
+def test_a_float_range_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """The memory probe is patched to 1 MiB: the 10^12 values of the range would
+    need 40 TB, so the list is refused before it is built, with no traceback."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "lambda", "--dim", "400", "--values", "0.001:1e9:1e-3"
+    )
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith("the value list '0.001:1e9:1e-3' needs about")
+    assert error["detail"]["needed_bytes"] >= cli_module.RANGE_VALUE_BYTES * 10**12 - 100
+
+
+def test_a_float_range_is_charged_by_its_length(monkeypatch):
+    """The 2001 values of 0:1000:0.5 are refused one byte below their charge and
+    built at it."""
+    footprint = cli_module.RANGE_VALUE_BYTES * 2001
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with pytest.raises(InsufficientMemory) as info:
+        cli_module._parse_values("0:1000:0.5", float)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    values = cli_module._parse_values("0:1000:0.5", float)
+    assert len(values) == 2001 and values[-1] == 1000.0
+
+
+def test_a_commuting_grid_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """The memory probe is patched to 1 MiB: the 60001^2 points of radius 30000
+    would need 750 GB, so the pair is refused before any point is made."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    monkeypatch.setattr(operators_module, "grid_points", None)
+    code, out, err = run_cli(capsys, "omega", "--pair", "commuting", "--grid-radius", "30000")
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith("the commuting grid of radius 30000 needs about")
+    assert error["detail"]["needed_bytes"] == operators_module.GRID_POINT_BYTES * 60001**2
 
 
 def test_a_verify_order_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from omega_index import (
 )
 from omega_index.linalg import (
     TRIANGULAR_BASE,
+    blas_threads,
     lower_triangular_inverse,
     memory_headroom,
     require_memory,
@@ -349,6 +350,86 @@ def test_require_memory_passes_what_fits(monkeypatch):
     require_memory(1000, "a test array")
     with pytest.raises(InsufficientMemory):
         require_memory(1001, "a test array")
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+OPENBLAS = linalg_module._openblas_threads()
+needs_openblas = pytest.mark.skipif(
+    OPENBLAS is None,
+    reason="no OpenBLAS thread-count functions in this process: blas_threads has no count to set or read",
+)
+
+
+def blas_thread_count() -> int:
+    return OPENBLAS[1]()
+
+
+def _mapped_openblas() -> list[str]:
+    with open("/proc/self/maps") as handle:
+        return sorted({line.split()[-1] for line in handle if "openblas" in line.split()[-1]})
+
+
+@needs_openblas
+def test_blas_threads_sets_the_count_and_restores_it():
+    before = blas_thread_count()
+    with blas_threads(1):
+        assert blas_thread_count() == 1
+        assert operator_norm(np.eye(40)) == 1.0
+    assert blas_thread_count() == before
+
+
+@needs_openblas
+def test_blas_threads_restores_the_count_when_the_block_raises():
+    before = blas_thread_count()
+    with pytest.raises(ZeroDivisionError):
+        with blas_threads(1):
+            1 / 0
+    assert blas_thread_count() == before
+
+
+@needs_openblas
+def test_the_lookup_loads_no_second_copy_and_is_cached():
+    """The library is opened with RTLD_NOLOAD: a fresh lookup maps nothing new."""
+    mapped = _mapped_openblas()
+    linalg_module._openblas_threads.cache_clear()
+    try:
+        found = linalg_module._openblas_threads()
+        assert found is not None and found is linalg_module._openblas_threads()
+        assert found[1]() == blas_thread_count()
+        assert _mapped_openblas() == mapped
+    finally:
+        linalg_module._openblas_threads.cache_clear()
+
+
+def test_blas_threads_is_a_no_op_where_no_openblas_is_found(monkeypatch):
+    before = None if OPENBLAS is None else blas_thread_count()
+    monkeypatch.setattr(linalg_module, "_openblas_threads", lambda: None)
+    with blas_threads(1):
+        assert operator_norm(np.eye(3)) == 1.0
+        if OPENBLAS is not None:
+            assert blas_thread_count() == before
+    with pytest.raises(ZeroDivisionError):
+        with blas_threads(1):
+            1 / 0
+
+
+def test_the_lookup_finds_nothing_without_proc(monkeypatch):
+    """Where /proc/self/maps cannot be read, as on macOS, nothing is found and
+    nothing raises."""
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(linalg_module, "open", no_proc, raising=False)
+    linalg_module._openblas_threads.cache_clear()
+    try:
+        assert linalg_module._openblas_threads() is None
+        with blas_threads(1):
+            pass
+    finally:
+        monkeypatch.undo()
+        linalg_module._openblas_threads.cache_clear()
+    assert (linalg_module._openblas_threads() is None) == (OPENBLAS is None)
 
 
 # ---------------------------------------------------------------- stacks

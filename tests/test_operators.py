@@ -383,6 +383,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated")
 
 
+def test_a_commuting_grid_is_charged_by_its_points(monkeypatch):
+    """The 121 points of radius 5 are refused one byte below their charge, before
+    any is made, and built at it."""
+    footprint = operators_module.GRID_POINT_BYTES * 11**2
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(operators_module, "grid_points", _refuse)
+        with pytest.raises(InsufficientMemory, match="the commuting grid of radius 5") as info:
+            build_commuting_grid(5)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert build_commuting_grid(5).dim == 121
+
+
 def test_dense_views_of_a_band_pair_are_refused_before_they_are_formed(monkeypatch):
     """With the memory probe patched to 1 MiB, C, A and B of a dim-1000 band pair
     (8 MB each) are refused, and so is a random_hermitian perturbation, before
