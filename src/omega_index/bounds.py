@@ -8,10 +8,12 @@ trial draws its inputs from a counter-based generator derived from
 ``(seed, family, trial)``, so a suite run is bit-for-bit reproducible and
 independent of execution order: the suite groups a family's trials by order and
 checks them in stacks of at most :data:`STACK_BYTES` of input, and the grouping
-changes no bit of the report.  Below :data:`SERIAL_BLAS_MAX_DIM` the whole suite
-runs on one BLAS thread (:func:`linalg.blas_threads`): on matrices this small a
-second thread buys no wall time and spin-waits after every call, and the report
-has the same bits at any thread count.
+changes no bit of the report.  The whole suite runs on one BLAS thread
+(:func:`linalg.serial_blas`): on matrices of the suite's orders a second thread
+buys little wall time and spin-waits after every call.  The fixed count also
+keeps the report's bits whatever thread count the environment asks for, which
+matters from ``max_dim`` 128, where OpenBLAS's threaded kernels round
+differently; up to 64 the bits are the same at one thread and at two.
 
 Bounds are strict inequalities analytically; every check grants a round-off
 allowance of ``1e-9`` times the problem scale so floating point cannot produce
@@ -25,7 +27,6 @@ that constant is tracked but never fails a run.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +48,6 @@ STACK_BYTES = 2**17
 #: stack-sized 2n-by-2n complex arrays that :func:`check_theorem_defect`, the
 #: suite's largest step, holds at once
 DEFECT_ARRAYS = 6
-
-#: ``max_dim`` from which :func:`run_suite` keeps the BLAS threads it finds.
-#: Below it the suite runs on one thread: for ``eigh`` and a product on complex
-#: matrices one thread took at most ~15% more wall time than two up to order
-#: ~192, at half the CPU, and two threads win from order 256
-SERIAL_BLAS_MAX_DIM = 192
 
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
@@ -441,9 +436,10 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
 
     Deterministic for a fixed ``(seed, trials, max_dim)``; failures are reported
     in the results, never raised.  Each family's trials are checked in stacks of
-    one order, at most :data:`STACK_BYTES` of input each.  Below
-    :data:`SERIAL_BLAS_MAX_DIM` all five families run in one
-    ``linalg.blas_threads(1)`` scope, which restores the thread count on return.
+    one order, at most :data:`STACK_BYTES` of input each.  All five families
+    run in one :func:`linalg.serial_blas` scope, which sets the process-wide
+    BLAS thread count to one and restores it on return: BLAS work running
+    alongside the suite runs on one thread too.
 
     Raises
     ------
@@ -470,8 +466,7 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
     )
     # one switch for the whole suite: each switch around real work costs a
     # thread wake-up of a few milliseconds
-    serial = max_dim < SERIAL_BLAS_MAX_DIM
-    with linalg.blas_threads(1) if serial else contextlib.nullcontext():
+    with linalg.serial_blas():
         return [
             _merge(name, _run_family(seed, family, trials, max_dim, draw, check))
             for family, (name, draw, check) in enumerate(families)

@@ -3,8 +3,8 @@
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion, a blocked triangular inverse, the operator norm,
 an O(n^2) hermiticity gate, the memory probe that every dense path consults
-before it allocates (:func:`require_memory`), and a scoped BLAS thread count
-(:func:`blas_threads`).
+before it allocates (:func:`require_memory`), and a scope that runs a block on
+one BLAS thread (:func:`serial_blas`).
 Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
 :func:`operator_norm`, :func:`hermitian_eigen`, :func:`hpd_inverse`,
 :func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
@@ -28,6 +28,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ INV_TOL = 1e-9
 TRIANGULAR_BASE = 128
 
 #: (set, get) pairs of the thread-count functions that OpenBLAS builds export,
-#: in the order :func:`blas_threads` looks for them: numpy's own wheel first
+#: in the order :func:`serial_blas` looks for them: numpy's own wheel first
 OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
@@ -380,22 +381,39 @@ def _openblas_threads():
     return None
 
 
-@contextlib.contextmanager
-def blas_threads(count: int):
-    """Run the block with the loaded OpenBLAS at ``count`` threads, and restore
-    the previous count on exit, also when the block raises.
+#: the thread count that the outermost :func:`serial_blas` scope found, and how
+#: many scopes are open; the lock keeps the save, the set and the restore of
+#: overlapping scopes in order
+_serial_lock = threading.Lock()
+_serial_saved = 0
+_serial_depth = 0
 
-    The count is the whole process's, so the block should be the only BLAS
-    work running.  Where no OpenBLAS is found the block runs unchanged.
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the block with the loaded OpenBLAS at one thread, and restore the
+    previous count on exit, also when the block raises.
+
+    The count belongs to the whole process: any BLAS work that runs alongside
+    the block, in another Python thread, runs on one thread too.  Scopes may
+    overlap; the first to open saves the count and the last to close restores
+    it.  Where no OpenBLAS is found the block runs unchanged.
     """
+    global _serial_saved, _serial_depth
     calls = _openblas_threads()
     if calls is None:
         yield
         return
     set_threads, get_threads = calls
-    previous = get_threads()
-    set_threads(count)
+    with _serial_lock:
+        if _serial_depth == 0:
+            _serial_saved = get_threads()
+            set_threads(1)
+        _serial_depth += 1
     try:
         yield
     finally:
-        set_threads(previous)
+        with _serial_lock:
+            _serial_depth -= 1
+            if _serial_depth == 0:
+                set_threads(_serial_saved)

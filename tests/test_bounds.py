@@ -450,7 +450,7 @@ OPENBLAS = linalg_module._openblas_threads()
 
 def _counting_families(monkeypatch, counts):
     """Patch run_suite's family loop to record the BLAS thread count and check
-    nothing, so a suite at any max_dim costs nothing."""
+    nothing, so a suite costs nothing."""
     def family(seed, family, trials, max_dim, draw, check):
         counts.append(OPENBLAS[1]())
         return [BoundCheckResult("family", trials, 0.0, 0.0, 0)]
@@ -462,15 +462,12 @@ def _counting_families(monkeypatch, counts):
     OPENBLAS is None,
     reason="no OpenBLAS thread-count functions in this process: no count to read",
 )
-def test_run_suite_runs_below_the_crossover_on_one_thread_and_restores_the_count(monkeypatch):
+def test_run_suite_runs_on_one_thread_and_restores_the_count(monkeypatch):
     before = OPENBLAS[1]()
     counts = []
     _counting_families(monkeypatch, counts)
-    run_suite(seed=0, trials=2, max_dim=bounds_module.SERIAL_BLAS_MAX_DIM - 1)
+    run_suite(seed=0, trials=2, max_dim=8)
     assert counts == [1] * 5 and OPENBLAS[1]() == before
-    counts.clear()
-    run_suite(seed=0, trials=2, max_dim=bounds_module.SERIAL_BLAS_MAX_DIM)
-    assert counts == [before] * 5 and OPENBLAS[1]() == before
 
     def fail(*args):
         raise ZeroDivisionError
@@ -485,8 +482,8 @@ def test_run_suite_runs_below_the_crossover_on_one_thread_and_restores_the_count
 
 
 def test_run_suite_has_the_same_bits_at_the_default_thread_count(monkeypatch):
-    """With blas_threads patched to a no-op the suite runs at the threads it finds;
+    """With serial_blas patched to a no-op the suite runs at the threads it finds;
     every field of every result matches the one-thread run."""
     serial = run_suite(seed=5, trials=12, max_dim=32)
-    monkeypatch.setattr(linalg_module, "blas_threads", lambda count: contextlib.nullcontext())
+    monkeypatch.setattr(linalg_module, "serial_blas", contextlib.nullcontext)
     assert run_suite(seed=5, trials=12, max_dim=32) == serial

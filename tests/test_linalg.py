@@ -21,10 +21,10 @@ from omega_index import (
 )
 from omega_index.linalg import (
     TRIANGULAR_BASE,
-    blas_threads,
     lower_triangular_inverse,
     memory_headroom,
     require_memory,
+    serial_blas,
 )
 
 
@@ -357,7 +357,7 @@ def test_require_memory_passes_what_fits(monkeypatch):
 OPENBLAS = linalg_module._openblas_threads()
 needs_openblas = pytest.mark.skipif(
     OPENBLAS is None,
-    reason="no OpenBLAS thread-count functions in this process: blas_threads has no count to set or read",
+    reason="no OpenBLAS thread-count functions in this process: serial_blas has no count to set or read",
 )
 
 
@@ -371,20 +371,34 @@ def _mapped_openblas() -> list[str]:
 
 
 @needs_openblas
-def test_blas_threads_sets_the_count_and_restores_it():
+def test_serial_blas_sets_one_thread_and_restores_the_count():
     before = blas_thread_count()
-    with blas_threads(1):
+    with serial_blas():
         assert blas_thread_count() == 1
         assert operator_norm(np.eye(40)) == 1.0
     assert blas_thread_count() == before
 
 
 @needs_openblas
-def test_blas_threads_restores_the_count_when_the_block_raises():
+def test_serial_blas_restores_the_count_when_the_block_raises():
     before = blas_thread_count()
     with pytest.raises(ZeroDivisionError):
-        with blas_threads(1):
+        with serial_blas():
             1 / 0
+    assert blas_thread_count() == before
+
+
+@needs_openblas
+def test_overlapping_serial_blas_scopes_restore_the_count():
+    """Two scopes that open and close out of order, as two Python threads may:
+    the count stays at one until the last closes, which restores it."""
+    before = blas_thread_count()
+    first, second = serial_blas(), serial_blas()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert blas_thread_count() == 1
+    second.__exit__(None, None, None)
     assert blas_thread_count() == before
 
 
@@ -402,15 +416,15 @@ def test_the_lookup_loads_no_second_copy_and_is_cached():
         linalg_module._openblas_threads.cache_clear()
 
 
-def test_blas_threads_is_a_no_op_where_no_openblas_is_found(monkeypatch):
+def test_serial_blas_is_a_no_op_where_no_openblas_is_found(monkeypatch):
     before = None if OPENBLAS is None else blas_thread_count()
     monkeypatch.setattr(linalg_module, "_openblas_threads", lambda: None)
-    with blas_threads(1):
+    with serial_blas():
         assert operator_norm(np.eye(3)) == 1.0
         if OPENBLAS is not None:
             assert blas_thread_count() == before
     with pytest.raises(ZeroDivisionError):
-        with blas_threads(1):
+        with serial_blas():
             1 / 0
 
 
@@ -424,7 +438,7 @@ def test_the_lookup_finds_nothing_without_proc(monkeypatch):
     linalg_module._openblas_threads.cache_clear()
     try:
         assert linalg_module._openblas_threads() is None
-        with blas_threads(1):
+        with serial_blas():
             pass
     finally:
         monkeypatch.undo()
