@@ -12,8 +12,11 @@ Subcommands
     exactly the values ``omega`` counts at that cut.
 ``sweep``
     Re-run the index across a parameter axis (lambda, cut, or perturbation
-    magnitude) and report whether it stayed constant.  On the cut axis the pair
-    is built and factored once and every value is certified from that factor.
+    magnitude) and report whether it stayed constant.  The cut and perturbation
+    axes build the pair once: the cut axis factors it once and certifies every
+    value from that factor, the perturbation axis adds the axis perturbation to
+    it at each value.  The lambda axis builds one pair per value.  A sweep whose
+    points would not fit in memory is refused before its first point.
 
 Value lists (``--cuts``, ``--values``) are ``a,b,c`` or the ascending, end-inclusive
 range ``a:b:step``; a malformed list, cut or seed is refused before anything is factored.
@@ -22,8 +25,8 @@ Exit codes: 0 on success; 2 when the computation refuses to certify an index
 (inadmissible commutator, unstable count, gap violation), with a machine-readable
 error object on stdout; 1 on usage, configuration, or I/O errors, on a
 ``ConvergenceFailure`` (a pair too large to factor or to bound the factor's
-rounding) and on an ``InsufficientMemory`` (a dense computation refused before
-it allocates more than the machine can hold), with an error object too.
+rounding) and on an ``InsufficientMemory`` (a computation refused before it
+allocates more than the machine can hold), with an error object too.
 
 Reports contain no timestamps and all floats are serialized in round-trip form,
 so identical invocations (including ``--seed``) produce byte-identical output.
@@ -36,7 +39,6 @@ import json
 import sys
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .errors import (
     OmegaIndexError,
 )
 from .index import (
+    DEFAULT_CUT_COUNT,
     DEFAULT_GAP_FLOOR,
     DEFAULT_SCALE_TARGET,
     ORIENTATIONS,
@@ -66,22 +69,33 @@ from .index import (
 from .operators import (
     PERTURB_KINDS,
     PERTURB_TARGETS,
-    PairSpec,
+    OperatorPair,
     PerturbationSpec,
-    build_pair,
+    build_commuting_grid,
+    build_harmonic,
+    load_pair,
+    perturb,
 )
 
 OMEGA_SCHEMA = "omega-report-v1"
 SWEEP_SCHEMA = "omega-sweep-v1"
 VERIFY_SCHEMA = "verify-report-v1"
 
-_BUILDER_NAMES = {"harmonic": "harmonic", "commuting": "commuting_grid", "file": "file"}
 _VALUE_LIST = "a comma list or a:b:step (end-inclusive)"
 
 #: bytes of one value of a float range's list: a float object and its slot in
 #: the list, over-allocated by up to an eighth (tracemalloc peaks of 31.4-32.5
 #: bytes per value from 10^3 to 10^6 values)
 RANGE_VALUE_BYTES = 40
+
+#: bytes of one sweep point beside its cut entries, and of each cut entry: the
+#: point's dict and its share of the JSON text, of the encoder's chunk list and of
+#: the encoded output (virtual-memory peaks, which an address-space limit counts,
+#: of 5.0 KiB for a report point with one cut, 1.1 KiB more per further cut and
+#: 1.8 KiB for an error point; tracemalloc sees 4.5-4.75, 0.99 and 1.67 KiB, and
+#: the text format takes less)
+SWEEP_POINT_BYTES = 4608
+SWEEP_CUT_BYTES = 1152
 
 
 def _parse_values(text: str, kind) -> list | range:
@@ -139,24 +153,29 @@ def _parse_perturbation(text: str, default_seed: int) -> PerturbationSpec:
         raise ConfigParse(f"bad perturbation spec {text!r}: {exc}") from exc
 
 
-def _pair_spec_from_args(args) -> PairSpec:
-    perturbations = tuple(
-        _parse_perturbation(p, args.seed) for p in (args.perturb or [])
-    )
-    spec = PairSpec(
-        builder=_BUILDER_NAMES[args.pair],
-        lam=args.lam,
-        dim=args.dim,
-        grid_radius=args.grid_radius,
-        scale=args.scale,
-        path_a=args.file_a,
-        path_b=args.file_b,
-        perturbations=perturbations,
-    )
-    # checked last: a bad perturbation or builder is reported as such, not as a bad seed
+def _perturbations(args) -> list[PerturbationSpec]:
+    """The ``--perturb`` specs in order, once the pair flags and ``--seed`` are checked."""
+    perturbations = [_parse_perturbation(p, args.seed) for p in args.perturb or []]
+    if args.pair == "file" and (args.file_a is None or args.file_b is None):
+        raise InvalidParameter("file builder requires both matrix paths")
+    # checked last: a bad perturbation or file pair is reported as such, not as a bad seed
     if args.seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {args.seed}")
-    return spec
+    return perturbations
+
+
+def _build_pair(args, perturbations, lam=None) -> OperatorPair:
+    """The pair the flags name, at coupling ``lam`` (default ``--lambda``), with
+    ``perturbations`` applied in order."""
+    if args.pair == "harmonic":
+        pair = build_harmonic(args.lam if lam is None else lam, args.dim)
+    elif args.pair == "commuting":
+        pair = build_commuting_grid(args.grid_radius, args.scale)
+    else:
+        pair = load_pair(args.file_a, args.file_b)
+    for p in perturbations:
+        pair = perturb(pair, p.target, p.kind, p.magnitude, p.seed)
+    return pair
 
 
 def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
@@ -234,9 +253,9 @@ def _plain(value):
 
 
 def cmd_omega(args) -> int:
-    spec = _pair_spec_from_args(args)
+    perturbations = _perturbations(args)
     cuts = None if args.cuts is None else _parse_values(args.cuts, int)
-    pair = build_pair(spec)
+    pair = _build_pair(args, perturbations)
     scaling = (1.0, 1.0)
     if args.auto_scale:
         pair, sa, sb = scale_admissible(pair, args.target_commutator)
@@ -290,8 +309,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = _pair_spec_from_args(args)
-    pair = build_pair(spec)
+    pair = _build_pair(args, _perturbations(args))
     check_cuts([args.cut], pair.dim, pair.boundary_window)
     values = corner_eigenvalues(factor(pair, args.orientation), args.cut)
     lines = ["index,eigenvalue"]
@@ -301,45 +319,50 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_point(args, base_spec: PairSpec, shift: PerturbationSpec, value, cuts):
-    if args.axis == "lambda":
-        spec = replace(base_spec, lam=value)
-    else:
-        extra = replace(shift, magnitude=value)
-        spec = replace(base_spec, perturbations=base_spec.perturbations + (extra,))
-    return omega(
-        build_pair(spec), cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor
-    )
-
-
 def cmd_sweep(args) -> int:
-    base_spec = _pair_spec_from_args(args)
-    if args.axis == "lambda" and base_spec.builder != "harmonic":
+    perturbations = _perturbations(args)
+    if args.axis == "lambda" and args.pair != "harmonic":
         raise ConfigParse(f"--axis lambda needs the harmonic pair, not {args.pair}")
     if args.axis == "cut" and args.cuts is not None:
         raise ConfigParse("--axis cut takes its cuts from --values, not --cuts")
     check_gap_floor(args.gap_floor)
-    # the axis perturbation draws from --seed, already checked with the pair's
-    shift = PerturbationSpec(args.perturb_target, args.perturb_kind, 0.0, args.seed)
     cuts = None if args.cuts is None else _parse_values(args.cuts, int)
     values = _parse_values(args.values, int if args.axis == "cut" else float)
-    qb = build_error = None
-    if args.axis == "cut":
-        # every cut is certified from one pair and one factor; if building
-        # them fails, every cut fails with that error
+    base = build_error = None
+    if args.axis != "lambda":
+        # the cut and perturbation axes share one pair, the cut axis one factor
+        # too; if building them fails, every point fails with that error
         try:
-            qb = factor(build_pair(base_spec), args.orientation)
+            base = _build_pair(args, perturbations)
+            if args.axis == "cut":
+                base = factor(base, args.orientation)
         except OmegaIndexError as exc:
             build_error = exc
+    entries = 1
+    if args.axis != "cut":
+        # a report's cuts lie in [1, dim], so a cut range gives it at most dim entries
+        dim = args.dim if base is None else base.dim
+        entries = DEFAULT_CUT_COUNT if cuts is None else min(len(cuts), dim)
+    linalg.require_memory(
+        len(values) * (SWEEP_POINT_BYTES + SWEEP_CUT_BYTES * entries),
+        f"a sweep of {len(values)} points",
+    )
     points = []
     for value in values:
         try:
             if build_error is not None:
                 raise build_error
-            if qb is not None:
-                result = certify(qb, [value], args.gap_floor)
+            if args.axis == "cut":
+                result = certify(base, [value], args.gap_floor)
             else:
-                result = _sweep_point(args, base_spec, shift, value, cuts)
+                # the axis perturbation draws from --seed, checked with the pair's
+                pair = (
+                    _build_pair(args, perturbations, lam=value) if args.axis == "lambda"
+                    else perturb(base, args.perturb_target, args.perturb_kind, value, args.seed)
+                )
+                result = omega(
+                    pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor
+                )
             point = {"value": _plain(value), "report": _omega_doc(result)}
         except OmegaIndexError as exc:
             point = {
@@ -385,7 +408,7 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pair")
     group.add_argument(
         "--pair",
-        choices=sorted(_BUILDER_NAMES),
+        choices=("commuting", "file", "harmonic"),
         default="harmonic",
         help="pair builder (default: harmonic)",
     )

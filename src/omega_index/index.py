@@ -92,6 +92,21 @@ PIVOT_ROUNDING = 8.0
 #: rows of the Gram y* y that :func:`_factor_defect` forms at a time
 DEFECT_BLOCK = 256
 
+#: bytes per row that :func:`factor` takes on the band path: its O(M) arrays and
+#: the float lists of both :func:`_pivots` passes (peaks of 113-114 bytes per row
+#: of virtual memory, which an address-space limit counts, at M = 10^6 and 4*10^6;
+#: tracemalloc sees 96.0-96.1 from M = 10^4 to 10^6, real or complex C)
+BAND_FACTOR_ROW_BYTES = 120
+
+#: bytes per row that measuring a band pair's commutator norm takes: the arrays of
+#: :func:`_band_self_commutator_norm` and the row tuples of :func:`_tridiagonal_norm`
+#: (virtual-memory peaks of 166 bytes per row for the whole factor at M = 10^6 and
+#: 4*10^6; tracemalloc sees 140-151 from M = 10^4 to 10^6)
+STURM_ROW_BYTES = 176
+
+#: cuts that :func:`default_cuts` spreads over the interior
+DEFAULT_CUT_COUNT = 5
+
 #: M-by-M arrays of C's dtype alive at once in :func:`build_q` and the corner
 #: solves that follow it: d, the Gram with the epsilon measurement's products or
 #: the Cholesky factor with LAPACK's copy, then W's inverse, the 2M-by-M basis y
@@ -229,8 +244,13 @@ def _band_self_commutator_norm(
     ``|u[i-1]|^2 + |l[i]|^2 - |u[i]|^2 - |l[i-1]|^2`` and off-diagonal moduli
     ``(|u[i]| + |l[i]|) |m[i+1] - m[i]|``, where l, m, u are ``lower``, ``main``
     and ``upper`` and entries past either end are 0; rows up to k, so up to M,
-    enter through row k - 1.  It is the same for d = C and d = C*.
+    enter through row k - 1.  It is the same for d = C and d = C*.  Its
+    :data:`STURM_ROW_BYTES` a row are charged against
+    :func:`~omega_index.linalg.require_memory` first.
     """
+    linalg.require_memory(
+        STURM_ROW_BYTES * main.size, f"the commutator norm of a dim-{main.size} band pair"
+    )
     u2 = _abs2(np.concatenate([[0.0], upper, [0.0]]))  # u2[i + 1] is |u[i]|^2
     l2 = _abs2(np.concatenate([[0.0], lower, [0.0]]))
     diagonal = (u2[:-1] + l2[1:] - u2[1:] - l2[:-1])[:k]
@@ -434,7 +454,8 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     commutator norm or else measured on the interior block of d*d - dd*, which is
     tridiagonal here; its norm is the upper end of a bisection bracket one ulp wide
     (:func:`_tridiagonal_norm`), not the eigensolve :func:`build_q` uses.  No M-by-M
-    array is formed.
+    array is formed, and the O(M) ones are charged :data:`BAND_FACTOR_ROW_BYTES` a
+    row against :func:`~omega_index.linalg.require_memory` before any is made.
 
     Raises
     ------
@@ -442,11 +463,15 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
         dense path).
     InsufficientMemory
-        As raised by :func:`build_q`.
+        As raised by :func:`build_q`, or before a band factor or measured epsilon
+        that would not fit is begun.
     """
     resolved = resolve_orientation(orientation)
     if pair.diagonals is None:
         return build_q(pair, resolved)
+    linalg.require_memory(
+        BAND_FACTOR_ROW_BYTES * pair.dim, f"the band factor of a dim-{pair.dim} pair"
+    )
     if pair.known_commutator_norm is None:
         epsilon = _band_self_commutator_norm(*pair.diagonals, pair.interior)
     else:
@@ -605,7 +630,7 @@ def _spectral_report(cut: int, values: np.ndarray) -> SpectralReport:
 def default_cuts(dim: int) -> list[int]:
     """Five equispaced cuts in the deep interior [dim/8, 3*dim/8]."""
     lo, hi = dim // 8, (3 * dim) // 8
-    return sorted({max(1, int(round(c))) for c in np.linspace(lo, hi, 5)})
+    return sorted({max(1, int(round(c))) for c in np.linspace(lo, hi, DEFAULT_CUT_COUNT)})
 
 
 def check_gap_floor(gap_floor: float) -> None:

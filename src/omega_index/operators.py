@@ -15,13 +15,16 @@ Available builders, each of which forms C directly:
 * :func:`load_pair` -- user-supplied matrices from ``dense-complex-v1`` JSON files.
 
 plus the analytic corner matrix :func:`build_oscillator_analytic_q` used for
-cross-checks and :func:`perturb` for stability experiments.
+cross-checks and :func:`perturb` for stability experiments.  There is no
+declarative pair description: the command line calls a builder and then
+:func:`perturb` once per perturbation, and a perturbation sweep perturbs one
+built pair at each value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,12 @@ PARSE_LIST_BYTES = 208
 #: key (tracemalloc peaks of 180-192 bytes at radii 100-500, where some ints are
 #: cached small ones, and 202 bytes on a lattice shifted so that none are)
 GRID_POINT_BYTES = 208
+
+#: bytes per row that :func:`build_harmonic` takes: the index range, the upper
+#: diagonal's temporaries and the three stored diagonals (peaks of 31.7-32.0 bytes
+#: per row of virtual memory at dims 10^6 and 4*10^6; tracemalloc sees 32.0-33.1
+#: from 10^4 to 10^6)
+HARMONIC_ROW_BYTES = 40
 
 #: bytes of one complex128 entry, the widest entry any dense path allocates
 COMPLEX_BYTES = np.dtype(np.complex128).itemsize
@@ -231,39 +240,6 @@ class PerturbationSpec:
             raise InvalidParameter(f"perturbation seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class PairSpec:
-    """Declarative description of a pair, as assembled from CLI flags."""
-
-    builder: str
-    lam: float = 0.01
-    dim: int = 400
-    grid_radius: int = 10
-    scale: float = 1.0
-    path_a: str | None = None
-    path_b: str | None = None
-    perturbations: tuple[PerturbationSpec, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.builder not in ("harmonic", "commuting_grid", "file"):
-            raise InvalidParameter(f"unknown builder {self.builder!r}")
-        if self.builder == "file" and (self.path_a is None or self.path_b is None):
-            raise InvalidParameter("file builder requires both matrix paths")
-
-
-def build_pair(spec: PairSpec) -> OperatorPair:
-    """Materialize a :class:`PairSpec`, applying its perturbations in order."""
-    if spec.builder == "harmonic":
-        pair = build_harmonic(spec.lam, spec.dim)
-    elif spec.builder == "commuting_grid":
-        pair = build_commuting_grid(spec.grid_radius, spec.scale)
-    else:
-        pair = load_pair(spec.path_a, spec.path_b)
-    for p in spec.perturbations:
-        pair = perturb(pair, p.target, p.kind, p.magnitude, p.seed)
-    return pair
-
-
 def build_harmonic(lam: float, dim: int) -> OperatorPair:
     """Oscillator pair A = sqrt(lam) * X, B = sqrt(lam) * P.
 
@@ -273,12 +249,15 @@ def build_harmonic(lam: float, dim: int) -> OperatorPair:
     ``known_commutator_norm = lam``.  C = sqrt(2*lam) * a is real, rounded as the sum
     sqrt(lam)*X + i*sqrt(lam)*P rounds.  The truncation artifact lives entirely in
     the final row/column; ``boundary_window = max(1, dim // 8)``.  C is stored by
-    its diagonals, so the pair takes O(M) memory.
+    its diagonals, so the pair takes O(M) memory, charged
+    :data:`HARMONIC_ROW_BYTES` a row against
+    :func:`~omega_index.linalg.require_memory` before any is allocated.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise InvalidParameter(f"lam must be positive, got {lam}")
     if dim < 8:
         raise InvalidParameter(f"dim must be at least 8, got {dim}")
+    linalg.require_memory(HARMONIC_ROW_BYTES * dim, f"the oscillator pair at dim {dim}")
     n = np.arange(dim - 1)
     upper = 2.0 * (np.sqrt(lam) * (np.sqrt(n + 1.0) * (1.0 / np.sqrt(2.0))))
     return OperatorPair(

@@ -10,7 +10,7 @@ import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
-from omega_index import InsufficientMemory, build_harmonic, omega, save_matrix
+from omega_index import InsufficientMemory, build_harmonic, omega, perturb, save_matrix
 from omega_index.cli import main
 
 
@@ -436,11 +436,37 @@ def test_a_verify_order_beyond_memory_exits_1_with_one_error_object(capsys, monk
     assert error["detail"]["needed_bytes"] == footprint
 
 
+@pytest.mark.parametrize("argv, probe, message, needed", [
+    (("--lambda", "1e-7", "--dim", "200000000"), 2**20, "the oscillator pair at dim 200000000",
+     operators_module.HARMONIC_ROW_BYTES * 200000000),
+    (("--lambda", "1e-4", "--dim", "100000"), 8 * 2**20, "the band factor of a dim-100000 pair",
+     index_module.BAND_FACTOR_ROW_BYTES * 100000),
+    (("--lambda", "1e-4", "--dim", "100000", "--perturb", "a:diagonal_decay:0.01"), 16 * 2**20,
+     "the commutator norm of a dim-100000 band pair", index_module.STURM_ROW_BYTES * 100000),
+])
+def test_a_band_pair_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch, argv,
+                                                                 probe, message, needed):
+    """The band path's O(M) arrays are charged: the oscillator's diagonals, then the
+    factor's arrays and pivot lists, then a measured epsilon's Sturm rows, each
+    refused before it is begun, with no traceback."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(probe))
+    monkeypatch.setattr(index_module, "_pivots", _refuse_to_factor)
+    monkeypatch.setattr(index_module, "_tridiagonal_norm", _refuse_to_factor)
+    code, out, err = run_cli(capsys, "omega", *argv)
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith(f"{message} needs about")
+    assert error["detail"]["needed_bytes"] == needed
+
+
 def test_the_oscillator_at_dim_50000_certifies_with_default_cuts(capsys, monkeypatch):
     """lam = 1e-4 needs N >= 0.61/lam to certify, so default cuts need M >= 4.9/lam;
-    at M = 5e4 no dense array could be afforded under a 1 MiB probe, and none is
-    asked for.  Every gap is 2N lam/(2N lam + 1) - 1/2 to 1e-12."""
-    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**20))
+    at M = 5e4 no dense array (20 GB) could be afforded under an 8 MiB probe, which
+    holds the band path's O(M) charges (6 MB for the factor), and none is asked
+    for.  Every gap is 2N lam/(2N lam + 1) - 1/2 to 1e-12."""
+    assert index_module.BAND_FACTOR_ROW_BYTES * 50000 < 8 * 2**20
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(8 * 2**20))
     code, out, _ = run_cli(capsys, "omega", "--lambda", "1e-4", "--dim", "50000")
     assert code == 0
     doc = _strict_json(out)
@@ -615,6 +641,26 @@ def test_bad_perturbation_spec_exits_1(capsys):
     assert json.loads(out)["error"]["type"] == "ConfigParse"
 
 
+def test_omega_applies_perturbations_in_order(capsys, monkeypatch):
+    """Repeated --perturb flags are applied one after another in the order given:
+    the pair counted is, bit for bit, two perturb calls, not one shift by 0.3."""
+    counted = []
+    count = cli_module.omega
+    monkeypatch.setattr(
+        cli_module, "omega", lambda pair, **kwargs: counted.append(pair) or count(pair, **kwargs)
+    )
+    code, _, _ = run_cli(
+        capsys, "omega", "--dim", "240", "--cuts", "70,90",
+        "--perturb", "a:scalar_shift:0.1", "--perturb", "a:scalar_shift:0.2"
+    )
+    assert code == 0
+    base = build_harmonic(0.01, 240)
+    twice = perturb(perturb(base, "a", "scalar_shift", 0.1), "a", "scalar_shift", 0.2)
+    assert [x.tobytes() for x in counted[0].diagonals] == [x.tobytes() for x in twice.diagonals]
+    once = perturb(base, "a", "scalar_shift", 0.3)
+    assert counted[0].diagonals[1].tobytes() != once.diagonals[1].tobytes()
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -687,7 +733,7 @@ def test_sweep_lambda_axis_refuses_a_pair_without_a_coupling(capsys, monkeypatch
     def unexpected(*args, **kwargs):
         raise AssertionError("no pair may be built")
 
-    monkeypatch.setattr(cli_module, "build_pair", unexpected)
+    monkeypatch.setattr(cli_module, "_build_pair", unexpected)
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "lambda", *pair, "--values", "0.005,0.5,50"
     )
@@ -703,7 +749,7 @@ def test_sweep_cut_axis_refuses_cuts(capsys, monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("no pair may be built")
 
-    monkeypatch.setattr(cli_module, "build_pair", unexpected)
+    monkeypatch.setattr(cli_module, "_build_pair", unexpected)
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "cut", "--dim", "240", "--values", "70,90", "--cuts", "5000"
     )
@@ -735,7 +781,7 @@ def test_sweep_cut_axis_builds_pair_and_q_once(capsys, monkeypatch):
         return wrapper
 
     for name, modules in (
-        ("build_pair", (operators_module, cli_module)),
+        ("_build_pair", (cli_module,)),
         ("build_q", (index_module, cli_module)),
         ("factor", (index_module, cli_module)),
     ):
@@ -748,7 +794,7 @@ def test_sweep_cut_axis_builds_pair_and_q_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["omega"] == 1
     # the oscillator's d is bidiagonal, so its one factor never takes the dense path
-    assert sorted(calls) == ["build_pair", "factor"]
+    assert sorted(calls) == ["_build_pair", "factor"]
 
 
 def test_sweep_cut_axis_points_match_omega(capsys):
@@ -798,6 +844,111 @@ def test_sweep_perturbation_axis(capsys):
     doc = json.loads(out)
     assert doc["omega_constant"] is True
     assert doc["omega"] == 1
+
+
+def test_sweep_perturbation_axis_reads_a_file_pair_once(capsys, monkeypatch, tmp_path):
+    """Every point perturbs one base pair, so its two files are read once per
+    sweep, not once per value."""
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    oscillator = build_harmonic(0.025, 120)
+    save_matrix(oscillator.a, pa)
+    save_matrix(oscillator.b, pb)
+    reads = []
+    load_matrix = operators_module.load_matrix
+    monkeypatch.setattr(
+        operators_module, "load_matrix", lambda path: reads.append(path) or load_matrix(path)
+    )
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "perturbation", "--pair", "file", "--file-a", str(pa),
+        "--file-b", str(pb), "--values", "0,0.01,0.02", "--cuts", "30,40"
+    )
+    assert code == 0
+    assert [p["report"]["omega"] for p in json.loads(out)["points"]] == [1, 1, 1]
+    assert reads == [str(pa), str(pb)]
+
+
+def test_sweep_lambda_axis_builds_one_pair_per_point(capsys, monkeypatch):
+    couplings = []
+    build = cli_module.build_harmonic
+    monkeypatch.setattr(
+        cli_module, "build_harmonic", lambda lam, dim: couplings.append(lam) or build(lam, dim)
+    )
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "lambda", "--values", "0.005,0.0075,0.01",
+        "--dim", "240", "--cuts", "130,150"
+    )
+    assert code == 0
+    assert json.loads(out)["omega"] == 1
+    assert couplings == [0.005, 0.0075, 0.01]
+
+
+@pytest.mark.parametrize("base, target, kind, values", [
+    ("b:random_hermitian:0.002", "a", "diagonal_decay", "0,0.01,0.5"),
+    ("a:diagonal_decay:0.01", "b", "random_hermitian", "0,0.002,0.2"),
+])
+def test_sweep_perturbation_axis_points_match_omega(capsys, base, target, kind, values):
+    """Each point reports or refuses exactly as ``omega`` does with the axis
+    perturbation appended as one more --perturb, on a dense base and a band base."""
+    pair = ("--dim", "120", "--lambda", "0.025", "--cuts", "30,40", "--seed", "3",
+            "--perturb", base)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "perturbation", *pair, "--perturb-target", target,
+        "--perturb-kind", kind, "--values", values
+    )
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [p.get("error", {}).get("type") for p in points] == [
+        None, None, "InadmissibleCommutator"
+    ]
+    for point in points:
+        code, out, _ = run_cli(
+            capsys, "omega", *pair, "--perturb", f"{target}:{kind}:{point['value']!r}"
+        )
+        alone = json.loads(out)
+        if "report" in point:
+            assert code == 0
+            assert point["report"] == alone
+        else:
+            assert code == 2
+            assert point["error"] == {k: alone["error"][k] for k in ("type", "message")}
+
+
+def test_a_sweep_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """With the memory probe patched one byte below the charge of 200000 cut points,
+    the sweep is refused before its first point, with no traceback."""
+    footprint = 200000 * (cli_module.SWEEP_POINT_BYTES + cli_module.SWEEP_CUT_BYTES)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    monkeypatch.setattr(cli_module, "certify", _refuse_to_factor)
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "cut", "--dim", "400", "--values", "1:200000:1"
+    )
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith("a sweep of 200000 points needs about")
+    assert error["detail"]["needed_bytes"] == footprint
+
+
+@pytest.mark.parametrize("argv, points, entries", [
+    (("--axis", "cut", "--values", "70:109:1"), 40, 1),
+    (("--axis", "lambda", "--values", "0.01:0.019:0.001"), 10, index_module.DEFAULT_CUT_COUNT),
+    (("--axis", "lambda", "--cuts", "100,130", "--values", "0.01:0.019:0.001"), 10, 2),
+    # a cut range beyond the pair: each point refuses, and is charged for at most dim cuts
+    (("--axis", "perturbation", "--cuts", "1:2000000:1", "--values", "0,0.1,0.2"), 3, 240),
+])
+def test_a_sweep_is_charged_by_its_points_and_their_cuts(capsys, monkeypatch, argv, points,
+                                                         entries):
+    """Refused one byte below the charge of its points, each with its cut entries,
+    and run at it."""
+    footprint = points * (cli_module.SWEEP_POINT_BYTES + cli_module.SWEEP_CUT_BYTES * entries)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    code, out, _ = run_cli(capsys, "sweep", "--dim", "240", *argv)
+    assert code == 1
+    assert _strict_json(out)["error"]["detail"]["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    code, out, _ = run_cli(capsys, "sweep", "--dim", "240", *argv)
+    assert code == 0
+    assert len(json.loads(out)["points"]) == points
 
 
 def test_sweep_text_format(capsys):

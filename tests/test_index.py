@@ -1052,6 +1052,37 @@ def test_build_q_refuses_what_will_not_fit_before_it_allocates(monkeypatch):
     assert omega(band, cuts=[100]).omega == 1
 
 
+def test_a_band_factor_is_charged_by_its_rows(monkeypatch):
+    """A dim-1000 band factor is refused one byte below its charge, before any of
+    its arrays or pivot lists is made, and counted at it."""
+    pair = build_harmonic(0.01, 1000)
+    footprint = index_module.BAND_FACTOR_ROW_BYTES * 1000
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(index_module, "_abs2", _refuse_to_factor)
+        with pytest.raises(InsufficientMemory, match="the band factor of a dim-1000 pair") as info:
+            factor(pair)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert omega(pair, cuts=[300]).omega == 1
+
+
+def test_a_measured_band_epsilon_is_charged_by_its_rows(monkeypatch):
+    """Measuring the commutator of a dim-1000 band pair, for its factor or alone, is
+    refused one byte below its charge, before its arrays or Sturm rows are made."""
+    pair = perturb(build_harmonic(0.01, 1000), "a", "diagonal_decay", 0.01)
+    footprint = index_module.STURM_ROW_BYTES * 1000
+    assert index_module.BAND_FACTOR_ROW_BYTES * 1000 < footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(index_module, "_abs2", _refuse_to_factor)
+        for run in (factor, masked_commutator_norm):
+            with pytest.raises(InsufficientMemory, match="commutator norm of a dim-1000 band"):
+                run(pair)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert factor(pair).epsilon == 2 * masked_commutator_norm(pair) > 0
+
+
 def _traced_peak(fn, *args) -> int:
     """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
     tracemalloc.start()

@@ -16,12 +16,9 @@ from omega_index import (
     InvalidParameter,
     NonHermitianInput,
     OperatorPair,
-    PairSpec,
-    PerturbationSpec,
     build_commuting_grid,
     build_harmonic,
     build_oscillator_analytic_q,
-    build_pair,
     grid_points,
     load_matrix,
     load_pair,
@@ -383,6 +380,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("allocated")
 
 
+def test_the_oscillator_pair_is_charged_by_its_rows(monkeypatch):
+    """A dim-1000 oscillator pair is refused one byte below its charge, before any
+    of its arrays is made, and built at it."""
+    footprint = operators_module.HARMONIC_ROW_BYTES * 1000
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "arange", _refuse)
+        with pytest.raises(InsufficientMemory, match="the oscillator pair at dim 1000") as info:
+            build_harmonic(0.01, 1000)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert build_harmonic(0.01, 1000).dim == 1000
+
+
 def test_a_commuting_grid_is_charged_by_its_points(monkeypatch):
     """The 121 points of radius 5 are refused one byte below their charge, before
     any is made, and built at it."""
@@ -424,16 +435,6 @@ def test_operator_pair_rejects_wide_window():
             known_commutator_norm=None,
             boundary_window=2,
         )
-
-
-def test_build_pair_dispatch():
-    spec = PairSpec(builder="harmonic", lam=0.02, dim=16)
-    pair = build_pair(spec)
-    assert pair.known_commutator_norm == 0.02
-    grid = build_pair(PairSpec(builder="commuting_grid", grid_radius=2))
-    assert grid.dim == 25
-    with pytest.raises(InvalidParameter):
-        build_pair(PairSpec(builder="nonsense"))
 
 
 # ---------------------------------------------------------------- perturbations
@@ -491,21 +492,6 @@ def test_perturb_rejects_bad_arguments():
         perturb(pair, "a", "unknown_kind", 0.1)
     with pytest.raises(InvalidParameter):
         perturb(pair, "a", "scalar_shift", -0.5)
-
-
-def test_build_pair_applies_perturbations_in_order():
-    spec = PairSpec(
-        builder="harmonic",
-        lam=0.01,
-        dim=16,
-        perturbations=(
-            PerturbationSpec(target="a", kind="scalar_shift", magnitude=0.1),
-            PerturbationSpec(target="a", kind="scalar_shift", magnitude=0.2),
-        ),
-    )
-    pair = build_pair(spec)
-    base = build_harmonic(0.01, 16)
-    assert np.allclose(pair.a, base.a + 0.3 * np.eye(16), atol=1e-15)
 
 
 # ---------------------------------------------------------------- file io

@@ -8,8 +8,9 @@ import omega_index.operators as operators_module
 from omega_index import BoundCheckResult, OmegaResult, QBuild
 from omega_index.cli import main
 
-#: the sphere-coordinate API, which plays no part in the index and was removed
-REMOVED_NAMES = ("SphereMap", "bott_point", "sphere_map")
+#: the sphere-coordinate API, which plays no part in the index, and the declarative
+#: pair description, which only the command line filled in; both were removed
+REMOVED_NAMES = ("SphereMap", "bott_point", "sphere_map", "PairSpec", "build_pair")
 
 
 def test_every_exported_name_resolves():
@@ -23,8 +24,9 @@ def test_removed_names_are_gone():
         assert name not in omega_index.__all__
         assert not hasattr(omega_index, name)
         assert not hasattr(operators_module, name)
-    assert not hasattr(cli_module, "cmd_sphere")
-    assert not hasattr(cli_module, "SPHERE_SCHEMA")
+    for name in ("cmd_sphere", "SPHERE_SCHEMA", "_pair_spec_from_args", "_BUILDER_NAMES",
+                 "_sweep_point"):
+        assert not hasattr(cli_module, name)
 
 
 def test_removed_fields_are_gone():
