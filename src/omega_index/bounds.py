@@ -49,6 +49,12 @@ STACK_BYTES = 2**17
 #: suite's largest step, holds at once
 DEFECT_ARRAYS = 6
 
+#: bytes per trial that :func:`run_suite` holds beside its stacks: a family's
+#: Philox keys and orders and the sort that groups them (peaks of 47.4-47.7 bytes
+#: per trial of virtual memory at 10^6 trials, for max_dim 2, 32 and 10^5;
+#: tracemalloc sees 43.8 from 2*10^5 trials)
+TRIAL_BYTES = 48
+
 _COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
 
@@ -406,29 +412,54 @@ def suite_bytes(max_dim: int) -> int:
     return DEFECT_ARRAYS * 4 * max(STACK_BYTES, _COMPLEX_BYTES * max_dim**2)
 
 
-def _trial(seed: int, family: int, trial: int, max_dim: int) -> tuple:
-    """A trial's generator and the order it draws first."""
-    rng = _rng(seed, family, trial)
-    return rng, int(rng.integers(2, max_dim + 1))
+def _key(seed: int, family: int, trial: int) -> np.ndarray:
+    """The Philox key of the trial, the one ``_rng(seed, family, trial)`` uses."""
+    return np.random.SeedSequence([seed, family, trial]).generate_state(2, np.uint64)
 
 
 def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) -> list:
-    """The results of one family's stacks: its trials grouped by order, each group
-    checked in stacks of :func:`_stack_size` trials.  Each generator is made
-    twice, to read the order and then to draw, rather than kept: a thousand of
-    them hold about a MiB."""
-    orders = np.array([_trial(seed, family, t, max_dim)[1] for t in range(trials)])
-    results = []
-    for dim in np.unique(orders).tolist():
-        members = np.flatnonzero(orders == dim).tolist()
+    """The merged result of one family's stacks, as a list of one: its trials
+    grouped by order, each group checked in stacks of :func:`_stack_size` trials.
+
+    Each trial's Philox key is derived once.  One generator is re-keyed to the
+    start of a trial's stream to read its order, and again to read the order and
+    then draw, so it yields the bytes of ``_rng(seed, family, trial)`` with no
+    generator built per trial.  The keys and orders are what :func:`run_suite`
+    charges :data:`TRIAL_BYTES` a trial for; each stack's result is merged as it
+    comes, so nothing else grows with the trials.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state  # counter 0 and nothing buffered
+
+    def read_order(key) -> int:
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        return int(rng.integers(2, max_dim + 1))
+
+    keys = np.empty((trials, 2), dtype=np.uint64)
+    orders = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        keys[t] = _key(seed, family, t)
+        orders[t] = read_order(keys[t])
+    # a stable sort puts the orders in ascending order and keeps each order's
+    # trials in trial order
+    by_order = np.argsort(orders, kind="stable")
+    orders = orders[by_order]
+    merged = None
+    start = 0
+    while start < trials:
+        dim = int(orders[start])
+        end = int(np.searchsorted(orders, dim, side="right"))
         size = _stack_size(dim)
-        for start in range(0, len(members), size):
-            draws = zip(*(
-                draw(_trial(seed, family, t, max_dim)[0], dim, t)
-                for t in members[start : start + size]
-            ))
-            results.append(check(*(np.stack(column) for column in draws)))
-    return results
+        for first in range(start, end, size):
+            stack = []
+            for t in by_order[first : min(first + size, end)].tolist():
+                read_order(keys[t])
+                stack.append(draw(rng, dim, t))
+            result = check(*(np.stack(column) for column in zip(*stack)))
+            merged = result if merged is None else _merge(result.name, [merged, result])
+        start = end
+    return [merged]
 
 
 def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
@@ -446,8 +477,8 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
     InvalidParameter
         If an argument is out of range.
     InsufficientMemory
-        If :func:`suite_bytes` of ``max_dim`` would not fit; checked before
-        anything is drawn.
+        If :func:`suite_bytes` of ``max_dim`` and :data:`TRIAL_BYTES` a trial
+        would not fit; checked before anything is drawn.
     """
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
@@ -455,7 +486,10 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if max_dim < 2:
         raise InvalidParameter(f"max_dim must be >= 2, got {max_dim}")
-    linalg.require_memory(suite_bytes(max_dim), f"the verify suite at max_dim {max_dim}")
+    linalg.require_memory(
+        suite_bytes(max_dim) + TRIAL_BYTES * trials,
+        f"the verify suite at max_dim {max_dim} with {trials} trials",
+    )
     # looked up at each call, so a patched check_* is the one that runs
     families = (
         ("resolvent_bound", _draw_resolvent, check_resolvent_bound),

@@ -1,10 +1,11 @@
 """Dense matrix algebra over the complex or the real field.
 
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
-positive-definite inversion, a blocked triangular inverse, the operator norm,
-an O(n^2) hermiticity gate, the memory probe that every dense path consults
-before it allocates (:func:`require_memory`), and a scope that runs a block on
-one BLAS thread (:func:`serial_blas`).
+positive-definite inversion (through a Cholesky factor where norm bounds prove
+the result, else through the eigendecomposition), a blocked triangular
+inverse, the operator norm, an O(n^2) hermiticity gate, the memory probe that
+every dense path consults before it allocates (:func:`require_memory`), and a
+scope that runs a block on one BLAS thread (:func:`serial_blas`).
 Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
 :func:`operator_norm`, :func:`hermitian_eigen`, :func:`hpd_inverse`,
 :func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
@@ -269,21 +270,100 @@ def _invert_lower_into(lower: np.ndarray, out: np.ndarray) -> None:
 def hpd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix, or of each matrix of a stack.
 
-    Computed through the eigendecomposition so the result is Hermitian by
-    construction.  The smallest eigenvalue must exceed ``PD_FLOOR * norm(m)``.
+    The inverse of h = ``(m + adjoint(m)) / 2`` is formed as ``X* X``, X the
+    inverse of h's lower Cholesky factor L, in one numpy call per step.  A
+    matrix gets it only when its contract is proved from Frobenius norms the
+    path already has, each trusted up to :data:`FROBENIUS_MARGIN` as in
+    :func:`is_hermitian`.  Write n for the order, ``|.|`` for the Frobenius
+    norm, r = ``|m @ inv - I|`` and r_h = r + ``|m - adjoint(m)| |inv| / 2``,
+    which bounds ``norm(h @ inv - I)``.  For r_h <= 1/2:
+
+    - ``inv(h) = inv (I + E)^-1`` with ``norm(E) <= r_h``, so every eigenvalue
+      of h is at least d = (1 - r_h) / ``|inv|`` away from zero;
+    - LL* = h + D with ``norm(D) <= 2(n + 1) eps |L|^2`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, Thm 10.3, with room for complex
+      arithmetic), so no eigenvalue of h lies below minus that bound; when the
+      bound is below d, h is positive definite and its lowest eigenvalue is >= d;
+    - its largest eigenvalue is at most ``|h|``, so d > ``PD_FLOOR * |h|``
+      proves the floor below;
+    - the largest is also at least ``|h| / sqrt(n)``, and ``inv = inv(h)(I + E)``
+      gives 1/lowest >= ``|inv| / (sqrt(n)(1 + r_h))``, so cond >=
+      ``|h| |inv| / (n(1 + r_h))``; r within ``INV_TOL`` times the larger of 1
+      and that bound proves the residual tolerance below.
+
+    A matrix whose Cholesky factorization fails or whose proofs are undecided is
+    inverted through its eigendecomposition instead, as ``(v / w) @ adjoint(v)``;
+    that path alone raises, and each matrix of a stack is decided on its own, so a
+    stack returns what its matrices return one at a time.  The result is Hermitian
+    only up to rounding on either path.
 
     Raises
     ------
     NonHermitianInput
         If the input fails the Hermiticity gate.
     NotPositiveDefinite
-        If the smallest eigenvalue is at or below the floor.
+        If the eigendecomposition's smallest eigenvalue is at or below
+        ``PD_FLOOR`` times its largest.
     ConvergenceFailure
-        If the residual ``norm(m @ inv - I)`` misses the accuracy contract.  Its
-        Frobenius norm, an upper bound, decides a clear pass; only the rest pay
-        for the operator norm.  Each matrix of a stack is held to its own floor
-        and residual; the message names the first that misses.
+        If the eigendecomposition's inverse misses the residual contract
+        ``norm(m @ inv - I) <= INV_TOL * max(1, cond)``.  Its Frobenius norm, an
+        upper bound, decides a clear pass; only the rest pay for the operator
+        norm.  Each matrix of a stack is held to its own floor and residual; the
+        message names the first that misses.
     """
+    require_square(m)
+    if not np.all(is_hermitian(m)):
+        return _eigen_inverse(m)
+    h = (m + adjoint(m)) / 2.0
+    lower, factored = _each_or_identity(np.linalg.cholesky, h)
+    x, inverted = _each_or_identity(np.linalg.inv, lower)
+    inv = adjoint(x) @ x
+    n = m.shape[-1]
+    residual = _frobenius(m @ inv - np.eye(n))
+    inv_norm = _frobenius(inv)
+    h_norm = _frobenius(h)
+    r_h = residual + _frobenius(m - adjoint(m)) / 2.0 * inv_norm
+    # where r_h <= 1/2, 1 - r_h suffers no cancellation the margin cannot cover
+    low = (1.0 - r_h) / inv_norm * (1.0 - FROBENIUS_MARGIN)
+    rounding = 2.0 * (n + 1) * np.finfo(np.float64).eps * _frobenius(lower) ** 2
+    cond = h_norm * inv_norm / (n * (1.0 + r_h))
+    proved = (
+        factored
+        & inverted
+        & (r_h <= 0.5)
+        & (rounding < low)
+        & (PD_FLOOR * h_norm < low)
+        & (residual <= INV_TOL * np.maximum(1.0, cond) * (1.0 - FROBENIUS_MARGIN))
+    )
+    if np.all(proved):
+        return inv
+    if m.ndim == 2:
+        return _eigen_inverse(m)
+    inv[~proved] = _eigen_inverse(m[~proved])
+    return inv
+
+
+def _each_or_identity(solve, a: np.ndarray) -> tuple:
+    """``solve(a)`` with a True flag per matrix, in one call.  Where LAPACK refuses
+    some matrix of the stack, each matrix is solved alone instead: one it refuses
+    gets the identity and a False flag, and the others keep their own bits."""
+    done = np.ones(a.shape[:-2], dtype=bool)
+    try:
+        return solve(a), done
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(a)
+    for i in np.ndindex(done.shape):
+        try:
+            out[i] = solve(a[i])
+        except np.linalg.LinAlgError:
+            out[i], done[i] = np.eye(a.shape[-1]), False
+    return out, done
+
+
+def _eigen_inverse(m: np.ndarray) -> np.ndarray:
+    """:func:`hpd_inverse` through :func:`hermitian_eigen`, with every gate of its
+    contract."""
     eig = hermitian_eigen(m)
     w, v = eig.values, eig.vectors
     lowest, highest = w[..., 0], w[..., -1]

@@ -428,14 +428,15 @@ def test_a_stack_is_gated_matrix_by_matrix():
 
 
 def test_run_suite_refuses_what_will_not_fit_before_it_draws(monkeypatch):
-    """With the memory probe patched just below the suite's footprint, nothing is
-    drawn; at the footprint itself the suite runs."""
-    footprint = suite_bytes(8)
-    assert footprint == bounds_module.DEFECT_ARRAYS * 4 * bounds_module.STACK_BYTES
+    """With the memory probe patched just below the suite's footprint, its stacks
+    and its trials' keys and orders, nothing is drawn; at the footprint itself the
+    suite runs."""
+    assert suite_bytes(8) == bounds_module.DEFECT_ARRAYS * 4 * bounds_module.STACK_BYTES
     assert suite_bytes(10**5) == bounds_module.DEFECT_ARRAYS * 4 * 16 * 10**10
+    footprint = suite_bytes(8) + 2 * bounds_module.TRIAL_BYTES
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
     with monkeypatch.context() as patch:
-        patch.setattr(bounds_module, "_rng", None)
+        patch.setattr(bounds_module, "_key", None)
         with pytest.raises(InsufficientMemory, match="the verify suite at max_dim 8") as info:
             run_suite(seed=0, trials=2, max_dim=8)
     assert info.value.detail["needed_bytes"] == footprint

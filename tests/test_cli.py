@@ -423,17 +423,39 @@ def test_a_commuting_grid_beyond_memory_exits_1_with_one_error_object(capsys, mo
 def test_a_verify_order_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
     """With the memory probe patched just below the suite's footprint at max_dim
     100000, verify is refused before any trial is drawn, with no traceback."""
-    footprint = bounds_module.suite_bytes(100000)
+    footprint = bounds_module.suite_bytes(100000) + bounds_module.TRIAL_BYTES
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
-    monkeypatch.setattr(bounds_module, "_rng", None)
+    monkeypatch.setattr(bounds_module, "_key", None)
     code, out, err = run_cli(
         capsys, "verify", "--max-dim", "100000", "--trials", "1", "--seed", "0"
     )
     assert code == 1 and err == ""
     error = _strict_json(out)["error"]
     assert error["type"] == "InsufficientMemory"
-    assert error["message"].startswith("the verify suite at max_dim 100000 needs about")
+    assert error["message"].startswith(
+        "the verify suite at max_dim 100000 with 1 trials needs about"
+    )
     assert error["detail"]["needed_bytes"] == footprint
+
+
+def test_a_trial_count_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """The trials' keys and orders are charged with the suite's stacks: a billion
+    trials at the default max_dim would need about 45 GiB of them, so with the
+    memory probe patched to 1 GiB verify is refused before any trial is drawn."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(2**30))
+    monkeypatch.setattr(bounds_module, "_key", None)
+    code, out, err = run_cli(capsys, "verify", "--trials", "1000000000", "--seed", "0")
+    assert code == 1 and err == ""
+    document = _strict_json(out)
+    assert list(document) == ["error"]
+    error = document["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith(
+        "the verify suite at max_dim 32 with 1000000000 trials needs about"
+    )
+    assert error["detail"]["needed_bytes"] == (
+        bounds_module.suite_bytes(32) + bounds_module.TRIAL_BYTES * 10**9
+    )
 
 
 @pytest.mark.parametrize("argv, probe, message, needed", [

@@ -1083,6 +1083,26 @@ def test_a_measured_band_epsilon_is_charged_by_its_rows(monkeypatch):
     assert factor(pair).epsilon == 2 * masked_commutator_norm(pair) > 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_harmonic(0.01, 1000),
+    lambda: perturb(build_harmonic(0.01, 200), "a", "random_hermitian", 0.002, 7),
+], ids=["band", "dense"])
+def test_certify_charges_every_cut_spectrum_before_the_first_solve(make, monkeypatch):
+    """The reports keep 2N values a cut, so a sweep is refused one byte below
+    their charge, before any corner is solved, and certified at it."""
+    qb = factor(make(), "conjugate")
+    cuts = [70, 100, 130]
+    footprint = index_module.SPECTRUM_VALUE_BYTES * 2 * sum(cuts)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(index_module, "_spectra", None)
+        with pytest.raises(InsufficientMemory, match="corner spectra of 3 cuts") as info:
+            certify(qb, cuts)
+    assert info.value.detail["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    assert certify(qb, cuts).omega == 1
+
+
 def _traced_peak(fn, *args) -> int:
     """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
     tracemalloc.start()

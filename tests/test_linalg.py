@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from omega_index import (
     is_hermitian,
     operator_norm,
 )
+from omega_index.bounds import run_suite
 from omega_index.linalg import (
     TRIANGULAR_BASE,
     lower_triangular_inverse,
@@ -294,6 +297,91 @@ def test_hpd_inverse_decides_a_clear_residual_without_an_eigensolve(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="inverse residual .* exceeds tolerance"):
         hpd_inverse(m)
     assert calls == [(12, 12)]
+
+
+def _spectral_matrix(rng, dim, kind, log_cond, log_scale):
+    """A matrix with eigenvalues spread geometrically over ``log_cond`` decades
+    below ``10**log_scale``: positive definite, with its smallest eigenvalue
+    negated (``indefinite``), or with a skew part far beyond the hermiticity
+    tolerance (``skew``)."""
+    u = np.linalg.qr(_ginibre(rng, dim))[0]
+    w = 10.0 ** (log_scale - np.linspace(0.0, log_cond, dim))
+    if kind == "indefinite":
+        w[-1] = -w[-1]
+    m = (u * w) @ u.conj().T
+    if kind == "skew":
+        m = m + 1e-6 * np.max(w) * _ginibre(rng, dim)
+    return m
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except (NonHermitianInput, NotPositiveDefinite, ConvergenceFailure) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 10),
+    matrices=st.lists(
+        st.tuples(
+            st.sampled_from(["hpd", "hpd", "indefinite", "skew"]),
+            st.floats(0.0, 13.0),
+            st.floats(-3.0, 3.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(seed=0, dim=2, matrices=[("hpd", 12.0, 0.0)])  # cond exactly 1/PD_FLOOR
+@example(seed=1, dim=6, matrices=[("hpd", 11.9, 0.0), ("hpd", 12.1, 0.0)])
+@example(seed=2, dim=5, matrices=[("hpd", 2.0, 0.0), ("indefinite", 1.0, 0.0)])
+@example(seed=3, dim=4, matrices=[("hpd", 3.0, 1.0), ("skew", 0.0, 0.0)])
+def test_hpd_inverse_proves_what_it_returns(seed, dim, matrices):
+    """On stacks mixing positive definite matrices (conditions 1 to 1e13),
+    indefinite and non-Hermitian ones, hpd_inverse refuses with the type the
+    eigendecomposition path refuses with, returns wherever that path returns,
+    meets the residual contract in what it returns, and gives a stack what it
+    gives each of its matrices alone."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_spectral_matrix(rng, dim, *spec) for spec in matrices])
+    reference = _outcome(linalg_module._eigen_inverse, stack)
+    result = _outcome(hpd_inverse, stack)
+    alone = [_outcome(hpd_inverse, m) for m in stack]
+    if isinstance(result, type):
+        assert result is reference
+        assert any(single is result for single in alone)
+        return
+    assert not isinstance(reference, type) or reference is NotPositiveDefinite
+    assert not any(isinstance(a, type) for a in alone)
+    for m, inverse, single in zip(stack, result, alone):
+        assert np.array_equal(inverse, single)
+        values = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        cond = values[-1] / values[0]
+        assert 0.0 < cond
+        residual = np.linalg.norm(m @ inverse - np.eye(dim), 2)
+        assert residual <= linalg_module.INV_TOL * max(1.0, cond)
+
+
+def test_the_suite_inverts_without_an_eigensolve(monkeypatch):
+    """A 40-trial suite at max_dim 32 takes every inverse by Cholesky: the only
+    eigendecompositions are f_lipschitz's, and the fallback never runs."""
+    callers = []
+    decompose = linalg_module.hermitian_eigen
+
+    def recording(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return decompose(m)
+
+    def refuse(m):
+        raise AssertionError("hpd_inverse fell back to the eigendecomposition")
+
+    monkeypatch.setattr(linalg_module, "hermitian_eigen", recording)
+    monkeypatch.setattr(linalg_module, "_eigen_inverse", refuse)
+    assert all(r.passed for r in run_suite(seed=5, trials=40, max_dim=32))
+    assert callers and set(callers) <= {"check_f_lipschitz", "_check_lipschitz"}
 
 
 # ---------------------------------------------------------------- triangular inverse
