@@ -313,6 +313,7 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     """
     require_square(m)
     if not np.all(is_hermitian(m)):
+        # refused there, with the largest asymmetry in the message
         return _eigen_inverse(m)
     h = (m + adjoint(m)) / 2.0
     lower, factored = _each_or_identity(np.linalg.cholesky, h)
