@@ -417,9 +417,9 @@ def _key(seed: int, family: int, trial: int) -> np.ndarray:
     return np.random.SeedSequence([seed, family, trial]).generate_state(2, np.uint64)
 
 
-def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) -> list:
-    """The merged result of one family's stacks, as a list of one: its trials
-    grouped by order, each group checked in stacks of :func:`_stack_size` trials.
+def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) -> BoundCheckResult:
+    """The merged result of one family's stacks: its trials grouped by order, each
+    group checked in stacks of :func:`_stack_size` trials.
 
     Each trial's Philox key is derived once.  One generator is re-keyed to the
     start of a trial's stream to read its order, and again to read the order and
@@ -459,7 +459,7 @@ def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) 
             result = check(*(np.stack(column) for column in zip(*stack)))
             merged = result if merged is None else _merge(result.name, [merged, result])
         start = end
-    return [merged]
+    return merged
 
 
 def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
@@ -492,16 +492,16 @@ def run_suite(seed: int, trials: int, max_dim: int) -> list[BoundCheckResult]:
     )
     # looked up at each call, so a patched check_* is the one that runs
     families = (
-        ("resolvent_bound", _draw_resolvent, check_resolvent_bound),
-        ("intertwine_identity", _draw_intertwine, check_intertwine),
-        ("resolvent_difference", _draw_difference, _check_difference),
-        ("f_lipschitz", _draw_lipschitz, _check_lipschitz),
-        ("projection_defect", _draw_defect, _check_defect),
+        (_draw_resolvent, check_resolvent_bound),
+        (_draw_intertwine, check_intertwine),
+        (_draw_difference, _check_difference),
+        (_draw_lipschitz, _check_lipschitz),
+        (_draw_defect, _check_defect),
     )
     # one switch for the whole suite: each switch around real work costs a
     # thread wake-up of a few milliseconds
     with linalg.serial_blas():
         return [
-            _merge(name, _run_family(seed, family, trials, max_dim, draw, check))
-            for family, (name, draw, check) in enumerate(families)
+            _run_family(seed, family, trials, max_dim, draw, check)
+            for family, (draw, check) in enumerate(families)
         ]

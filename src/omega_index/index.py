@@ -18,17 +18,17 @@ and the whole counting path runs in float64; a complex C runs in complex128.
 
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
-report the cut-independent integer ``omega = M_N - N``.  Only eigenvalues are
-needed.  The corner at cut N is ``y_c y_c*``, where the 2N-by-M matrix ``y_c``
-holds the top N and bottom N rows of Y, so the corner has rank at most M: its
-nonzero eigenvalues are those of the M-by-M Gram ``y_c* y_c`` and the other
-2N - M are exactly zero.  :func:`corner_eigenvalues` therefore solves the smaller
-of the two, the corner itself when 2N <= M and the Gram otherwise; the choice is
-fixed by M alone.  A count is certified only in the regime where the defect bound
-(4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4; outside
-it the pair must be rescaled first (:func:`scale_admissible`).  That gate is on
-the pair: Q itself is a projection for every C, and the measured ``defect``
-bounds how far the Q actually counted is from one.
+report the cut-independent integer ``omega = M_N - N``.  Only the eigenvalues
+that the structure does not fix are solved.  The corner at cut N is ``y_c y_c*``,
+where the 2N-by-M matrix ``y_c`` holds the top N and bottom N rows of Y, so the
+corner has rank at most M: its nonzero eigenvalues are those of the M-by-M Gram
+``y_c* y_c`` and the other 2N - M are exactly zero.  The smaller of the two is
+solved (the corner itself when 2N <= M; M alone fixes the choice) and counted
+with those zeros.  A count is certified only in the regime where the defect
+bound (4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4;
+outside it the pair must be rescaled first (:func:`scale_admissible`).  That
+gate is on the pair: Q itself is a projection for every C, and the measured
+``defect`` bounds how far the Q actually counted is from one.
 
 A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
@@ -43,7 +43,7 @@ formed.  With k = N + 1 the corner's nonzero spectrum is that of the pencil
 for a bidiagonal d both equal G on rows 0..N-2 and on their coupling to row
 N-1, so one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  The 2N
 corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and the two
-eigenvalues of that pencil.  :func:`build_q` is always the dense path.
+eigenvalues of that pencil, the only two solved; :func:`build_q` is the dense path.
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
@@ -55,6 +55,8 @@ oscillator reference pair the index +1 as in the paper; the calibration run of
 from __future__ import annotations
 
 import operator
+
+from collections.abc import Iterator
 
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -103,13 +105,6 @@ BAND_FACTOR_ROW_BYTES = 120
 #: (virtual-memory peaks of 166 bytes per row for the whole factor at M = 10^6 and
 #: 4*10^6; tracemalloc sees 140-151 from M = 10^4 to 10^6)
 STURM_ROW_BYTES = 176
-
-#: bytes per corner eigenvalue that :func:`certify` holds: each cut's report keeps
-#: its 2N sorted values, beside the freed temporaries they fragment the heap
-#: with (a virtual-memory peak of 18.9 bytes per value, 16.2 resident, for the
-#: 11.6 million values of cuts 100 to 3400 of a dim-4000 band pair; tracemalloc
-#: sees 8.1, the float64 values themselves)
-SPECTRUM_VALUE_BYTES = 20
 
 #: cuts that :func:`default_cuts` spreads over the interior
 DEFAULT_CUT_COUNT = 5
@@ -193,12 +188,13 @@ class BandQ(FactorHeader):
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalue census of one corner block; ``eigenvalues`` are all 2*cut, ascending."""
+    """Eigenvalue census of one corner block: ``m_n`` of its 2*cut eigenvalues lie
+    above 1/2, and ``nearest`` is the smallest of those ``gap`` from it."""
 
     cut: int
-    eigenvalues: np.ndarray
     m_n: int
     gap: float
+    nearest: float
 
 
 @dataclass(frozen=True)
@@ -511,8 +507,8 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     )
 
 
-def _band_spectra(bq: BandQ, cuts: list[int]) -> list[np.ndarray]:
-    """All 2N corner eigenvalues, ascending, at each cut N of a :class:`BandQ`.
+def _band_spectra(bq: BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
+    """:func:`_spectra` of a :class:`BandQ`: the two eigenvalues of each cut's pencil.
 
     With the head rows 0..N-2 eliminated (X = |f[N-2]|^2 / top[N-2]), the pencil
     (P_N, S_{N+1}) leaves on rows N-1 and N
@@ -547,10 +543,7 @@ def _band_spectra(bq: BandQ, cuts: list[int]) -> list[np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Cholesky factorization of a pencil failed: {exc}") from exc
     tails = linalg.hermitian_eigenvalues(inverse @ p @ np.conj(inverse).swapaxes(1, 2))
-    return [
-        np.sort(np.concatenate([np.zeros(cut - 1), np.ones(cut - 1), tail]))
-        for cut, tail in zip(n.tolist(), tails)
-    ]
+    return ((tail, cut - 1, cut - 1) for cut, tail in zip(cuts, tails))
 
 
 def theorem_bound(epsilon: float) -> float:
@@ -571,30 +564,35 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending; the cut
     is checked by :func:`check_cuts`.
 
-    For a :class:`BandQ` they are cut - 1 exact zeros, cut - 1 exact ones and the
-    two eigenvalues of a 2-by-2 pencil (see :func:`factor`).  For a :class:`QBuild`
-    the corner is ``yc yc*`` with ``yc`` the 2*cut corner rows of ``y``.  The top
-    rows are ``[w, 0]`` with w = W[:cut, :cut], as W is lower triangular; call the
-    bottom rows ``v``.  Its rank side is fixed by M: when 2*cut <= M the corner
-    itself is solved, and only the blocks ``w w*``, ``v[:, :cut] w*`` and ``v v*``
-    of its lower triangle are formed, the only part the eigensolver reads.
-    Otherwise the M-by-M ``yc* yc = v* v + diag(w* w, 0)``, which has the same
-    nonzero eigenvalues, is solved and the remaining 2*cut - M eigenvalues are
-    exact zeros.
+    The values :func:`_spectra` solves, with its exact zeros and ones beside them:
+    the one place they are formed, as :func:`certify` counts without them.
     """
-    return _spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window))[0]
+    values, zeros, ones = next(_spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window)))
+    return np.sort(np.concatenate([np.zeros(zeros), np.ones(ones), values]))
 
 
-def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> list[np.ndarray]:
-    """:func:`corner_eigenvalues` at each of the checked ``cuts``; the one place
-    that tells the two factors apart."""
+def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
+    """``(values, zeros, ones)`` at each checked cut N, one cut at a time: the corner
+    eigenvalues actually solved, ascending, and the counts of exact zeros and ones
+    that complete them to 2N; the one place that tells the two factors apart.
+
+    For a :class:`BandQ` the solved values are a 2-by-2 pencil's, beside N - 1
+    zeros and N - 1 ones (see :func:`factor`).  For a :class:`QBuild` the
+    corner is ``yc yc*`` with ``yc`` the 2N corner rows of ``y``.  The top rows
+    are ``[w, 0]`` with w = W[:N, :N], as W is lower triangular; call the bottom
+    rows ``v``.  Its rank side is fixed by M: when 2N <= M the corner itself is
+    solved, and only the blocks ``w w*``, ``v[:, :N] w*`` and ``v v*`` of its
+    lower triangle are formed, the only part the eigensolver reads.  Otherwise the
+    M-by-M ``yc* yc = v* v + diag(w* w, 0)``, which has the same nonzero
+    eigenvalues, is solved beside 2N - M zeros.
+    """
     if isinstance(qb, BandQ):
         return _band_spectra(qb, cuts)
-    return [_dense_spectrum(qb, cut) for cut in cuts]
+    return (_dense_spectrum(qb, cut) for cut in cuts)
 
 
-def _dense_spectrum(qb: QBuild, cut: int) -> np.ndarray:
-    """The corner spectrum of a :class:`QBuild` (see :func:`corner_eigenvalues`)."""
+def _dense_spectrum(qb: QBuild, cut: int) -> tuple[np.ndarray, int, int]:
+    """One cut of :func:`_spectra` for a :class:`QBuild`."""
     m = qb.dim
     w = qb.y[:cut, :cut]
     v = qb.y[m : m + cut]
@@ -603,11 +601,10 @@ def _dense_spectrum(qb: QBuild, cut: int) -> np.ndarray:
         corner[:cut, :cut] = w @ linalg.adjoint(w)
         corner[cut:, :cut] = v[:, :cut] @ linalg.adjoint(w)
         corner[cut:, cut:] = v @ linalg.adjoint(v)
-        return linalg.hermitian_eigenvalues(corner)
+        return linalg.hermitian_eigenvalues(corner), 0, 0
     gram = linalg.adjoint(v) @ v
     gram[:cut, :cut] += linalg.adjoint(w) @ w
-    values = linalg.hermitian_eigenvalues(gram)
-    return np.sort(np.concatenate([np.zeros(2 * cut - m), values]))
+    return linalg.hermitian_eigenvalues(gram), 2 * cut - m, 0
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:
@@ -629,9 +626,13 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
     return s1, gap, s0, s1
 
 
-def _spectral_report(cut: int, values: np.ndarray) -> SpectralReport:
-    m_n, gap, _, _ = count_upper(values)
-    return SpectralReport(cut=cut, eigenvalues=values, m_n=m_n, gap=gap)
+def _spectral_report(cut: int, values: np.ndarray, zeros: int, ones: int) -> SpectralReport:
+    """The census of ``values`` beside ``zeros`` exact zeros and ``ones`` exact ones,
+    with one of each standing for all: each lies 1/2 from 1/2."""
+    some = np.sort(np.concatenate([values, np.zeros(min(zeros, 1)), np.ones(min(ones, 1))]))
+    m_n, gap, _, _ = count_upper(some)
+    nearest = float(some[np.argmin(np.abs(some - 0.5))])
+    return SpectralReport(cut=cut, m_n=m_n + ones - min(ones, 1), gap=gap, nearest=nearest)
 
 
 def default_cuts(dim: int) -> list[int]:
@@ -698,7 +699,7 @@ def omega(
     InadmissibleCommutator, GapViolation, UnstableCount
         As raised by :func:`certify`.
     InsufficientMemory
-        As raised by :func:`factor` or :func:`certify`.
+        As raised by :func:`factor`.
     """
     cuts = check_cuts(
         default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
@@ -710,14 +711,14 @@ def omega(
 def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResult:
     """Count the index of a factored Q over a sweep of cuts and require a stable answer.
 
-    For each cut N the eigenvalues of the corner block are computed (values only,
-    on its rank side; see :func:`corner_eigenvalues`), those above 1/2 are
-    counted, and ``omega_N = M_N - N``.  The result is accepted only if every cut
-    agrees and every corner eigenvalue keeps at least ``gap_floor`` distance from
-    1/2.  Cuts are counted one after another in the calling thread; only the
-    BLAS/LAPACK calls inside each eigensolve may run threaded.  The arguments are
-    checked before the admissibility gates, so a malformed request is refused as
-    such whatever the pair.
+    For each cut N the corner eigenvalues the structure does not fix are solved
+    (see :func:`_spectra`), those above 1/2 are counted with its exact ones, and
+    ``omega_N = M_N - N``.  The result is accepted only if every cut agrees and
+    every corner eigenvalue keeps at least ``gap_floor`` distance from 1/2.  Cuts
+    are counted one after another in the calling thread, each kept as its counts
+    alone; only the BLAS/LAPACK calls inside each eigensolve may run threaded.
+    The arguments are checked before the admissibility gates, so a malformed
+    request is refused as such whatever the pair.
 
     Raises
     ------
@@ -728,10 +729,6 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
         >= 1/4: the pair's commutator lies outside the regime the count is
         certified in.  This gates the pair, not the idempotency of the Q counted,
         which ``defect`` measures.  Rescale with :func:`scale_admissible` first.
-    InsufficientMemory
-        If the 2N values of every cut's spectrum, which the reports keep, would
-        not fit at :data:`SPECTRUM_VALUE_BYTES` a value; checked before the first
-        cut is solved.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
@@ -758,10 +755,7 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             bound=bound,
         )
 
-    linalg.require_memory(
-        SPECTRUM_VALUE_BYTES * 2 * sum(cuts), f"keeping the corner spectra of {len(cuts)} cuts"
-    )
-    reports = [_spectral_report(c, values) for c, values in zip(cuts, _spectra(qb, cuts))]
+    reports = [_spectral_report(c, *solved) for c, solved in zip(cuts, _spectra(qb, cuts))]
 
     violating = [r for r in reports if r.gap < gap_floor]
     if violating:
@@ -771,10 +765,7 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             cuts=[r.cut for r in violating],
             gaps=[r.gap for r in violating],
             gap_floor=gap_floor,
-            nearest=[
-                float(r.eigenvalues[np.argmin(np.abs(r.eigenvalues - 0.5))])
-                for r in violating
-            ],
+            nearest=[r.nearest for r in violating],
         )
     per_cut = [r.m_n - r.cut for r in reports]
     if len(set(per_cut)) != 1:

@@ -454,7 +454,7 @@ def _counting_families(monkeypatch, counts):
     nothing, so a suite costs nothing."""
     def family(seed, family, trials, max_dim, draw, check):
         counts.append(OPENBLAS[1]())
-        return [BoundCheckResult("family", trials, 0.0, 0.0, 0)]
+        return BoundCheckResult("family", trials, 0.0, 0.0, 0)
 
     monkeypatch.setattr(bounds_module, "_run_family", family)
 

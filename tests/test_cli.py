@@ -10,7 +10,16 @@ import omega_index.cli as cli_module
 import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
-from omega_index import InsufficientMemory, build_harmonic, omega, perturb, save_matrix
+from omega_index import (
+    InsufficientMemory,
+    build_harmonic,
+    corner_eigenvalues,
+    count_upper,
+    factor,
+    omega,
+    perturb,
+    save_matrix,
+)
 from omega_index.cli import main
 
 
@@ -700,8 +709,10 @@ def test_spectrum_prints_what_omega_counts(capsys, cut):
     code, out, _ = run_cli(capsys, "spectrum", "--dim", "240", "--cut", str(cut))
     assert code == 0
     printed = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
-    counted = omega(build_harmonic(0.01, 240), cuts=[cut]).reports[0].eigenvalues
-    assert printed == counted.tolist()
+    pair = build_harmonic(0.01, 240)
+    assert printed == corner_eigenvalues(factor(pair), cut).tolist()
+    report = omega(pair, cuts=[cut]).reports[0]
+    assert (report.m_n, report.gap) == count_upper(printed)[:2]
 
 
 def test_spectrum_commuting_values(capsys):

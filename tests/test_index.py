@@ -1083,24 +1083,48 @@ def test_a_measured_band_epsilon_is_charged_by_its_rows(monkeypatch):
     assert factor(pair).epsilon == 2 * masked_commutator_norm(pair) > 0
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_harmonic(0.01, 1000),
-    lambda: perturb(build_harmonic(0.01, 200), "a", "random_hermitian", 0.002, 7),
-], ids=["band", "dense"])
-def test_certify_charges_every_cut_spectrum_before_the_first_solve(make, monkeypatch):
-    """The reports keep 2N values a cut, so a sweep is refused one byte below
-    their charge, before any corner is solved, and certified at it."""
-    qb = factor(make(), "conjugate")
-    cuts = [70, 100, 130]
-    footprint = index_module.SPECTRUM_VALUE_BYTES * 2 * sum(cuts)
-    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
-    with monkeypatch.context() as patch:
-        patch.setattr(index_module, "_spectra", None)
-        with pytest.raises(InsufficientMemory, match="corner spectra of 3 cuts") as info:
-            certify(qb, cuts)
-    assert info.value.detail["needed_bytes"] == footprint
-    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
-    assert certify(qb, cuts).omega == 1
+def test_a_long_sweep_holds_counts_not_spectra(monkeypatch):
+    """3301 cuts of a dim-4000 band pair have 11.6 million corner eigenvalues;
+    certify keeps three numbers a cut, so the sweep fits in 8 MiB and traces
+    under 4 MiB."""
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: 8.0 * 2**20)
+    qb = factor(build_harmonic(0.01, 4000))
+    result = certify(qb, range(100, 3401))
+    assert result.omega == 1 and len(result.reports) == 3301
+    assert _traced_peak(certify, qb, range(100, 3401)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("make, cuts", [
+    (lambda: build_harmonic(0.01, 400), [1, 60, 130, 350]),
+    (lambda: build_commuting_grid(10), [40, 80, 120]),
+    (lambda: perturb(build_harmonic(0.01, 200), "a", "random_hermitian", 0.002, 7),
+     [1, 60, 100, 101, 150, 175]),
+], ids=["band", "band-diagonal", "dense"])
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_counting_the_solved_values_matches_counting_the_full_spectrum(
+    make, cuts, orientation
+):
+    """Each cut's (m_n, gap, nearest), counted from the solved values and the
+    exact zeros and ones beside them, is count_upper and the first argmin of
+    |mu - 1/2| over all 2N sorted values, bit for bit; the dense cuts lie on
+    both rank sides of 2N = M = 200."""
+    qb = factor(make(), orientation)
+    for cut in cuts:
+        (report,) = certify(qb, [cut], gap_floor=0.0).reports
+        values = corner_eigenvalues(qb, cut)
+        m_n, gap, _, _ = count_upper(values)
+        nearest = float(values[np.argmin(np.abs(values - 0.5))])
+        assert (report.m_n, report.gap, report.nearest) == (m_n, gap, nearest)
+        assert np.signbit(report.nearest) == np.signbit(nearest)
+
+
+def test_a_gap_of_one_half_names_the_exact_zero():
+    """On the commuting grid every corner eigenvalue is 0 or 1, all 1/2 from 1/2;
+    the nearest named is the smallest of them."""
+    with pytest.raises(GapViolation) as info:
+        omega(build_commuting_grid(10), cuts=[40, 80, 120], gap_floor=0.6)
+    assert info.value.detail["gaps"] == [0.5, 0.5, 0.5]
+    assert info.value.detail["nearest"] == [0.0, 0.0, 0.0]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -1203,10 +1227,13 @@ def test_omega_orientation_reversal(harmonic400):
 def test_omega_commuting_grid(grid10):
     res = omega(grid10, cuts=[40, 80, 120])
     assert res.omega == 0
+    qb = factor(grid10)
     for rep in res.reports:
         assert rep.m_n == rep.cut
         assert rep.gap == pytest.approx(0.5, abs=1e-10)
-        dist = np.minimum(np.abs(rep.eigenvalues), np.abs(rep.eigenvalues - 1))
+        values = corner_eigenvalues(qb, rep.cut)
+        assert values.shape == (2 * rep.cut,)
+        dist = np.minimum(np.abs(values), np.abs(values - 1))
         assert np.max(dist) <= 1e-10
 
 
@@ -1251,7 +1278,9 @@ def test_omega_interior_permutation_invariance(harmonic200):
     moved = omega(permuted, cuts=[70])
     assert base.omega == moved.omega == 1
     assert np.allclose(
-        base.reports[0].eigenvalues, moved.reports[0].eigenvalues, atol=1e-12
+        corner_eigenvalues(factor(harmonic200), 70),
+        corner_eigenvalues(factor(permuted), 70),
+        atol=1e-12,
     )
 
 
