@@ -85,19 +85,22 @@ def _violates(lhs, bound, scale):
     return bound - lhs < -ROUNDOFF_ALLOWANCE * np.maximum(1.0, abs(scale))
 
 
+def _extra(key: str, values):
+    """Extra ``key`` merged over ``values``: summed for a key ending in
+    ``violations``, maximized otherwise."""
+    return int(np.sum(values)) if key.endswith("violations") else float(np.max(values))
+
+
 def _result(name: str, lhs, slack, violations, **extras) -> BoundCheckResult:
-    """One result over a stack's trials, merged as :func:`_merge` merges trials:
-    extras ending in ``violations`` are summed, the others maximized."""
+    """One result over a stack's trials, with each extra merged over the trials
+    by :func:`_extra`."""
     return BoundCheckResult(
         name=name,
         trials=len(lhs),
         max_lhs=float(np.max(lhs)),
         min_slack=float(np.min(slack)),
         violations=int(np.count_nonzero(violations)),
-        extras={
-            key: int(np.sum(value)) if key.endswith("violations") else float(np.max(value))
-            for key, value in extras.items()
-        },
+        extras={key: _extra(key, value) for key, value in extras.items()},
     )
 
 
@@ -327,21 +330,16 @@ def check_theorem_defect(c: np.ndarray) -> BoundCheckResult:
     )
 
 
-def _merge(name: str, results: list[BoundCheckResult]) -> BoundCheckResult:
-    extras: dict = {}
-    for r in results:
-        for key, value in r.extras.items():
-            if key.endswith("violations"):
-                extras[key] = extras.get(key, 0) + value
-            else:
-                extras[key] = max(extras.get(key, float("-inf")), value)
+def _merge(a: BoundCheckResult, b: BoundCheckResult) -> BoundCheckResult:
+    """The result of ``a``'s trials and ``b``'s together, two results of one
+    family, with each extra merged by :func:`_extra`."""
     return BoundCheckResult(
-        name=name,
-        trials=sum(r.trials for r in results),
-        max_lhs=max(r.max_lhs for r in results),
-        min_slack=min(r.min_slack for r in results),
-        violations=sum(r.violations for r in results),
-        extras=extras,
+        name=a.name,
+        trials=a.trials + b.trials,
+        max_lhs=max(a.max_lhs, b.max_lhs),
+        min_slack=min(a.min_slack, b.min_slack),
+        violations=a.violations + b.violations,
+        extras={key: _extra(key, (value, b.extras[key])) for key, value in a.extras.items()},
     )
 
 
@@ -457,7 +455,7 @@ def _run_family(seed: int, family: int, trials: int, max_dim: int, draw, check) 
                 read_order(keys[t])
                 stack.append(draw(rng, dim, t))
             result = check(*(np.stack(column) for column in zip(*stack)))
-            merged = result if merged is None else _merge(result.name, [merged, result])
+            merged = result if merged is None else _merge(merged, result)
         start = end
     return merged
 

@@ -11,12 +11,15 @@ Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
 :func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
 ``(..., n, n)`` of matrices and solve it in one numpy call per step, with every
 gate applied to each matrix on its own; a norm, verdict or defect is then an
-array with one entry per matrix.  A single matrix keeps its two-dimensional
-arithmetic, down to the full-array Frobenius norms of the pre-tests, and gets
-a float or a bool.  Input from outside the program is
-coerced to ``complex128`` (:func:`as_matrix`), while a real C and its factor stay
-``float64``; :func:`adjoint`, :func:`hermitian_eigenvalues` and
-:func:`hermitian_norm` work in the dtype they are given.  Functions that take
+array with one entry per matrix.  :func:`hpd_inverse` sends a single matrix that
+its Cholesky proof leaves undecided to the eigendecomposition as a stack of one.
+The other kernels keep a single matrix's two-dimensional arithmetic and give it
+a float or a bool, because the full-array Frobenius norm of their pre-tests
+allocates nothing, where the per-matrix one allocates two n-by-n temporaries.
+Input from outside the program is coerced to ``complex128`` (:func:`as_matrix`),
+while a real C and its factor stay ``float64``; :func:`adjoint`,
+:func:`hermitian_eigenvalues` and :func:`hermitian_norm` work in the dtype they
+are given.  Functions that take
 matrices from outside the program validate the shape and hermiticity assumptions
 the rest of the package relies on; :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` take matrices that are Hermitian by construction, such as
@@ -125,8 +128,6 @@ def hermiticity_defect(m: np.ndarray):
     for each matrix of a stack."""
     require_square(m)
     nm = operator_norm(m)
-    if not np.any(nm):
-        return 0.0 if m.ndim == 2 else np.zeros_like(nm)
     skew = operator_norm(m - adjoint(m))
     defect = np.divide(skew, nm, out=np.zeros(np.shape(nm)), where=nm != 0.0)
     return float(defect) if m.ndim == 2 else defect
@@ -292,10 +293,10 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
       and that bound proves the residual tolerance below.
 
     A matrix whose Cholesky factorization fails or whose proofs are undecided is
-    inverted through its eigendecomposition instead, as ``(v / w) @ adjoint(v)``;
-    that path alone raises, and each matrix of a stack is decided on its own, so a
-    stack returns what its matrices return one at a time.  The result is Hermitian
-    only up to rounding on either path.
+    inverted through its eigendecomposition instead, as ``(v / w) @ adjoint(v)``,
+    a single matrix as a stack of one; that path alone raises, and each matrix of
+    a stack is decided on its own, so a stack returns what its matrices return one
+    at a time.  The result is Hermitian only up to rounding on either path.
 
     Raises
     ------
@@ -306,9 +307,8 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
         ``PD_FLOOR`` times its largest.
     ConvergenceFailure
         If the eigendecomposition's inverse misses the residual contract
-        ``norm(m @ inv - I) <= INV_TOL * max(1, cond)``.  Its Frobenius norm, an
-        upper bound, decides a clear pass; only the rest pay for the operator
-        norm.  Each matrix of a stack is held to its own floor and residual; the
+        ``norm(m @ inv - I) <= INV_TOL * max(1, cond)``, in the operator norm.
+        Each matrix of a stack is held to its own floor and residual; the
         message names the first that misses.
     """
     require_square(m)
@@ -338,8 +338,6 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     )
     if np.all(proved):
         return inv
-    if m.ndim == 2:
-        return _eigen_inverse(m)
     inv[~proved] = _eigen_inverse(m[~proved])
     return inv
 
@@ -379,17 +377,8 @@ def _eigen_inverse(m: np.ndarray) -> np.ndarray:
     # allow the residual to grow with the condition number, as any backward-stable
     # inverse does
     cond = highest / lowest
-    tol = INV_TOL * np.maximum(1.0, cond)
-    error = m @ inv - np.eye(m.shape[-1])
-    # the Frobenius norm bounds the operator norm, so a small one decides the
-    # contract without an eigensolve, as in is_hermitian
-    undecided = ~(_frobenius(error) <= tol * (1.0 - FROBENIUS_MARGIN))
-    if not np.any(undecided):
-        return inv
-    if m.ndim > 2:
-        error, tol, cond = error[undecided], tol[undecided], cond[undecided]
-    residual = operator_norm(error)
-    missed = residual > tol
+    residual = operator_norm(m @ inv - np.eye(m.shape[-1]))
+    missed = residual > INV_TOL * np.maximum(1.0, cond)
     if np.any(missed):
         res, con = _first(missed, residual, cond)
         raise ConvergenceFailure(

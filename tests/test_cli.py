@@ -962,6 +962,25 @@ def test_a_sweep_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch
     assert error["detail"]["needed_bytes"] == footprint
 
 
+def test_an_omega_report_beyond_memory_exits_1_with_one_error_object(capsys, monkeypatch):
+    """The report of 91 cuts is charged as one sweep point after the cuts are
+    certified: refused one byte below that charge, with no traceback, and printed
+    at it."""
+    argv = ("omega", "--dim", "400", "--lambda", "0.01", "--cuts", "70:160:1")
+    footprint = cli_module.SWEEP_POINT_BYTES + cli_module.SWEEP_CUT_BYTES * 91
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InsufficientMemory"
+    assert error["message"].startswith("a report of 91 cuts needs about")
+    assert error["detail"]["needed_bytes"] == footprint
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(footprint))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(json.loads(out)["cuts"]) == 91
+
+
 @pytest.mark.parametrize("argv, points, entries", [
     (("--axis", "cut", "--values", "70:109:1"), 40, 1),
     (("--axis", "lambda", "--values", "0.01:0.019:0.001"), 10, index_module.DEFAULT_CUT_COUNT),

@@ -278,9 +278,9 @@ def test_hpd_inverse_rejects_non_hermitian():
 
 
 def test_hpd_inverse_decides_a_clear_residual_without_an_eigensolve(monkeypatch):
-    """The Frobenius pre-test passes a well-conditioned inverse with no operator norm;
-    a residual the contract cannot accept still pays for one and is refused with
-    the exact norm in the message."""
+    """The Cholesky proof passes a well-conditioned inverse with no operator norm;
+    a residual it leaves undecided goes to the eigendecomposition as a stack of
+    one, where the operator norm refuses it with the exact norm in the message."""
     m = random_hermitian(np.random.default_rng(8), 12) + 12 * np.eye(12)
     calls = []
     real_norm = linalg_module.operator_norm
@@ -296,7 +296,7 @@ def test_hpd_inverse_decides_a_clear_residual_without_an_eigensolve(monkeypatch)
     monkeypatch.setattr(linalg_module, "INV_TOL", 1e-30)
     with pytest.raises(ConvergenceFailure, match="inverse residual .* exceeds tolerance"):
         hpd_inverse(m)
-    assert calls == [(12, 12)]
+    assert calls == [(1, 12, 12)]
 
 
 def _spectral_matrix(rng, dim, kind, log_cond, log_scale):
