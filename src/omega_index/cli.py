@@ -242,7 +242,10 @@ def _emit_error(exc: OmegaIndexError) -> None:
             "detail": {k: _plain(v) for k, v in exc.detail.items()},
         }
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    # streamed: a refusal that lists every cut of a long sweep is never held as
+    # one string
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _plain(value):

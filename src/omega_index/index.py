@@ -106,6 +106,14 @@ BAND_FACTOR_ROW_BYTES = 120
 #: 4*10^6; tracemalloc sees 140-151 from M = 10^4 to 10^6)
 STURM_ROW_BYTES = 176
 
+#: bytes per cut that :func:`certify` takes: the band path's batched pencils and
+#: eigensolve, the kept reports, and a refusal's message and detail (virtual-memory
+#: growth from the charge to the end of the run, which an address-space limit
+#: counts, of 639 bytes a cut at 2*10^5 cuts of the dim-10^6 oscillator and
+#: 310-402 at 8*10^5, reported or refused; fewer cuts pay more a cut for the
+#: pencils' O(M) padded copies of the factor)
+CERTIFY_CUT_BYTES = 640
+
 #: cuts that :func:`default_cuts` spreads over the interior
 DEFAULT_CUT_COUNT = 5
 
@@ -273,8 +281,6 @@ def _tridiagonal_norm(diagonal: np.ndarray, off2: np.ndarray) -> float:
     off-diagonal differs from T's by a few ulps relatively (Kahan 1966), so hi
     bounds the norm of T' and is within a few ulps of it.
     """
-    if diagonal.size == 0:
-        return 0.0
     off = np.sqrt(off2)
     lo, hi = 0.0, float(np.max(np.abs(diagonal) + np.append(off, 0.0) + np.append(0.0, off)))
     # row i carries a[i - 1]; the first row's 0 leaves its pivots at t[0] +- x
@@ -699,7 +705,7 @@ def omega(
     InadmissibleCommutator, GapViolation, UnstableCount
         As raised by :func:`certify`.
     InsufficientMemory
-        As raised by :func:`factor`.
+        As raised by :func:`factor` or :func:`certify`.
     """
     cuts = check_cuts(
         default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
@@ -717,8 +723,10 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     every corner eigenvalue keeps at least ``gap_floor`` distance from 1/2.  Cuts
     are counted one after another in the calling thread, each kept as its counts
     alone; only the BLAS/LAPACK calls inside each eigensolve may run threaded.
-    The arguments are checked before the admissibility gates, so a malformed
-    request is refused as such whatever the pair.
+    :data:`CERTIFY_CUT_BYTES` a cut are charged against
+    :func:`~omega_index.linalg.require_memory` after the gates and before the
+    first cut is solved.  The arguments are checked before the admissibility
+    gates, so a malformed request is refused as such whatever the pair.
 
     Raises
     ------
@@ -737,6 +745,8 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
         If a corner eigensolve fails or yields a non-finite eigenvalue, or, once
         every other gate has passed, if ``defect`` is not finite: a count whose Q
         has no bound on its idempotency certifies nothing.
+    InsufficientMemory
+        If the cuts would not fit, at :data:`CERTIFY_CUT_BYTES` a cut.
     """
     cuts = check_cuts(cuts, qb.dim, qb.boundary_window)
     check_gap_floor(gap_floor)
@@ -754,6 +764,7 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             epsilon=qb.epsilon,
             bound=bound,
         )
+    linalg.require_memory(CERTIFY_CUT_BYTES * len(cuts), f"certifying {len(cuts)} cuts")
 
     reports = [_spectral_report(c, *solved) for c, solved in zip(cuts, _spectra(qb, cuts))]
 

@@ -11,11 +11,14 @@ Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
 :func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
 ``(..., n, n)`` of matrices and solve it in one numpy call per step, with every
 gate applied to each matrix on its own; a norm, verdict or defect is then an
-array with one entry per matrix.  :func:`hpd_inverse` sends a single matrix that
-its Cholesky proof leaves undecided to the eigendecomposition as a stack of one.
-The other kernels keep a single matrix's two-dimensional arithmetic and give it
-a float or a bool, because the full-array Frobenius norm of their pre-tests
-allocates nothing, where the per-matrix one allocates two n-by-n temporaries.
+array with one entry per matrix.  :func:`hpd_inverse` reaches the
+eigendecomposition by two routes: a stack whose Cholesky factor or triangular
+inverse LAPACK refuses goes there whole, and each matrix that fails the
+hermiticity gate or that its Cholesky proof leaves undecided goes there alone,
+a single matrix as a stack of one.  The other kernels keep a single matrix's
+two-dimensional arithmetic and give it a float or a bool, because the
+full-array Frobenius norm of their pre-tests allocates nothing, where the
+per-matrix one allocates two n-by-n temporaries.
 Input from outside the program is coerced to ``complex128`` (:func:`as_matrix`),
 while a real C and its factor stay ``float64``; :func:`adjoint`,
 :func:`hermitian_eigenvalues` and :func:`hermitian_norm` work in the dtype they
@@ -152,7 +155,7 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
     verdict = np.where(skew == 0.0, 0.0 <= tol, proven)
     undecided = (skew != 0.0) & ~proven & ~refuted
     if np.any(undecided):
-        verdict[undecided] = hermiticity_defect(m[undecided] if m.ndim > 2 else m) <= tol
+        verdict[undecided] = hermiticity_defect(m[undecided]) <= tol
     return bool(verdict) if m.ndim == 2 else verdict
 
 
@@ -292,11 +295,18 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
       ``|h| |inv| / (n(1 + r_h))``; r within ``INV_TOL`` times the larger of 1
       and that bound proves the residual tolerance below.
 
-    A matrix whose Cholesky factorization fails or whose proofs are undecided is
-    inverted through its eigendecomposition instead, as ``(v / w) @ adjoint(v)``,
-    a single matrix as a stack of one; that path alone raises, and each matrix of
-    a stack is decided on its own, so a stack returns what its matrices return one
-    at a time.  The result is Hermitian only up to rounding on either path.
+    Other inputs are inverted through their eigendecomposition instead, as
+    ``(v / w) @ adjoint(v)``, by one of two routes, and that path alone raises.
+    A stack whose Cholesky factor or triangular inverse LAPACK refuses goes there
+    whole.  Otherwise each matrix that fails the hermiticity gate, or whose proofs
+    are undecided, goes there alone (a single matrix as a stack of one), and the
+    proved ones keep their Cholesky bits.  So a stack LAPACK refuses returns only
+    if the eigendecomposition accepts every matrix in it, and then with each
+    matrix's eigendecomposition bits, where alone some would have kept Cholesky
+    ones; that needs a matrix above the ``PD_FLOOR`` floor that LAPACK cannot
+    factor, which floating-point Cholesky refuses only near a scaled condition of
+    1/(n u), u the unit roundoff.  The result is Hermitian only up to rounding on
+    either path.
 
     Raises
     ------
@@ -312,12 +322,12 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
         message names the first that misses.
     """
     require_square(m)
-    if not np.all(is_hermitian(m)):
-        # refused there, with the largest asymmetry in the message
-        return _eigen_inverse(m)
     h = (m + adjoint(m)) / 2.0
-    lower, factored = _each_or_identity(np.linalg.cholesky, h)
-    x, inverted = _each_or_identity(np.linalg.inv, lower)
+    try:
+        lower = np.linalg.cholesky(h)
+        x = np.linalg.inv(lower)
+    except np.linalg.LinAlgError:
+        return _eigen_inverse(m)
     inv = adjoint(x) @ x
     n = m.shape[-1]
     residual = _frobenius(m @ inv - np.eye(n))
@@ -329,8 +339,7 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     rounding = 2.0 * (n + 1) * np.finfo(np.float64).eps * _frobenius(lower) ** 2
     cond = h_norm * inv_norm / (n * (1.0 + r_h))
     proved = (
-        factored
-        & inverted
+        is_hermitian(m)
         & (r_h <= 0.5)
         & (rounding < low)
         & (PD_FLOOR * h_norm < low)
@@ -340,24 +349,6 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
         return inv
     inv[~proved] = _eigen_inverse(m[~proved])
     return inv
-
-
-def _each_or_identity(solve, a: np.ndarray) -> tuple:
-    """``solve(a)`` with a True flag per matrix, in one call.  Where LAPACK refuses
-    some matrix of the stack, each matrix is solved alone instead: one it refuses
-    gets the identity and a False flag, and the others keep their own bits."""
-    done = np.ones(a.shape[:-2], dtype=bool)
-    try:
-        return solve(a), done
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(a)
-    for i in np.ndindex(done.shape):
-        try:
-            out[i] = solve(a[i])
-        except np.linalg.LinAlgError:
-            out[i], done[i] = np.eye(a.shape[-1]), False
-    return out, done
 
 
 def _eigen_inverse(m: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import tracemalloc
 
@@ -11,6 +12,7 @@ import omega_index.index as index_module
 import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
 from omega_index import (
+    GapViolation,
     InsufficientMemory,
     build_harmonic,
     corner_eigenvalues,
@@ -184,6 +186,16 @@ def test_omega_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["omega"] == 1
+
+
+def test_an_unwritable_output_exits_1_with_the_os_error_on_stderr(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(
+        capsys, "omega", "--dim", "200", "--cuts", "40", "--output", str(target)
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
 
 
 def test_omega_measured_epsilon_warning(capsys, tmp_path):
@@ -979,6 +991,40 @@ def test_an_omega_report_beyond_memory_exits_1_with_one_error_object(capsys, mon
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(json.loads(out)["cuts"]) == 91
+
+
+def test_a_refusal_listing_many_cuts_is_streamed(monkeypatch, tmp_path):
+    """A GapViolation that lists 10^5 cuts prints exactly json.dumps of its error
+    object, streamed: tracemalloc saw 2.6 MiB where the whole text held as one
+    string took 33 MiB."""
+    count = 10**5
+    gaps = np.linspace(0.0, 0.04, count).tolist()
+    refusal = GapViolation(
+        "corner eigenvalues within gap_floor 0.05 of 1/2 (...)",
+        cuts=list(range(100, 100 + count)),
+        gaps=gaps,
+        gap_floor=0.05,
+        nearest=[0.5 + g for g in gaps],
+    )
+
+    def refuse(*args, **kwargs):
+        raise refusal
+
+    monkeypatch.setattr(cli_module, "omega", refuse)
+    target = tmp_path / "out.json"
+    with open(target, "w") as handle:
+        monkeypatch.setattr(sys, "stdout", handle)
+        tracemalloc.start()
+        try:
+            code = main(["omega", "--dim", "400", "--cuts", "60"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    doc = {"error": {"type": "GapViolation", "message": refusal.message,
+                     "detail": refusal.detail}}
+    assert code == 2
+    assert target.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("argv, points, entries", [

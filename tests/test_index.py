@@ -878,6 +878,22 @@ def test_factor_refuses_an_overflowing_gram():
             factor(build_commuting_grid(4, 1e160), "literal")
 
 
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_factor_refuses_a_pivot_that_overflows(orientation):
+    """Main and upper diagonals of 1e100 keep I + d*d finite, about 2e200, but
+    |f|^2 overflows, so a pivot of I + d*d is -inf and the band factor refuses it."""
+    pair = OperatorPair(
+        stored=(np.zeros(15), np.full(16, 1e100), np.full(15, 1e100)),
+        dim=16,
+        basis_label="overflow",
+        known_commutator_norm=0.0,
+        boundary_window=2,
+    )
+    with np.errstate(over="ignore"):
+        with pytest.raises(ConvergenceFailure, match=r"a pivot of I \+ d\*d is not positive"):
+            factor(pair, orientation)
+
+
 def test_reference_pair_at_dim_3000_never_takes_the_dense_path(monkeypatch):
     """The oscillator at lam = 0.002, dim 3000, default cuts: omega = 1 and every gap is
     2N lam / (2N lam + 1) - 1/2, counted from O(M) numbers."""
@@ -1092,6 +1108,32 @@ def test_a_long_sweep_holds_counts_not_spectra(monkeypatch):
     result = certify(qb, range(100, 3401))
     assert result.omega == 1 and len(result.reports) == 3301
     assert _traced_peak(certify, qb, range(100, 3401)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("make, cuts", [
+    (lambda: build_harmonic(0.01, 400), range(60, 151)),
+    (lambda: perturb(build_harmonic(0.01, 200), "a", "random_hermitian", 0.002, 7),
+     [60, 100, 150]),
+], ids=["band", "dense"])
+def test_certify_charges_its_cuts_before_the_first_solve(make, cuts, monkeypatch):
+    """Refused one byte below CERTIFY_CUT_BYTES a cut, before any cut is solved,
+    and certified at that charge."""
+    qb = factor(make())
+    charge = index_module.CERTIFY_CUT_BYTES * len(cuts)
+
+    def solve(*args):
+        raise AssertionError("a cut was solved before the charge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(index_module, "_band_spectra", solve)
+        patch.setattr(index_module, "_dense_spectrum", solve)
+        patch.setattr(linalg_module, "memory_headroom", lambda: charge - 1.0)
+        with pytest.raises(InsufficientMemory, match=f"certifying {len(cuts)} cuts") as info:
+            certify(qb, cuts, gap_floor=0.0)
+    assert info.value.detail["needed_bytes"] == charge
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(charge))
+    result = certify(qb, cuts, gap_floor=0.0)
+    assert result.omega == 1 and len(result.reports) == len(cuts)
 
 
 @pytest.mark.parametrize("make, cuts", [
