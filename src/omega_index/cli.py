@@ -445,7 +445,12 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
         "--perturb",
         action="append",
         metavar="TARGET:KIND:MAG[:SEED]",
-        help=f"apply a perturbation (kinds: {', '.join(PERTURB_KINDS)}); repeatable",
+        help=(
+            f"apply a perturbation (kinds: {', '.join(PERTURB_KINDS)}); random_hermitian "
+            "adds MAG times a seeded Hermitian R scaled by a proved upper bound on its "
+            "norm, so norm(R) lies in [1/(1 + delta), 1], "
+            f"delta <= {linalg.NORM_BOUND_MAX_SLACK:g}; repeatable"
+        ),
     )
     group.add_argument(
         "--orientation", choices=(*ORIENTATIONS, "default"), default="default"

@@ -101,9 +101,10 @@ DEFECT_BLOCK = 256
 BAND_FACTOR_ROW_BYTES = 120
 
 #: bytes per row that measuring a band pair's commutator norm takes: the arrays of
-#: :func:`_band_self_commutator_norm` and the row tuples of :func:`_tridiagonal_norm`
-#: (virtual-memory peaks of 166 bytes per row for the whole factor at M = 10^6 and
-#: 4*10^6; tracemalloc sees 140-151 from M = 10^4 to 10^6)
+#: :func:`_band_self_commutator_norm` and the row tuples of
+#: :func:`~omega_index.linalg.tridiagonal_norm` (virtual-memory peaks of 166 bytes
+#: per row for the whole factor at M = 10^6 and 4*10^6; tracemalloc sees 140-151
+#: from M = 10^4 to 10^6)
 STURM_ROW_BYTES = 176
 
 #: bytes per cut that :func:`certify` takes: the band path's batched pencils and
@@ -138,11 +139,16 @@ class FactorHeader:
     of it, for the Q actually counted.  Each path says how it bounds e, and e is
     infinite when the path cannot bound it.  ``dim`` and ``boundary_window`` are
     the pair's.  ``epsilon_measured`` is true when the pair carried no analytic
-    commutator norm.
+    commutator norm.  ``epsilon_rounding`` bounds how far rounding can have moved
+    ``epsilon`` below the true norm: the a-priori bound of
+    :func:`_interior_self_commutator` on the dense path's measured epsilon, and 0
+    for an analytic epsilon or the band path's bisection, whose value is already
+    an upper end.  :func:`certify` gates on ``epsilon + epsilon_rounding``.
     """
 
     orientation: str
     epsilon: float
+    epsilon_rounding: float
     defect: float
     dim: int
     boundary_window: int
@@ -239,10 +245,28 @@ def _factor_defect(y: np.ndarray) -> float:
     return (1.0 + e) * e
 
 
-def _interior_self_commutator_norm(gram: np.ndarray, rows: np.ndarray) -> float:
+def _interior_self_commutator(gram: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
     """Norm of the interior k-by-k block of d*d - dd*, given ``gram`` = (d*d)[:k, :k]
-    and ``rows`` = d[:k]."""
-    return linalg.hermitian_norm(gram - rows @ linalg.adjoint(rows))
+    and ``rows`` = d[:k], and an a-priori bound on how far rounding moved it.
+
+    Both products have inner dimension M, the row length of d.  Each entry of a
+    computed product X*Y is off by at most sqrt(2) gamma_(M+2) times the same entry
+    of ``|X|* |Y|`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.6, for complex arithmetic; gamma_j = j u / (1 - j u), u = eps / 2),
+    so in norm by at most that times ``|d[:, :k]|^2`` and ``|d[:k]|^2``, the
+    squared Frobenius norms, which are the traces of the two Grams.  The
+    subtraction rounds each entry by at most u of the result.  The bound
+    2 gamma_(M+3) (``|d[:, :k]|^2 + |d[:k]|^2``) covers the three, and by Weyl's
+    inequality the norm of the exact block is at most the computed one plus it.
+    """
+    block = rows @ linalg.adjoint(rows)
+    scale = float(np.trace(gram).real + np.trace(block).real)
+    # in place, so that beside the eigensolve's copy no second k-by-k array is alive
+    np.subtract(gram, block, out=block)
+    unit = np.finfo(np.float64).eps / 2.0
+    terms = rows.shape[1] + 3
+    gamma = terms * unit / (1.0 - terms * unit)
+    return linalg.hermitian_norm(block), 2.0 * gamma * scale
 
 
 def _band_self_commutator_norm(
@@ -257,54 +281,23 @@ def _band_self_commutator_norm(
     and ``upper`` and entries past either end are 0; rows up to k, so up to M,
     enter through row k - 1.  It is the same for d = C and d = C*.  Its
     :data:`STURM_ROW_BYTES` a row are charged against
-    :func:`~omega_index.linalg.require_memory` first.
+    :func:`~omega_index.linalg.require_memory` first; then the diagonal of C*C and
+    the squared off-diagonal moduli are checked for overflow, before any
+    bisection runs.
     """
     linalg.require_memory(
         STURM_ROW_BYTES * main.size, f"the commutator norm of a dim-{main.size} band pair"
     )
-    u2 = _abs2(np.concatenate([[0.0], upper, [0.0]]))  # u2[i + 1] is |u[i]|^2
-    l2 = _abs2(np.concatenate([[0.0], lower, [0.0]]))
+    with np.errstate(over="ignore"):
+        u2 = _abs2(np.concatenate([[0.0], upper, [0.0]]))  # u2[i + 1] is |u[i]|^2
+        l2 = _abs2(np.concatenate([[0.0], lower, [0.0]]))
+        _refuse_overflow(u2[:-1] + _abs2(main) + l2[1:])
+        off2 = ((u2[1:-1] + l2[1:-1]) * _abs2(np.diff(main)))[: k - 1]
+    if not np.all(np.isfinite(off2)):
+        # an infinite norm would rescale the pair to zero in scale_admissible
+        raise ConvergenceFailure("C*C - CC* overflows: the pair is too large to measure")
     diagonal = (u2[:-1] + l2[1:] - u2[1:] - l2[:-1])[:k]
-    off2 = ((u2[1:-1] + l2[1:-1]) * _abs2(np.diff(main)))[: k - 1]
-    return _tridiagonal_norm(diagonal, off2)
-
-
-def _tridiagonal_norm(diagonal: np.ndarray, off2: np.ndarray) -> float:
-    """The operator norm of the Hermitian tridiagonal T with real ``diagonal`` and
-    squared off-diagonal moduli ``off2``, as the upper end of a bisection bracket.
-
-    The bracket [lo, hi] on the largest absolute eigenvalue starts at [0, r], r
-    the largest Gershgorin row sum, and halves until no float lies inside it.
-    The test at x is Sturm's, by Sylvester's law of inertia: every eigenvalue
-    lies in (-x, x) exactly when T + xI has only positive LDL* pivots and T - xI
-    only negative ones.  The computed pivots are the exact pivots of a T' whose
-    off-diagonal differs from T's by a few ulps relatively (Kahan 1966), so hi
-    bounds the norm of T' and is within a few ulps of it.
-    """
-    off = np.sqrt(off2)
-    lo, hi = 0.0, float(np.max(np.abs(diagonal) + np.append(off, 0.0) + np.append(0.0, off)))
-    # row i carries a[i - 1]; the first row's 0 leaves its pivots at t[0] +- x
-    rows = list(zip(diagonal.tolist(), [0.0] + off2.tolist()))
-    mid = 0.5 * hi
-    while lo < mid < hi:
-        if _definite_on_both_sides(rows, mid):
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return hi
-
-
-def _definite_on_both_sides(rows: list[tuple[float, float]], x: float) -> bool:
-    """Whether the LDL* pivots of T + xI are all positive and those of T - xI all
-    negative, for the tridiagonal T of :func:`_tridiagonal_norm`'s ``rows``."""
-    p, q = 1.0, -1.0
-    for t, a in rows:
-        p = t + x - a / p
-        q = t - x - a / q
-        if not (p > 0.0 and q < 0.0):
-            return False
-    return True
+    return linalg.tridiagonal_norm(diagonal, off2)
 
 
 def masked_commutator_norm(pair: OperatorPair) -> float:
@@ -312,13 +305,22 @@ def masked_commutator_norm(pair: OperatorPair) -> float:
 
     For a pair stored by its diagonals this is the O(M) bisection of
     :func:`factor`'s measured epsilon; otherwise the interior block is formed and
-    solved densely.
+    solved densely.  Either way the diagonal of C*C is checked for overflow
+    first.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If I + C*C overflows, or for a pair stored by its diagonals the
+        commutator's squared entries do.
     """
     k = pair.interior
     if pair.diagonals is not None:
         return 0.5 * _band_self_commutator_norm(*pair.diagonals, k)
     c = pair.c
-    return 0.5 * _interior_self_commutator_norm(linalg.adjoint(c[:, :k]) @ c[:, :k], c[:k])
+    gram = _overflowing_gram(c[:, :k])
+    _refuse_overflow(gram.diagonal())
+    return 0.5 * _interior_self_commutator(gram, c[:k])[0]
 
 
 def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,13 +364,22 @@ def _header(pair: OperatorPair, orientation: str) -> dict:
 
 
 def _refuse_overflow(g: np.ndarray) -> None:
-    """Raise :class:`ConvergenceFailure` unless the diagonal ``g`` of I + d*d is finite.
+    """Raise :class:`ConvergenceFailure` unless the diagonal ``g`` of d*d, or of
+    I + d*d, is finite.
 
     An infinite diagonal does not make a Cholesky factorization fail; it would
-    zero columns of W.
+    zero columns of W.  Checked before epsilon is measured, so no eigensolve or
+    bisection runs on an overflowed block.
     """
     if not np.all(np.isfinite(g)):
         raise ConvergenceFailure("I + d*d overflows: the pair is too large to factor")
+
+
+def _overflowing_gram(d: np.ndarray) -> np.ndarray:
+    """``d* d``, with an overflow left in it as inf or nan for :func:`_refuse_overflow`
+    to refuse, and no warning printed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return linalg.adjoint(d) @ d
 
 
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
@@ -387,7 +398,10 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     solves and the Gram behind ``defect`` rely on.  ``epsilon`` takes one
     eigensolve of the interior block when the pair has no analytic value, for
     every pair: this is the dense reference for the band path's bisection too.
-    A pair stored by its diagonals is read through its dense view ``c``.
+    Its ``epsilon_rounding`` is then the a-priori bound of
+    :func:`_interior_self_commutator`.  The diagonal of d*d is checked for
+    overflow before epsilon is measured.  A pair stored by its diagonals is read
+    through its dense view ``c``.
 
     ``y`` has the dtype of the stored C: float64 for a real C, so that every
     product, factorization and eigensolve runs in float64, and complex128
@@ -409,14 +423,14 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
         f"the dense factor of a dim-{m} pair",
     )
     d = _graph_map(pair.c, resolved)
-    gram = linalg.adjoint(d) @ d
+    gram = _overflowing_gram(d)
+    _refuse_overflow(gram.diagonal())
     if pair.known_commutator_norm is None:
         k = pair.interior
-        epsilon = _interior_self_commutator_norm(gram[:k, :k], d[:k])
+        epsilon, rounding = _interior_self_commutator(gram[:k, :k], d[:k])
     else:
-        epsilon = 2.0 * pair.known_commutator_norm
+        epsilon, rounding = 2.0 * pair.known_commutator_norm, 0.0
     gram[np.diag_indices(m)] += 1.0
-    _refuse_overflow(gram.diagonal())
     try:
         # reverse Cholesky: with J the flip, J G J = L L* gives G = U U*, U = J L J
         chol = np.linalg.cholesky(gram[::-1, ::-1])
@@ -430,7 +444,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     np.conjugate(inverse.T[::-1, ::-1], out=y[:m], where=np.tri(m, dtype=bool))
     del inverse
     np.matmul(d, y[:m], out=y[m:])
-    return QBuild(y=y, epsilon=epsilon, defect=_factor_defect(y), **header)
+    return QBuild(
+        y=y, epsilon=epsilon, epsilon_rounding=rounding, defect=_factor_defect(y), **header
+    )
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -462,9 +478,10 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     lower and upper swapped (``literal``).  ``epsilon`` is twice the analytic
     commutator norm or else measured on the interior block of d*d - dd*, which is
     tridiagonal here; its norm is the upper end of a bisection bracket one ulp wide
-    (:func:`_tridiagonal_norm`), not the eigensolve :func:`build_q` uses.  No M-by-M
-    array is formed, and the O(M) ones are charged :data:`BAND_FACTOR_ROW_BYTES` a
-    row against :func:`~omega_index.linalg.require_memory` before any is made.
+    (:func:`~omega_index.linalg.tridiagonal_norm`), not the eigensolve
+    :func:`build_q` uses.  No M-by-M array is formed, and the O(M) ones are charged
+    :data:`BAND_FACTOR_ROW_BYTES` a row against
+    :func:`~omega_index.linalg.require_memory` before any is made.
 
     Raises
     ------
@@ -489,7 +506,8 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     if resolved == "literal":
         lower, main, upper = np.conj(upper), np.conj(main), np.conj(lower)
     # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
-    g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
+    with np.errstate(over="ignore"):
+        g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
     _refuse_overflow(g)
     f = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
     a = _abs2(f)
@@ -508,6 +526,7 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         main=main,
         upper=upper,
         epsilon=epsilon,
+        epsilon_rounding=0.0,
         defect=(1.0 + e) * e,
         **_header(pair, resolved),
     )
@@ -735,8 +754,10 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     InadmissibleCommutator
         If epsilon >= 1 or the defect bound at epsilon, :func:`theorem_bound`, is
         >= 1/4: the pair's commutator lies outside the regime the count is
-        certified in.  This gates the pair, not the idempotency of the Q counted,
-        which ``defect`` measures.  Rescale with :func:`scale_admissible` first.
+        certified in.  The same holds at ``epsilon + epsilon_rounding``, so an
+        epsilon that rounding may have shrunk certifies nothing.  This gates the
+        pair, not the idempotency of the Q counted, which ``defect`` measures.
+        Rescale with :func:`scale_admissible` first.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
@@ -763,6 +784,16 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             "rescale the pair with scale_admissible",
             epsilon=qb.epsilon,
             bound=bound,
+        )
+    upper = qb.epsilon + qb.epsilon_rounding
+    if upper >= 1.0 or theorem_bound(upper) >= ADMISSIBLE_BOUND:
+        raise InadmissibleCommutator(
+            f"epsilon = {qb.epsilon:.6g} is not proved admissible: with the rounding "
+            f"bound {qb.epsilon_rounding:.6g} of its interior block, epsilon may be as "
+            f"large as {upper:.6g}, where the defect bound is not below 1/4; rescale "
+            "the pair with scale_admissible",
+            epsilon=qb.epsilon,
+            rounding=qb.epsilon_rounding,
         )
     linalg.require_memory(CERTIFY_CUT_BYTES * len(cuts), f"certifying {len(cuts)} cuts")
 

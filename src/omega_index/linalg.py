@@ -3,7 +3,9 @@
 Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion (through a Cholesky factor where norm bounds prove
 the result, else through the eigendecomposition), a blocked triangular
-inverse, the operator norm, an O(n^2) hermiticity gate, the memory probe that
+inverse, the operator norm, a proved upper bound on a Hermitian matrix's norm
+that takes no eigensolve, the norm of a Hermitian tridiagonal by Sturm-count
+bisection, an O(n^2) hermiticity gate, the memory probe that
 every dense path consults before it allocates (:func:`require_memory`), and a
 scope that runs a block on one BLAS thread (:func:`serial_blas`).
 Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
@@ -26,7 +28,8 @@ are given.  Functions that take
 matrices from outside the program validate the shape and hermiticity assumptions
 the rest of the package relies on; :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` take matrices that are Hermitian by construction, such as
-the Gram products the certifier forms itself, and check nothing.
+the Gram products the certifier forms itself, and check nothing; so does
+:func:`hermitian_norm_bound`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,13 @@ INV_TOL = 1e-9
 
 #: order below which :func:`lower_triangular_inverse` hands a block to ``np.linalg.inv``
 TRIANGULAR_BASE = 128
+
+#: Lanczos steps behind the estimate that :func:`hermitian_norm_bound` proves
+NORM_BOUND_STEPS = 40
+
+#: largest relative slack that :func:`hermitian_norm_bound` puts on its estimate,
+#: so the bound it returns is at most ``1 + NORM_BOUND_MAX_SLACK`` times the norm
+NORM_BOUND_MAX_SLACK = 2.0**-4
 
 #: (set, get) pairs of the thread-count functions that OpenBLAS builds export,
 #: in the order :func:`serial_blas` looks for them: numpy's own wheel first
@@ -237,6 +247,198 @@ def hermitian_norm(m: np.ndarray) -> float:
     return float(max(abs(values[0]), abs(values[-1])))
 
 
+def _cholesky_rounding(lower: np.ndarray):
+    """A bound on ``norm(L L* - h)`` for the computed Cholesky factor L of h, of each
+    matrix of a stack: 2(n + 1) eps ``|L|^2``, n the order and ``|.|`` the
+    Frobenius norm.
+
+    Higham (*Accuracy and Stability of Numerical Algorithms*, Thm 10.3) gives
+    ``|L L* - h| <= gamma_(n+1) |L| |L*|`` entrywise, with gamma_k = k u / (1 - k u)
+    and u = eps / 2, and ``norm(|L| |L*|) <= |L|^2``.  Complex arithmetic raises
+    the constant to about sqrt(2) gamma_(n+2), and one more rounding of each
+    diagonal entry of h, as when h is formed by a shift, adds at most u of it; the
+    bound stated, 4(n + 1) u, covers all of that.
+    """
+    n = lower.shape[-1]
+    return 2.0 * (n + 1) * np.finfo(np.float64).eps * _frobenius(lower) ** 2
+
+
+def hermitian_norm_bound(m: np.ndarray) -> float:
+    """A proved upper bound on the operator norm of the Hermitian matrix ``m``, at
+    most ``1 + NORM_BOUND_MAX_SLACK`` times that norm, with no eigensolve of ``m``.
+
+    Write n for the order, eps for the machine epsilon and ``|.|`` for the
+    Frobenius norm.  :data:`NORM_BOUND_STEPS` Lanczos steps with full
+    reorthogonalization, from a fixed pseudo-random start vector, give theta, the
+    largest modulus of a Ritz value, and r, the residual of its Ritz pair.  Ritz
+    values lie in the numerical range, so theta does not exceed the norm (up to
+    rounding), and some eigenvalue lies within r of that Ritz value.  For each
+    sign s the Cholesky factor L of ``x I - s m`` at x = theta (1 + delta) then
+    proves ``s m <= (x + c) I`` with c = :func:`_cholesky_rounding` of L =
+    2(n + 1) eps ``|L|^2``: L L* equals ``x I - s m`` up to an error of norm at
+    most c, the shift's rounding included.  So the norm is at most the larger of
+    the two values x + c, each rounded up by one ulp, and that is returned.
+
+    delta starts at the larger of r / theta and 4 n (n + 1) eps, the bound c at
+    ``|L|^2 = 2 n theta``, enough for the factor to exist when theta is the
+    norm.  For a side whose factor LAPACK refuses, delta grows eightfold, up to
+    :data:`NORM_BOUND_MAX_SLACK`; a refusal means ``x I - s m`` is not safely
+    positive definite, so x was below the norm to rounding and the next x stays
+    within ``1 + NORM_BOUND_MAX_SLACK`` of it.  When n is at most the step count,
+    the Krylov space is the whole space, or an invariant subspace that meets every
+    eigenspace, since the start vector has a component along each; then theta is
+    the norm to rounding, r is rounding too, and the bound exceeds the norm by
+    about 8 n (n + 1) eps relatively.
+
+    The Lanczos steps read all of ``m``, the factorizations only its lower
+    triangle, so ``m`` must be Hermitian (as :func:`hermitian_norm` assumes); the
+    zero matrix gives 0.0.  ``m`` must also be writable: each shifted matrix is
+    formed in ``m`` itself, by an exact negation and a new diagonal, and ``m`` is
+    restored bit for bit (its diagonal from a copy) before the function returns or
+    raises.  So beside ``m`` only LAPACK's copy and one factor are alive at once.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If a factor is still refused at delta = :data:`NORM_BOUND_MAX_SLACK`
+        (or theta is 0 for a nonzero ``m``).
+    """
+    if not np.any(m):
+        return 0.0
+    n = m.shape[-1]
+    theta, residual = _lanczos_estimate(m, NORM_BOUND_STEPS)
+    # delta times theta, so that theta = 0 divides nothing
+    floor = 4.0 * n * (n + 1) * np.finfo(np.float64).eps * theta
+    cap = NORM_BOUND_MAX_SLACK * theta
+    diagonal = m.diagonal().copy()
+    index = np.diag_indices(n)
+    negated = False
+    bound = 0.0
+    try:
+        for sign in (1.0, -1.0):
+            # off the diagonal, m now holds -sign times its entries
+            np.negative(m, out=m)
+            negated = not negated
+            slack = min(max(residual, floor), cap)
+            while True:
+                x = theta + slack
+                m[index] = x - sign * diagonal
+                try:
+                    lower = np.linalg.cholesky(m)
+                    break
+                except np.linalg.LinAlgError:
+                    if slack >= cap:
+                        raise ConvergenceFailure(
+                            f"no norm bound within {NORM_BOUND_MAX_SLACK:g} of the Lanczos "
+                            f"estimate {theta:.6g}: x I {'-' if sign > 0 else '+'} m is "
+                            f"not positive definite at x = {x:.6g}"
+                        ) from None
+                    slack = min(8.0 * slack, cap)
+            bound = max(bound, float(np.nextafter(x + _cholesky_rounding(lower), np.inf)))
+            del lower
+    finally:
+        if negated:
+            np.negative(m, out=m)
+        m[index] = diagonal
+    return bound
+
+
+def _lanczos_estimate(m: np.ndarray, steps: int) -> tuple[float, float]:
+    """The norm of the Lanczos tridiagonal T of ``min(steps, n)`` steps on ``m``,
+    the largest modulus of a Ritz value, and the residual norm of that Ritz pair.
+
+    The start vector is a fixed draw of independent normals.  Each new vector is
+    orthogonalized against all earlier ones twice (classical Gram-Schmidt), so the
+    basis stays orthonormal to rounding and T holds the Rayleigh quotient of
+    ``m`` on it.  An exact breakdown ends the steps early.  A Ritz pair's residual
+    is the last coefficient beta times the last entry of the eigenvector of T
+    (:func:`_last_entry`).
+    """
+    n = m.shape[-1]
+    k = min(steps, n)
+    start = np.random.Generator(np.random.Philox([0])).standard_normal(n)
+    basis = np.zeros((k, n), dtype=m.dtype)
+    basis[0] = start / np.linalg.norm(start)
+    alpha = np.zeros(k)
+    beta = np.zeros(k)
+    for j in range(k):
+        w = m @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            # the coefficients basis* w, conjugated twice so no copy of the basis is made
+            w -= basis[: j + 1].T @ np.conj(basis[: j + 1] @ np.conj(w))
+        beta[j] = np.linalg.norm(w)
+        if j + 1 == k or beta[j] == 0.0:
+            break
+        basis[j + 1] = w / beta[j]
+    theta = tridiagonal_norm(alpha[: j + 1], beta[:j] ** 2)
+    if theta == 0.0:
+        return 0.0, float(beta[j])
+    t = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+    return theta, float(beta[j]) * _last_entry(t, theta)
+
+
+def _last_entry(t: np.ndarray, theta: float) -> float:
+    """The modulus of the last entry of the unit eigenvector of the real symmetric
+    ``t`` for its eigenvalue of modulus ``theta``, its norm.
+
+    Three steps of inverse iteration from the first unit vector run at each shift
+    +-theta (1 + 2^-40), just outside the spectrum, where ``t - shift I`` is
+    nonsingular; the vector whose Rayleigh quotient is the larger in modulus is
+    that eigenvalue's.  Each step gains the ratio of the spectral gap to the
+    shift's distance, about 2^40 times the gap over theta, so even a last entry
+    near 1e-20 is resolved.  LU solves, not an eigensolver: LAPACK's symmetric
+    eigensolvers leave workspace resident for the rest of the process.
+    """
+    nearest = (-1.0, 0.0)
+    for shift in (theta, -theta):
+        shifted = t - shift * (1.0 + 2.0**-40) * np.eye(len(t))
+        v = np.eye(len(t))[0]
+        for _ in range(3):
+            v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v)
+        nearest = max(nearest, (abs(v @ t @ v), float(abs(v[-1]))))
+    return nearest[1]
+
+
+def tridiagonal_norm(diagonal: np.ndarray, off2: np.ndarray) -> float:
+    """The operator norm of the Hermitian tridiagonal T with real ``diagonal`` and
+    squared off-diagonal moduli ``off2``, as the upper end of a bisection bracket.
+
+    The bracket [lo, hi] on the largest absolute eigenvalue starts at [0, r], r
+    the largest Gershgorin row sum, and halves until no float lies inside it.
+    The test at x is Sturm's, by Sylvester's law of inertia: every eigenvalue
+    lies in (-x, x) exactly when T + xI has only positive LDL* pivots and T - xI
+    only negative ones.  The computed pivots are the exact pivots of a T' whose
+    off-diagonal differs from T's by a few ulps relatively (Kahan 1966), so hi
+    bounds the norm of T' and is within a few ulps of it.
+    """
+    off = np.sqrt(off2)
+    lo, hi = 0.0, float(np.max(np.abs(diagonal) + np.append(off, 0.0) + np.append(0.0, off)))
+    # row i carries a[i - 1]; the first row's 0 leaves its pivots at t[0] +- x
+    rows = list(zip(diagonal.tolist(), [0.0] + off2.tolist()))
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _definite_on_both_sides(rows, mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _definite_on_both_sides(rows: list[tuple[float, float]], x: float) -> bool:
+    """Whether the LDL* pivots of T + xI are all positive and those of T - xI all
+    negative, for the tridiagonal T of :func:`tridiagonal_norm`'s ``rows``."""
+    p, q = 1.0, -1.0
+    for t, a in rows:
+        p = t + x - a / p
+        q = t - x - a / q
+        if not (p > 0.0 and q < 0.0):
+            return False
+    return True
+
+
 def lower_triangular_inverse(lower: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower triangular matrix, by blocked recursion.
 
@@ -284,10 +486,10 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
 
     - ``inv(h) = inv (I + E)^-1`` with ``norm(E) <= r_h``, so every eigenvalue
       of h is at least d = (1 - r_h) / ``|inv|`` away from zero;
-    - LL* = h + D with ``norm(D) <= 2(n + 1) eps |L|^2`` (Higham, *Accuracy and
-      Stability of Numerical Algorithms*, Thm 10.3, with room for complex
-      arithmetic), so no eigenvalue of h lies below minus that bound; when the
-      bound is below d, h is positive definite and its lowest eigenvalue is >= d;
+    - LL* = h + D with ``norm(D) <= 2(n + 1) eps |L|^2``
+      (:func:`_cholesky_rounding`), so no eigenvalue of h lies below minus that
+      bound; when the bound is below d, h is positive definite and its lowest
+      eigenvalue is >= d;
     - its largest eigenvalue is at most ``|h|``, so d > ``PD_FLOOR * |h|``
       proves the floor below;
     - the largest is also at least ``|h| / sqrt(n)``, and ``inv = inv(h)(I + E)``
@@ -336,7 +538,7 @@ def hpd_inverse(m: np.ndarray) -> np.ndarray:
     r_h = residual + _frobenius(m - adjoint(m)) / 2.0 * inv_norm
     # where r_h <= 1/2, 1 - r_h suffers no cancellation the margin cannot cover
     low = (1.0 - r_h) / inv_norm * (1.0 - FROBENIUS_MARGIN)
-    rounding = 2.0 * (n + 1) * np.finfo(np.float64).eps * _frobenius(lower) ** 2
+    rounding = _cholesky_rounding(lower)
     cond = h_norm * inv_norm / (n * (1.0 + r_h))
     proved = (
         is_hermitian(m)

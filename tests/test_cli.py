@@ -1,7 +1,11 @@
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,9 @@ from omega_index import (
     save_matrix,
 )
 from omega_index.cli import main
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -332,6 +339,77 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.parametrize("kind", ["random_hermitian", "diagonal_decay"])
+@pytest.mark.parametrize("auto_scale", [(), ("--auto-scale",)])
+def test_an_overflowing_pair_is_refused_before_epsilon_is_measured(capsys, kind, auto_scale):
+    """At magnitude 1e200, I + d*d overflows on the dense and the band path alike:
+    both refuse with the band path's message before any eigensolve or bisection
+    runs on inf or nan, with or without --auto-scale, and no numpy warning is
+    printed (nor raised: every warning is recorded here)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "omega", "--dim", "64", "--perturb", f"a:{kind}:1e200", "--cuts", "20",
+            *auto_scale,
+        )
+    assert code == 1 and err == "" and caught == []
+    error = _strict_json(out)["error"]
+    assert error["type"] == "ConvergenceFailure"
+    assert error["message"] == "I + d*d overflows: the pair is too large to factor"
+
+
+@pytest.mark.parametrize("auto_scale", [(), ("--auto-scale",)])
+def test_a_band_commutator_that_overflows_is_refused_not_rescaled_to_zero(capsys, auto_scale):
+    """At lambda 3 and magnitude 1.3e154 the diagonal of C*C is finite but the
+    commutator's squared off-diagonal is not: the measurement refuses, where an
+    infinite norm used to rescale the pair to zero and certify omega = 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "omega", "--lambda", "3", "--dim", "64", "--perturb",
+            "a:diagonal_decay:1.3e154", "--cuts", "20", *auto_scale,
+        )
+    assert code == 1 and err == "" and caught == []
+    error = _strict_json(out)["error"]
+    assert error["type"] == "ConvergenceFailure"
+    assert error["message"] == "C*C - CC* overflows: the pair is too large to measure"
+
+
+def test_a_dense_epsilon_that_rounding_decided_exits_2(capsys):
+    """At magnitude 1e100 the measured epsilon cancels to 0 while the pair's
+    commutator is ~1e99; the count is refused with the rounding bound named, and
+    the reported epsilon is the eigensolve's."""
+    code, out, err = run_cli(
+        capsys, "omega", "--dim", "64", "--perturb", "a:random_hermitian:1e100", "--cuts", "20"
+    )
+    assert code == 2 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InadmissibleCommutator"
+    assert "rounding bound" in error["message"]
+    assert error["detail"]["epsilon"] < 1e-6 < 1e180 < error["detail"]["rounding"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--dim", "64", "--perturb", "a:random_hermitian:0.01", "--cuts", "20"),
+    ("verify", "--trials", "2"),
+])
+def test_the_cli_imports_no_scipy(argv):
+    """The runtime is numpy-only: a dense omega run and a verify run, each in a
+    fresh interpreter, import no module of scipy (``-X importtime`` lists every
+    module a run imports)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "omega_index.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
 def test_an_infinite_defect_bound_exits_1_with_one_error_object(capsys):
     """At scale 1e7 the band path's rounding bound x = 8u norm(G, inf) reaches 1."""
     code, out, _ = run_cli(
@@ -494,7 +572,7 @@ def test_a_band_pair_beyond_memory_exits_1_with_one_error_object(capsys, monkeyp
     refused before it is begun, with no traceback."""
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(probe))
     monkeypatch.setattr(index_module, "_pivots", _refuse_to_factor)
-    monkeypatch.setattr(index_module, "_tridiagonal_norm", _refuse_to_factor)
+    monkeypatch.setattr(linalg_module, "tridiagonal_norm", _refuse_to_factor)
     code, out, err = run_cli(capsys, "omega", *argv)
     assert code == 1 and err == ""
     error = _strict_json(out)["error"]

@@ -58,7 +58,6 @@ from omega_index.index import (
     PIVOT_ROUNDING,
     _abs2,
     _factor_defect,
-    _tridiagonal_norm,
 )
 
 
@@ -925,7 +924,7 @@ def test_tridiagonal_norm_bisects_to_the_eigensolver_norm(n, seed, exponent, dia
         e[rng.random(n - 1) < 0.5] = 0
     dense = np.diag(t).astype(complex) + np.diag(e, 1) + np.diag(e.conj(), -1)
     reference = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
-    norm = _tridiagonal_norm(t, _abs2(e))
+    norm = linalg_module.tridiagonal_norm(t, _abs2(e))
     assert abs(norm - reference) <= 1e-13 * reference
 
 
@@ -1346,6 +1345,22 @@ def test_omega_warns_on_measured_epsilon(harmonic200):
     assert any("masking" in w for w in res.warnings)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_random_hermitian_perturbation_moves_each_gap_by_at_most_its_magnitude(seed):
+    """The graph projection is 1-Lipschitz in C (Kato, Thm IV.2.14) and the
+    perturbation's norm is proved to be at most its magnitude, so by Weyl's
+    inequality every gap stays within that magnitude of the oscillator's closed
+    form 2N lam / (2N lam + 1) - 1/2, and the counts do not move."""
+    lam, magnitude = 0.01, 0.002
+    pair = perturb(build_harmonic(lam, 300), "a", "random_hermitian", magnitude, seed)
+    result = omega(pair, cuts=[100, 150, 200])
+    assert result.omega == 1
+    for report in result.reports:
+        assert report.m_n == report.cut + 1
+        x = 2.0 * report.cut * lam
+        assert abs(report.gap - (x / (x + 1.0) - 0.5)) <= magnitude + 1e-9
+
+
 # ---------------------------------------------------------------- omega failures
 
 
@@ -1369,6 +1384,30 @@ def test_omega_inadmissible_commutator():
         omega(pair, cuts=[20])
     assert exc.value.detail["bound"] == pytest.approx(1.1249999999999998, rel=1e-12)
     assert "scale_admissible" in exc.value.message
+
+
+def test_a_dense_epsilon_that_rounding_decided_is_refused():
+    """At magnitude 1e100 the interior block of d*d - dd* cancels to rounding:
+    epsilon reads as good as 0 while its a-priori rounding bound is ~1e187, so
+    the count is refused and names the bound; epsilon stays the eigensolve's."""
+    pair = perturb(build_harmonic(0.01, 64), "a", "random_hermitian", 1e100, 0)
+    qb = factor(pair)
+    assert qb.epsilon < 1.0 and theorem_bound(qb.epsilon) < 0.25
+    assert qb.epsilon_rounding > 1e180
+    with pytest.raises(InadmissibleCommutator, match="rounding bound") as exc:
+        certify(qb, [20])
+    assert exc.value.detail == {"epsilon": qb.epsilon, "rounding": qb.epsilon_rounding}
+
+
+def test_the_epsilon_rounding_bound_is_small_where_epsilon_is_trusted(harmonic200):
+    """A dense pair of the benchmark's family carries a rounding bound far below
+    its epsilon; an analytic or band epsilon carries none."""
+    dense = factor(perturb(harmonic200, "a", "random_hermitian", 0.002, 3))
+    assert 0.0 < dense.epsilon_rounding < 1e-9 < dense.epsilon
+    assert factor(harmonic200).epsilon_rounding == 0.0
+    assert build_q(harmonic200).epsilon_rounding == 0.0
+    band = factor(perturb(harmonic200, "a", "diagonal_decay", 0.01))
+    assert band.epsilon_measured and band.epsilon_rounding == 0.0
 
 
 def test_omega_epsilon_at_least_one():

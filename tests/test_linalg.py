@@ -23,7 +23,10 @@ from omega_index import (
 )
 from omega_index.bounds import run_suite
 from omega_index.linalg import (
+    NORM_BOUND_MAX_SLACK,
+    NORM_BOUND_STEPS,
     TRIANGULAR_BASE,
+    hermitian_norm_bound,
     lower_triangular_inverse,
     memory_headroom,
     require_memory,
@@ -409,6 +412,79 @@ def test_lower_triangular_inverse_matches_the_lu_inverse(complex_, n, seed):
     assert np.linalg.norm(inverse @ lower - np.eye(n), 2) <= tol
     reference = np.linalg.inv(lower)
     assert np.linalg.norm(inverse - reference, 2) <= tol * np.linalg.norm(reference, 2)
+
+
+# ---------------------------------------------------------------- norm bound
+
+
+def _norm_bound_case(rng, n, complex_, kind, log_scale):
+    """A Hermitian matrix of order n: zero, rank one, diagonal with tied extremes,
+    with a spectrum dominated by its negative end, or the Hermitian part of a
+    Gaussian draw; real or complex, scaled by 10**log_scale."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    if kind == "zero":
+        m = np.zeros((n, n), dtype=complex if complex_ else float)
+    elif kind == "rank_one":
+        u = draw(n)
+        m = np.outer(u, u.conj())
+    elif kind == "tied":
+        w = rng.uniform(-1.0, 1.0, n)
+        w[rng.integers(n)] = 1.0
+        w[rng.integers(n)] = -1.0
+        m = np.diag(w).astype(complex if complex_ else float)
+    else:
+        if kind == "negative":
+            u = np.linalg.qr(draw(n, n))[0]
+            w = rng.uniform(-0.5, 0.1, n)
+            w[0] = -1.0
+            m = (u * w) @ u.conj().T
+        else:
+            g = draw(n, n)
+            m = g + g.conj().T
+        m = (m + m.conj().T) / 2.0
+    return m * 10.0**log_scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    complex_=st.booleans(),
+    kind=st.sampled_from(["zero", "rank_one", "tied", "negative", "random"]),
+    log_scale=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=NORM_BOUND_STEPS, complex_=True, kind="random", log_scale=0.0, seed=0)
+@example(n=NORM_BOUND_STEPS + 1, complex_=False, kind="tied", log_scale=8.0, seed=1)
+@example(n=80, complex_=True, kind="negative", log_scale=-8.0, seed=2)
+def test_hermitian_norm_bound_is_a_tight_upper_bound(n, complex_, kind, log_scale, seed):
+    """The bound lies between the eigvalsh norm and 1 + NORM_BOUND_MAX_SLACK times
+    it, within rounding of it when the order is at most the Lanczos step count,
+    and m comes back bit for bit."""
+    m = _norm_bound_case(np.random.default_rng(seed), n, complex_, kind, log_scale)
+    before = m.copy()
+    bound = hermitian_norm_bound(m)
+    assert m.tobytes() == before.tobytes()
+    norm = hermitian_norm(m)
+    assert norm <= bound <= (1.0 + NORM_BOUND_MAX_SLACK) * norm
+    if n <= NORM_BOUND_STEPS:
+        assert bound <= norm * (1.0 + 16 * n * (n + 1) * np.finfo(float).eps)
+
+
+def test_hermitian_norm_bound_restores_m_when_it_refuses(monkeypatch):
+    """With every factorization refused, the bound raises ConvergenceFailure once
+    its slack reaches the cap, and m is left as it was."""
+    def refuse(m):
+        raise np.linalg.LinAlgError("refused")
+
+    m = random_hermitian(np.random.default_rng(4), 12)
+    before = m.copy()
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(ConvergenceFailure, match="no norm bound within 0.0625"):
+        hermitian_norm_bound(m)
+    assert m.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------- memory probe

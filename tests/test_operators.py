@@ -20,6 +20,7 @@ from omega_index import (
     build_harmonic,
     build_oscillator_analytic_q,
     grid_points,
+    hermitian_norm,
     load_matrix,
     load_pair,
     operator_norm,
@@ -475,6 +476,24 @@ def test_random_hermitian_is_seeded_and_normalized():
     assert np.allclose(delta, delta.conj().T, atol=1e-14)
     other = perturb(pair, "a", "random_hermitian", 0.05, seed=10)
     assert not np.array_equal(one.a, other.a)
+
+
+@pytest.mark.parametrize("dim", [24, 200, 1200])
+def test_random_hermitian_norm_is_proved_at_most_the_magnitude(dim, monkeypatch):
+    """On a zero pair the perturbation is A itself, bit for bit: its norm lies in
+    [magnitude / (1 + NORM_BOUND_MAX_SLACK), magnitude], and it is drawn without
+    an eigensolve of the M-by-M matrix."""
+    zero = OperatorPair(stored=(np.zeros(dim - 1), np.zeros(dim), np.zeros(dim - 1)),
+                        dim=dim, basis_label="zero", known_commutator_norm=0.0,
+                        boundary_window=0)
+    magnitude = 0.002
+    with monkeypatch.context() as patch:
+        for name in ("hermitian_norm", "hermitian_eigenvalues", "hermitian_eigen"):
+            patch.setattr(linalg_module, name, _refuse)
+        perturbed = perturb(zero, "a", "random_hermitian", magnitude, seed=dim)
+    assert not np.any(perturbed.b)
+    norm = hermitian_norm(perturbed.a)
+    assert magnitude / (1.0 + linalg_module.NORM_BOUND_MAX_SLACK) <= norm <= magnitude
 
 
 def test_perturb_target_b_only_touches_b():
