@@ -92,7 +92,7 @@ SCALE_MARGIN = 0.05
 PIVOT_ROUNDING = 8.0
 
 #: rows of the Gram y* y that :func:`_factor_defect` forms at a time
-DEFECT_BLOCK = 256
+DEFECT_BLOCK = linalg.PRODUCT_BLOCK
 
 #: bytes per row that :func:`factor` takes on the band path: its O(M) arrays and
 #: the float lists of both :func:`_pivots` passes (peaks of 113-114 bytes per row
@@ -231,18 +231,35 @@ def _factor_defect(y: np.ndarray) -> float:
     E = y* y - I, which bounds its spectral norm, the largest absolute
     eigenvalue, and equals it when E is diagonal; after the Gram it costs O(M^2),
     where the spectral norm needs an eigensolve.  ``y`` is a :attr:`QBuild.y`,
-    whose top M rows W are lower triangular.  The Gram is formed
-    :data:`DEFECT_BLOCK` rows at a time, and its rows ``s..`` need only rows
-    ``s..`` of ``y``: the rows of W above them are exactly zero in those columns.
+    whose top M rows W are lower triangular.  Only the row blocks of E on and
+    below its diagonal are formed, :data:`DEFECT_BLOCK` rows at a time by
+    :func:`~omega_index.linalg.lower_product`, and the block of rows ``s..`` reads
+    only rows ``s..`` of ``y``: the rows of W above them are exactly zero in its
+    columns.  Each row's sum is completed from the column sums of the blocks
+    below it, since E is Hermitian; so each entry has the bits of the whole
+    Gram's and only the order in which a row's terms are added differs.
     """
-    m = y.shape[1]
-    e = 0.0
-    for start in range(0, m, DEFECT_BLOCK):
-        rows = linalg.adjoint(y[start:, start : start + DEFECT_BLOCK]) @ y[start:]
-        i = np.arange(rows.shape[0])
-        rows[i, start + i] -= 1.0
-        e = max(e, float(np.max(np.sum(np.abs(rows), axis=1))))
+    sums = np.zeros(y.shape[1])
+    for start, end, block in linalg.lower_product(y, y, lower=True):
+        block[np.arange(end - start), np.arange(start, end)] -= 1.0
+        moduli = np.abs(block)
+        sums[start:end] += np.sum(moduli, axis=1)
+        sums[:start] += np.sum(moduli[:, :start], axis=0)
+        del block, moduli  # so neither is alive while the next block is formed
+    e = float(np.max(sums))
     return (1.0 + e) * e
+
+
+def _lower_outer(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, with its blocks on and below the diagonal set to those of
+    ``x @ adjoint(x)``: the conjugates of the blocks
+    :func:`~omega_index.linalg.lower_product` forms of ``adjoint(x.T) @ x.T``, so
+    that only a block of rows of ``x`` is copied at a time.  Its entries have
+    the whole product's bits where those of
+    :func:`~omega_index.linalg.lower_product` do."""
+    for _ in linalg.lower_product(x.T, x.T, out):
+        pass
+    return np.conjugate(out, out=out)
 
 
 def _interior_self_commutator(gram: np.ndarray, rows: np.ndarray) -> tuple[float, float]:
@@ -259,7 +276,7 @@ def _interior_self_commutator(gram: np.ndarray, rows: np.ndarray) -> tuple[float
     2 gamma_(M+3) (``|d[:, :k]|^2 + |d[:k]|^2``) covers the three, and by Weyl's
     inequality the norm of the exact block is at most the computed one plus it.
     """
-    block = rows @ linalg.adjoint(rows)
+    block = _lower_outer(rows, np.zeros((rows.shape[0],) * 2, dtype=rows.dtype))
     scale = float(np.trace(gram).real + np.trace(block).real)
     # in place, so that beside the eigensolve's copy no second k-by-k array is alive
     np.subtract(gram, block, out=block)
@@ -304,9 +321,11 @@ def masked_commutator_norm(pair: OperatorPair) -> float:
     """``norm(AB - BA)`` off the boundary collar: half that of C*C - CC* = 2i(AB - BA).
 
     For a pair stored by its diagonals this is the O(M) bisection of
-    :func:`factor`'s measured epsilon; otherwise the interior block is formed and
-    solved densely.  Either way the diagonal of C*C is checked for overflow
-    first.
+    :func:`factor`'s measured epsilon, already the upper end of a bracket;
+    otherwise the interior block is formed and solved densely, and its a-priori
+    rounding bound (:func:`_interior_self_commutator`) is added to its norm, so
+    a norm that cancellation decided is not taken for a small one.  Either way
+    the diagonal of C*C is checked for overflow first.
 
     Raises
     ------
@@ -320,7 +339,7 @@ def masked_commutator_norm(pair: OperatorPair) -> float:
     c = pair.c
     gram = _overflowing_gram(c[:, :k])
     _refuse_overflow(gram.diagonal())
-    return 0.5 * _interior_self_commutator(gram, c[:k])[0]
+    return 0.5 * sum(_interior_self_commutator(gram, c[:k]))
 
 
 def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,9 +396,19 @@ def _refuse_overflow(g: np.ndarray) -> None:
 
 def _overflowing_gram(d: np.ndarray) -> np.ndarray:
     """``d* d``, with an overflow left in it as inf or nan for :func:`_refuse_overflow`
-    to refuse, and no warning printed."""
+    to refuse, and no warning printed.
+
+    Its blocks on and below the diagonal come from
+    :func:`~omega_index.linalg.lower_product`, with the bits of the whole product;
+    each is mirrored above the diagonal as it is formed.  Where the BLAS gives
+    the whole product exactly Hermitian (OpenBLAS 0.3.31 does at dim 1200, not
+    at 1050), the mirrored triangle has its bits too.
+    """
+    gram = np.empty((d.shape[1], d.shape[1]), dtype=d.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        return linalg.adjoint(d) @ d
+        for start, end, block in linalg.lower_product(d, d, gram):
+            gram[:start, start:end] = linalg.adjoint(block[:, :start])
+    return gram
 
 
 def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
@@ -395,7 +424,14 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     reverse (UL) Cholesky factorization, so ``y* y = I`` and Q = y y*.  W is found
     by :func:`~omega_index.linalg.lower_triangular_inverse` of the Cholesky factor,
     and its strict upper triangle is written as exact zeros, which the corner
-    solves and the Gram behind ``defect`` rely on.  ``epsilon`` takes one
+    solves and the Gram behind ``defect`` rely on.  Each product forms only
+    what is read: the Gram d*d its blocks on and below the diagonal, mirrored
+    above it for the reverse Cholesky, which reads the upper triangle
+    (:func:`_overflowing_gram`); d W one column block at a time over only the
+    rows of W at or below it.  Each entry sums the same terms in the same order
+    as the whole product (see :data:`~omega_index.linalg.PRODUCT_BLOCK`), so
+    ``y``, ``epsilon`` and the corners keep the whole products' bits wherever the
+    BLAS gives its whole Gram exactly Hermitian.  ``epsilon`` takes one
     eigensolve of the interior block when the pair has no analytic value, for
     every pair: this is the dense reference for the band path's bisection too.
     Its ``epsilon_rounding`` is then the a-priori bound of
@@ -443,7 +479,9 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     y = np.zeros((2 * m, m), dtype=d.dtype)
     np.conjugate(inverse.T[::-1, ::-1], out=y[:m], where=np.tri(m, dtype=bool))
     del inverse
-    np.matmul(d, y[:m], out=y[m:])
+    for start, end in linalg.product_blocks(m):
+        # the rows of W above start are exactly zero in these columns
+        np.matmul(d[:, start:], y[start:m, start:end], out=y[m:, start:end])
     return QBuild(
         y=y, epsilon=epsilon, epsilon_rounding=rounding, defect=_factor_defect(y), **header
     )
@@ -486,7 +524,8 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     Raises
     ------
     ConvergenceFailure
-        If I + d*d overflows or a pivot is not positive (a Cholesky failure on the
+        If I + d*d overflows (on the band path, its diagonal or the squared moduli
+        of its off-diagonal), or a pivot is not positive (a Cholesky failure on the
         dense path).
     InsufficientMemory
         As raised by :func:`build_q`, or before a band factor or measured epsilon
@@ -510,7 +549,14 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
     _refuse_overflow(g)
     f = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
-    a = _abs2(f)
+    with np.errstate(over="ignore"):
+        a = _abs2(f)
+    if not np.all(np.isfinite(a)):
+        # an infinite |f|^2 would reach the pivots as -inf
+        raise ConvergenceFailure(
+            "I + d*d overflows: its squared off-diagonal is not finite, so a pivot of "
+            "I + d*d is not positive; the pair is too large to factor"
+        )
     top = _pivots(g, a)
     bottom = _pivots(g[::-1], a[::-1])[::-1]
     if not (np.all(top > 0) and np.all(bottom > 0)):
@@ -617,18 +663,32 @@ def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, 
 
 
 def _dense_spectrum(qb: QBuild, cut: int) -> tuple[np.ndarray, int, int]:
-    """One cut of :func:`_spectra` for a :class:`QBuild`."""
+    """One cut of :func:`_spectra` for a :class:`QBuild`.
+
+    The eigensolver reads the lower triangle, and only that is formed: the
+    blocks of ``w w*`` and ``v v*`` on and below their diagonals
+    (:func:`_lower_outer`), and ``v[:, :N] w*`` one column block at a time over
+    only the columns of ``w`` left of the block's end, the rest being exactly
+    zero; or the M-by-M ``v* v`` and ``w* w`` by
+    :func:`~omega_index.linalg.lower_product`, skipping the rows of ``w`` above
+    each block.
+    """
     m = qb.dim
     w = qb.y[:cut, :cut]
     v = qb.y[m : m + cut]
     if 2 * cut <= m:
         corner = np.zeros((2 * cut, 2 * cut), dtype=qb.y.dtype)
-        corner[:cut, :cut] = w @ linalg.adjoint(w)
-        corner[cut:, :cut] = v[:, :cut] @ linalg.adjoint(w)
-        corner[cut:, cut:] = v @ linalg.adjoint(v)
+        _lower_outer(w, corner[:cut, :cut])
+        _lower_outer(v, corner[cut:, cut:])
+        for start, end in linalg.product_blocks(cut):
+            # the columns of w past end are exactly zero in these rows
+            np.matmul(v[:, :end], linalg.adjoint(w[start:end, :end]), out=corner[cut:, start:end])
         return linalg.hermitian_eigenvalues(corner), 0, 0
-    gram = linalg.adjoint(v) @ v
-    gram[:cut, :cut] += linalg.adjoint(w) @ w
+    gram = np.zeros((m, m), dtype=qb.y.dtype)
+    for _ in linalg.lower_product(v, v, gram):
+        pass
+    for start, end, block in linalg.lower_product(w, w, lower=True):
+        gram[start:end, :end] += block
     return linalg.hermitian_eigenvalues(gram), 2 * cut - m, 0
 
 

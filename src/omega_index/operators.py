@@ -44,12 +44,20 @@ PERTURB_TARGETS = ("a", "b")
 
 
 #: complex M-by-M arrays that :func:`perturb` is charged for a ``random_hermitian``
-#: delta, beside the pair's own C: at most three are alive at once (the Hermitian
-#: part H, LAPACK's copy of a shift of H and its Cholesky factor, while the norm
-#: bound is proved; G and H while H is formed), and the allocator keeps up to half
-#: an array more resident (VmHWM growth over the whole call of 3.46 arrays at
-#: dim 1200 and 3.10 at dim 3000, the dense view of a band C included)
+#: delta, beside the pair's own C and :data:`BLAS_RESERVE_BYTES`: at most three are
+#: alive at once (the Hermitian part H, LAPACK's copy of a shift of H and its
+#: Cholesky factor, while the norm bound is proved; G and H while H is formed), and
+#: the allocator keeps up to half an array more resident (VmHWM growth over the
+#: whole call of 3.46 arrays at dim 1200 and 3.10 at dim 3000, the dense view of a
+#: band C included)
 RANDOM_HERMITIAN_ARRAYS = 4
+
+#: bytes of address space that the first BLAS and LAPACK calls of a process
+#: reserve and keep, whatever the order: OpenBLAS's 32 MiB buffer and about 8 MiB
+#: more.  VmPeak grew over a ``random_hermitian`` :func:`perturb` of the oscillator,
+#: in a fresh process, by 40.7 MiB at dim 100, 44.6 at 300, 106.4 at 1200 and
+#: 452.4 at 3000: about three complex M-by-M arrays and 40.5 MiB.
+BLAS_RESERVE_BYTES = 44 * 2**20
 
 #: bytes that parsing a ``dense-complex-v1`` file takes per ``[`` in its text,
 #: beyond the text itself: the list of each entry, its two floats and the arrays
@@ -402,7 +410,7 @@ def perturb(
     dim = pair.dim
     if spec.kind == "random_hermitian":
         linalg.require_memory(
-            pair.c_bytes + RANDOM_HERMITIAN_ARRAYS * COMPLEX_BYTES * dim**2,
+            pair.c_bytes + RANDOM_HERMITIAN_ARRAYS * COMPLEX_BYTES * dim**2 + BLAS_RESERVE_BYTES,
             f"a random_hermitian perturbation at dim {dim}",
         )
         delta = _random_unit_hermitian(dim, spec.seed)

@@ -389,6 +389,39 @@ def test_a_dense_epsilon_that_rounding_decided_exits_2(capsys):
     assert error["detail"]["epsilon"] < 1e-6 < 1e180 < error["detail"]["rounding"]
 
 
+def test_auto_scale_rescales_by_the_rounding_bound_too(capsys):
+    """The same pair with --auto-scale: its measured epsilon cancels to 0, but the
+    masked norm that scale_admissible reads carries the rounding bound, so the pair
+    is rescaled into the regime and certified, not refused again."""
+    code, out, err = run_cli(
+        capsys, "omega", "--dim", "64", "--perturb", "a:random_hermitian:1e100", "--cuts",
+        "20", "--auto-scale",
+    )
+    assert code == 0 and err == ""
+    doc = _strict_json(out)
+    assert doc["omega"] == 0 and [c["m_n"] for c in doc["cuts"]] == [20]
+    assert doc["scaling"]["lambda_a"] == doc["scaling"]["mu_b"] < 1e-90
+
+
+def test_a_band_off_diagonal_that_overflows_is_refused_as_an_overflow(capsys):
+    """At lambda 3 and a shift of 1.3e154 the diagonal of I + d*d is finite but its
+    squared off-diagonal |f|^2 is not: the band factor refuses it as an overflow,
+    with no numpy warning, not as a pivot that is not positive."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "omega", "--lambda", "3", "--dim", "64", "--perturb",
+            "a:scalar_shift:1.3e154", "--cuts", "20",
+        )
+    assert code == 1 and err == "" and caught == []
+    error = _strict_json(out)["error"]
+    assert error["type"] == "ConvergenceFailure"
+    assert error["message"] == (
+        "I + d*d overflows: its squared off-diagonal is not finite, so a pivot of "
+        "I + d*d is not positive; the pair is too large to factor"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ("omega", "--dim", "64", "--perturb", "a:random_hermitian:0.01", "--cuts", "20"),
     ("verify", "--trials", "2"),

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import json
 import pathlib
 import re
@@ -263,6 +264,26 @@ def test_factor_defect_bounds_the_spectral_certificate(cols, complex_):
     assert _factor_defect(y) >= (1.0 + e) * e * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("complex_", [False, True])
+def test_the_bottom_of_y_has_the_bits_of_the_whole_product(orientation, complex_):
+    """build_q forms d W one column block at a time, over only the rows of W at or
+    below the block; at a dim of two blocks and a remainder that is d @ W bit for
+    bit, with W's strict upper triangle exactly zero.  The real case runs on one
+    BLAS thread, as in test_linalg's kernel test."""
+    dim = 2 * linalg_module.PRODUCT_BLOCK + 45
+    pair = perturb(build_harmonic(0.01, dim), "a", "random_hermitian", 0.002, 5)
+    if not complex_:
+        pair = OperatorPair(stored=pair.c.real.copy(), dim=dim, basis_label="real",
+                            known_commutator_norm=None, boundary_window=pair.boundary_window)
+    with contextlib.nullcontext() if complex_ else linalg_module.serial_blas():
+        qb = build_q(pair, orientation)
+        d = pair.c if orientation == "conjugate" else pair.c.conj().T
+        w = qb.y[:dim]
+        assert qb.y.dtype == pair.c.dtype and not np.any(np.triu(w, 1))
+        assert qb.y[dim:].tobytes() == np.ascontiguousarray(d @ w).tobytes()
+
+
 def test_build_q_takes_no_order_m_eigensolve_or_general_inverse(dense200, monkeypatch):
     """The dense factor of a pair without an analytic epsilon solves one eigenproblem,
     the interior (M - window) block of epsilon, and inverts only base blocks."""
@@ -331,6 +352,17 @@ def test_corners_match_the_svd_factor(dense200, scale):
         yc = np.concatenate([y[:cut], y[200 : 200 + cut]])
         err = np.max(np.abs(extract_q11(qb, cut) - yc @ yc.conj().T))
         assert err <= 1e-12, (scale, cut, err)
+
+
+def test_a_dense_masked_norm_carries_its_rounding_bound(dense200):
+    """On the dense path the masked norm is half the factor's epsilon plus its
+    rounding bound: an upper end, as the band path's bisection gives.  The two
+    Grams differ in shape, so their last bits may differ too; the bound is ~1e-9 of
+    epsilon here, far above the tolerance."""
+    qb = build_q(dense200, "conjugate")
+    assert qb.epsilon_rounding > 1e-9 * qb.epsilon
+    expected = 0.5 * (qb.epsilon + qb.epsilon_rounding)
+    assert masked_commutator_norm(dense200) == pytest.approx(expected, rel=1e-13)
 
 
 def test_masked_commutator_norm_harmonic(harmonic200):

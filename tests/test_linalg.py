@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import numpy as np
@@ -25,8 +26,10 @@ from omega_index.bounds import run_suite
 from omega_index.linalg import (
     NORM_BOUND_MAX_SLACK,
     NORM_BOUND_STEPS,
+    PRODUCT_BLOCK,
     TRIANGULAR_BASE,
     hermitian_norm_bound,
+    lower_product,
     lower_triangular_inverse,
     memory_headroom,
     require_memory,
@@ -412,6 +415,62 @@ def test_lower_triangular_inverse_matches_the_lu_inverse(complex_, n, seed):
     assert np.linalg.norm(inverse @ lower - np.eye(n), 2) <= tol
     reference = np.linalg.inv(lower)
     assert np.linalg.norm(inverse - reference, 2) <= tol * np.linalg.norm(reference, 2)
+
+
+# ---------------------------------------------------------------- blocked products
+
+
+def _bits(x):
+    """The bytes of an array, so that equality is bit for bit (-0.0 is not 0.0)."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, PRODUCT_BLOCK - 1, PRODUCT_BLOCK, PRODUCT_BLOCK + 1,
+                       2 * PRODUCT_BLOCK + 45]),
+    extra=st.integers(0, 40),
+    lower=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2 * PRODUCT_BLOCK + 45, extra=3, lower=True, seed=0)
+@example(n=2 * PRODUCT_BLOCK + 45, extra=0, lower=False, seed=1)
+def test_lower_product_has_the_bits_of_the_whole_product(complex_, n, extra, lower, seed):
+    """On every row block it writes, on or below the diagonal, the kernel equals
+    ``adjoint(a) @ b`` bit for bit, also where it skips the zero rows of an ``a``
+    whose top is lower triangular; the rest of ``out`` is left alone, and the blocks
+    it yields without ``out`` are the same.  ``a`` and ``b`` are separate arrays,
+    so numpy forms the whole product by the general matrix product, as the kernel's
+    blocks are formed.  The real case runs on one BLAS thread: OpenBLAS's threaded
+    double product sums an entry in an order that depends on how its threads split
+    the output, which differs between a block and the whole."""
+    with contextlib.nullcontext() if complex_ else serial_blas():
+        _check_lower_product(complex_, n, extra, lower, seed)
+
+
+def _check_lower_product(complex_, n, extra, lower, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, cols):
+        x = rng.standard_normal((rows, cols))
+        return x + 1j * rng.standard_normal((rows, cols)) if complex_ else x
+
+    a, b = draw(n + extra, n), draw(n + extra, n)
+    if lower:
+        a[:n] = np.tril(a[:n])
+    whole = adjoint(a) @ b
+    out = np.full((n, n), np.nan, dtype=whole.dtype)
+    written = np.zeros((n, n), dtype=bool)
+    for (start, end, block), (s, e, alone) in zip(
+        lower_product(a, b, out, lower), lower_product(a, b, lower=lower)
+    ):
+        assert (s, e) == (start, end) and block.shape == (end - start, end)
+        assert _bits(block) == _bits(whole[start:end, :end]) == _bits(alone)
+        written[start:end, :end] = True
+    assert written[np.tril_indices(n)].all()
+    assert np.isnan(out[~written]).all()
+    assert _bits(out[written]) == _bits(whole[written])
 
 
 # ---------------------------------------------------------------- norm bound
