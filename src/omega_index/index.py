@@ -41,9 +41,11 @@ Hermitian tridiagonal, found by Sturm-count bisection, so no M-by-M array is
 formed.  With k = N + 1 the corner's nonzero spectrum is that of the pencil
 (P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and S_k = W_kk^-* W_kk^-1;
 for a bidiagonal d both equal G on rows 0..N-2 and on their coupling to row
-N-1, so one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  The 2N
-corner eigenvalues are N - 1 exact zeros, N - 1 exact ones and the two
-eigenvalues of that pencil, the only two solved; :func:`build_q` is the dense path.
+N-1, so one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  One of
+its eigenvalues is exactly 0 or 1, so the 2N corner eigenvalues are N exact
+zeros and N - 1 exact ones, or N - 1 and N, beside one free eigenvalue, which
+:func:`_band_spectra` gives in closed form with no LAPACK call; :func:`build_q`
+is the dense path.
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
@@ -73,7 +75,7 @@ from .errors import (
     InvalidParameter,
     UnstableCount,
 )
-from .operators import OperatorPair
+from .operators import BLAS_RESERVE_BYTES, OperatorPair
 
 ORIENTATIONS = ("literal", "conjugate")
 #: the orientation that gives the oscillator reference pair omega = +1, checked by
@@ -91,9 +93,6 @@ SCALE_MARGIN = 0.05
 #: for a G' with ||G' - G||_inf <= c * u * ||G||_inf, u the unit roundoff (see BandQ)
 PIVOT_ROUNDING = 8.0
 
-#: rows of the Gram y* y that :func:`_factor_defect` forms at a time
-DEFECT_BLOCK = linalg.PRODUCT_BLOCK
-
 #: bytes per row that :func:`factor` takes on the band path: its O(M) arrays and
 #: the float lists of both :func:`_pivots` passes (peaks of 113-114 bytes per row
 #: of virtual memory, which an address-space limit counts, at M = 10^6 and 4*10^6;
@@ -107,12 +106,12 @@ BAND_FACTOR_ROW_BYTES = 120
 #: from M = 10^4 to 10^6)
 STURM_ROW_BYTES = 176
 
-#: bytes per cut that :func:`certify` takes: the band path's batched pencils and
-#: eigensolve, the kept reports, and a refusal's message and detail (virtual-memory
-#: growth from the charge to the end of the run, which an address-space limit
-#: counts, of 639 bytes a cut at 2*10^5 cuts of the dim-10^6 oscillator and
-#: 310-402 at 8*10^5, reported or refused; fewer cuts pay more a cut for the
-#: pencils' O(M) padded copies of the factor)
+#: bytes per cut that :func:`certify` takes: the band path's per-cut arrays, the
+#: kept reports, and a refusal's message and detail (virtual-memory growth from the
+#: charge to the end of :func:`certify`, which an address-space limit counts, on
+#: the dim-10^6 oscillator: 264-268 bytes a cut reported and 341-366 refused from
+#: 3*10^4 to 8.1*10^5 cuts; below that the growth is in steps of one 1 MiB arena
+#: of small objects, 1073 bytes a cut at 10^3 cuts and 24 KiB in all up to 100)
 CERTIFY_CUT_BYTES = 640
 
 #: cuts that :func:`default_cuts` spreads over the interior
@@ -232,11 +231,11 @@ def _factor_defect(y: np.ndarray) -> float:
     eigenvalue, and equals it when E is diagonal; after the Gram it costs O(M^2),
     where the spectral norm needs an eigensolve.  ``y`` is a :attr:`QBuild.y`,
     whose top M rows W are lower triangular.  Only the row blocks of E on and
-    below its diagonal are formed, :data:`DEFECT_BLOCK` rows at a time by
-    :func:`~omega_index.linalg.lower_product`, and the block of rows ``s..`` reads
-    only rows ``s..`` of ``y``: the rows of W above them are exactly zero in its
-    columns.  Each row's sum is completed from the column sums of the blocks
-    below it, since E is Hermitian; so each entry has the bits of the whole
+    below its diagonal are formed, :data:`~omega_index.linalg.PRODUCT_BLOCK` rows
+    at a time by :func:`~omega_index.linalg.lower_product`, and the block of rows
+    ``s..`` reads only rows ``s..`` of ``y``: the rows of W above them are exactly
+    zero in its columns.  Each row's sum is completed from the column sums of the
+    blocks below it, since E is Hermitian; so each entry has the bits of the whole
     Gram's and only the order in which a row's terms are added differs.
     """
     sums = np.zeros(y.shape[1])
@@ -446,8 +445,10 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     Raises
     ------
     InsufficientMemory
-        If :data:`BUILD_Q_ARRAYS` M-by-M arrays, and the dense view of a pair
-        stored by its diagonals, would not fit in memory; checked first.
+        If :data:`BUILD_Q_ARRAYS` M-by-M arrays, the dense view of a pair stored
+        by its diagonals and :data:`~omega_index.operators.BLAS_RESERVE_BYTES`,
+        which the first BLAS and LAPACK calls of a process reserve, would not fit
+        in memory; checked first.
     ConvergenceFailure
         If I + d*d overflows or its Cholesky factorization fails.
     """
@@ -455,7 +456,7 @@ def build_q(pair: OperatorPair, orientation: str = "default") -> QBuild:
     header = _header(pair, resolved)
     m = pair.dim
     linalg.require_memory(
-        pair.c_bytes + BUILD_Q_ARRAYS * pair.dtype.itemsize * m**2,
+        pair.c_bytes + BUILD_Q_ARRAYS * pair.dtype.itemsize * m**2 + BLAS_RESERVE_BYTES,
         f"the dense factor of a dim-{m} pair",
     )
     d = _graph_map(pair.c, resolved)
@@ -578,43 +579,48 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     )
 
 
+def _entries(x: np.ndarray, i: np.ndarray, edge: float) -> np.ndarray:
+    """``x[i]`` at each index of ``i``, and ``edge`` where it lies past either end."""
+    inside = (i >= 0) & (i < x.size)
+    out = np.full(i.shape, edge, dtype=x.dtype)
+    out[inside] = x[i[inside]]
+    return out
+
+
 def _band_spectra(bq: BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
-    """:func:`_spectra` of a :class:`BandQ`: the two eigenvalues of each cut's pencil.
+    """:func:`_spectra` of a :class:`BandQ`: each cut's free eigenvalue in closed form.
 
     With the head rows 0..N-2 eliminated (X = |f[N-2]|^2 / top[N-2]), the pencil
     (P_N, S_{N+1}) leaves on rows N-1 and N
 
-        P = [[1 + |upper[N-2]|^2 + |main[N-1]|^2 - X,  conj(main[N-1]) upper[N-1]],
-             [.,                                       |upper[N-1]|^2           ]],
-        S = [[top[N-1],  f[N-1]   ],
-             [.,         bottom[N]]],
+        P = [[p,  conj(main[N-1]) u],      p = 1 + |upper[N-2]|^2 + |main[N-1]|^2 - X,
+             [.,  |u|^2            ]],     u = upper[N-1],
+        S = [[t,  f],                      t = top[N-1], f = f[N-1], b = bottom[N],
+             [.,  b]],
 
     with the entries at index -1 or M read as 0 (X = 0 at N = 1) and bottom[M] as
-    1; at N = M, or for a diagonal d, the padded row adds one exact zero.  All
-    cuts share one batched Cholesky of S and one eigensolve.
+    1.  When the entry u is not 0, d has no lower diagonal, so :func:`factor`
+    formed t = p by the same operations and f as the product conj(main[N-1]) u:
+    with that f read into P, P - S is zero but for its last entry, so 1 is an
+    exact eigenvalue and the other is (|u|^2 - |f|^2/t) / (b - |f|^2/t).  When u
+    is 0, P = diag(p, 0): 0 is exact and the other is p / (t - |f|^2/b).  u is
+    tested as an entry, since |u|^2 can underflow.  Both denominators are Schur
+    complements of S, itself one of G >= I, so at least 1 in exact arithmetic;
+    S is refused unless t, b and the denominator are all positive, which is when
+    it is positive definite.  No LAPACK routine is called.
     """
     n = np.asarray(cuts)
-    f = np.concatenate([[0.0], bq.f, [0.0]])  # f[i + 1] is f_i for i = -1..M-1
-    upper = np.concatenate([[0.0], bq.upper, [0.0]])
-    top = np.append(1.0, bq.top)  # top[i + 1] is top_i
-    bottom = np.append(bq.bottom, 1.0)
-    main = bq.main[n - 1]
-    p = np.zeros((n.size, 2, 2), dtype=f.dtype)
-    s = np.zeros_like(p)
-    p[:, 0, 0] = 1.0 + _abs2(upper[n - 1]) + _abs2(main) - _abs2(f[n - 1]) / top[n - 1]
-    p[:, 0, 1] = np.conj(main) * upper[n]
-    p[:, 1, 0] = np.conj(p[:, 0, 1])
-    p[:, 1, 1] = _abs2(upper[n])
-    s[:, 0, 0] = top[n]
-    s[:, 0, 1] = f[n]
-    s[:, 1, 0] = np.conj(f[n])
-    s[:, 1, 1] = bottom[n]
-    try:
-        inverse = np.linalg.inv(np.linalg.cholesky(s))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Cholesky factorization of a pencil failed: {exc}") from exc
-    tails = linalg.hermitian_eigenvalues(inverse @ p @ np.conj(inverse).swapaxes(1, 2))
-    return ((tail, cut - 1, cut - 1) for cut, tail in zip(cuts, tails))
+    u = _entries(bq.upper, n - 1, 0.0)
+    a = _abs2(_entries(bq.f, n - 1, 0.0))
+    t, b = bq.top[n - 1], _entries(bq.bottom, n, 1.0)
+    p = (1.0 + _abs2(_entries(bq.upper, n - 2, 0.0)) + _abs2(bq.main[n - 1])
+         - _abs2(_entries(bq.f, n - 2, 0.0)) / _entries(bq.top, n - 2, 1.0))
+    exact_one = u != 0
+    denominator = np.where(exact_one, b - a / t, t - a / b)
+    if not np.all((t > 0) & (b > 0) & (denominator > 0)):
+        raise ConvergenceFailure("a pivot or Schur complement of a cut's pencil is not positive")
+    free = np.where(exact_one, _abs2(u) - a / t, p) / denominator
+    return ((v, c - k, c - 1 + k) for c, v, k in zip(cuts, free[:, None], exact_one.tolist()))
 
 
 def theorem_bound(epsilon: float) -> float:
@@ -635,8 +641,10 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending; the cut
     is checked by :func:`check_cuts`.
 
-    The values :func:`_spectra` solves, with its exact zeros and ones beside them:
-    the one place they are formed, as :func:`certify` counts without them.
+    The values :func:`_spectra` gives, with its exact zeros and ones beside them:
+    the one place they are formed, as :func:`certify` counts without them.  On the
+    band path that is one free value beside N exact zeros and N - 1 exact ones,
+    or N - 1 and N.
     """
     values, zeros, ones = next(_spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window)))
     return np.sort(np.concatenate([np.zeros(zeros), np.ones(ones), values]))
@@ -644,12 +652,14 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
 
 def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
     """``(values, zeros, ones)`` at each checked cut N, one cut at a time: the corner
-    eigenvalues actually solved, ascending, and the counts of exact zeros and ones
-    that complete them to 2N; the one place that tells the two factors apart.
+    eigenvalues that the structure does not fix, ascending, and the counts of exact
+    zeros and ones that complete them to 2N; the one place that tells the two
+    factors apart.
 
-    For a :class:`BandQ` the solved values are a 2-by-2 pencil's, beside N - 1
-    zeros and N - 1 ones (see :func:`factor`).  For a :class:`QBuild` the
-    corner is ``yc yc*`` with ``yc`` the 2N corner rows of ``y``.  The top rows
+    For a :class:`BandQ` the value is the one free eigenvalue of a 2-by-2 pencil,
+    in closed form, beside N - 1 + [u = 0] zeros and N - 1 + [u != 0] ones, u the
+    entry ``upper[N-1]`` of d (see :func:`_band_spectra`).  For a :class:`QBuild`
+    the corner is ``yc yc*`` with ``yc`` the 2N corner rows of ``y``.  The top rows
     are ``[w, 0]`` with w = W[:N, :N], as W is lower triangular; call the bottom
     rows ``v``.  Its rank side is fixed by M: when 2N <= M the corner itself is
     solved, and only the blocks ``w w*``, ``v[:, :N] w*`` and ``v v*`` of its
@@ -801,7 +811,8 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     ``omega_N = M_N - N``.  The result is accepted only if every cut agrees and
     every corner eigenvalue keeps at least ``gap_floor`` distance from 1/2.  Cuts
     are counted one after another in the calling thread, each kept as its counts
-    alone; only the BLAS/LAPACK calls inside each eigensolve may run threaded.
+    alone; only the BLAS/LAPACK calls inside each dense eigensolve may run
+    threaded, and the band path makes none.
     :data:`CERTIFY_CUT_BYTES` a cut are charged against
     :func:`~omega_index.linalg.require_memory` after the gates and before the
     first cut is solved.  The arguments are checked before the admissibility
@@ -823,9 +834,10 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     UnstableCount
         If different cuts disagree on ``M_N - N``.
     ConvergenceFailure
-        If a corner eigensolve fails or yields a non-finite eigenvalue, or, once
-        every other gate has passed, if ``defect`` is not finite: a count whose Q
-        has no bound on its idempotency certifies nothing.
+        If a corner eigensolve fails, a band cut's pencil has a pivot or Schur
+        complement that is not positive, or a corner eigenvalue is not finite,
+        or, once every other gate has passed, if ``defect`` is not finite: a
+        count whose Q has no bound on its idempotency certifies nothing.
     InsufficientMemory
         If the cuts would not fit, at :data:`CERTIFY_CUT_BYTES` a cut.
     """

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -54,12 +55,12 @@ from omega_index import (
 )
 from omega_index.index import (
     DEFAULT_ORIENTATION,
-    DEFECT_BLOCK,
     ORIENTATIONS,
     PIVOT_ROUNDING,
     _abs2,
     _factor_defect,
 )
+from omega_index.linalg import PRODUCT_BLOCK
 
 
 def full_q(qb):
@@ -245,7 +246,7 @@ def test_factor_defect_bounds_a_real_defect():
     assert operator_norm(q @ q - q) == pytest.approx(_factor_defect(y), rel=1e-9)
 
 
-@pytest.mark.parametrize("cols", [1, 2, 17, DEFECT_BLOCK, DEFECT_BLOCK + 45])
+@pytest.mark.parametrize("cols", [1, 2, 17, PRODUCT_BLOCK, PRODUCT_BLOCK + 45])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_factor_defect_bounds_the_spectral_certificate(cols, complex_):
     """On a random y = [W; V], W lower triangular as in QBuild, e is the largest row
@@ -310,8 +311,6 @@ def test_build_q_factor_failure_is_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(ConvergenceFailure):
         build_q(zero_pair(), "literal")
-    with pytest.raises(ConvergenceFailure):
-        omega(build_harmonic(0.01, 16), cuts=[4])
 
 
 def test_build_q_refuses_an_overflowing_gram():
@@ -895,6 +894,130 @@ def test_factor_keeps_the_dense_path_for_every_other_c(dense200):
         assert isinstance(build_q(BAND_PAIRS["harmonic"], orientation), QBuild)
 
 
+def _no_linalg(monkeypatch):
+    """Make every function of ``np.linalg`` fail if called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg reached")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("name", ["harmonic", "a:diagonal_decay", "grid"])
+def test_the_band_path_calls_no_linalg_routine(name, orientation, monkeypatch):
+    """omega, certify and corner_eigenvalues give the same results with every
+    np.linalg function (cholesky, inv, eigh, eigvalsh, ...) made to fail."""
+    pair = BAND_PAIRS[name]
+    cuts = list(range(1, pair.interior + 1, 5))
+
+    def run():
+        band = factor(pair, orientation)
+        counted = certify(band, cuts, gap_floor=0.0)
+        spectra = [corner_eigenvalues(band, cut).tobytes() for cut in cuts]
+        return omega(pair, cuts, orientation, gap_floor=0.0), counted, spectra
+
+    expected = run()
+    _no_linalg(monkeypatch)
+    assert run() == expected
+
+
+def _float_pencil(band, cut):
+    """The 2-by-2 pencil (P, S) on rows N - 1 and N at cut N, assembled in float64
+    from the factor's stored floats (see index._band_spectra), with the entries
+    past either end padded in: ((p, r, u), (t, f, b)) for P = [[p, r], [r*, |u|^2]]
+    and S = [[t, f], [f*, b]]."""
+    f = np.concatenate([[0.0], band.f, [0.0]])  # f[i + 1] is f_i
+    upper = np.concatenate([[0.0], band.upper, [0.0]])
+    top = np.append(1.0, band.top)
+    bottom = np.append(band.bottom, 1.0)
+    main = band.main[cut - 1]
+    p = 1.0 + _abs2(upper[cut - 1]) + _abs2(main) - _abs2(f[cut - 1]) / top[cut - 1]
+    return (p, np.conj(main) * upper[cut], upper[cut]), (top[cut], f[cut], bottom[cut])
+
+
+def _square(z):
+    """|z|^2 exactly, for a stored float or complex."""
+    z = complex(z)
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+#: unit roundoff of float64
+UNIT = Fraction(1, 2**53)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), complex_=st.booleans(),
+       lower=st.booleans(), exponent=st.floats(-2, 1))
+@example(dim=1, seed=0, complex_=False, lower=False, exponent=0.0)
+@example(dim=2, seed=1, complex_=True, lower=True, exponent=1.0)
+def test_each_band_cut_has_one_free_eigenvalue_in_closed_form(
+    orientation, dim, seed, complex_, lower, exponent
+):
+    """At every cut N up to M the band corner is N - 1 + [u = 0] exact zeros,
+    N - 1 + [u != 0] exact ones and one free value, u = upper[N-1] of d.  When u
+    is not 0 the pencil's P, with its off-diagonal read as f, agrees with S but in
+    its last entry, so 1 is an exact eigenvalue; the free value is within the
+    closed form's rounding bound of the pencil's other eigenvalue, found exactly
+    with Fraction: a few units of roundoff times the magnitudes that its numerator
+    and denominator cancel, over the denominator."""
+    band = factor(_bidiagonal_pair(dim, seed, complex_, lower, 10.0**exponent), orientation)
+    for cut in range(1, dim + 1):
+        (p, r, u), (t, f, b) = _float_pencil(band, cut)
+        values, zeros, ones = next(index_module._spectra(band, [cut]))
+        exact_one = u != 0
+        assert values.shape == (1,)
+        assert (zeros, ones) == (cut - 1 + (not exact_one), cut - 1 + exact_one)
+        spectrum = corner_eigenvalues(band, cut)
+        assert np.count_nonzero(spectrum == 0.0) >= zeros
+        assert np.count_nonzero(spectrum == 1.0) >= ones
+        t, b, a = Fraction(t), Fraction(b), _square(f)
+        if exact_one:
+            # p is top[N-1] bit for bit; r is f up to the rounding of its product
+            assert p == t and abs(r - f) <= 2.0**-51 * abs(f)
+            schur = b - a / t
+            mu = (_square(u) - a / t) / schur
+            cancelled = _square(u) + a / t + mu * (b + a / t)
+        else:
+            assert r == 0
+            schur = t - a / b
+            mu = Fraction(p) / schur
+            cancelled = mu * (t + a / b)
+        bound = 6 * UNIT / (1 - 6 * UNIT) * cancelled / schur + 2 * UNIT * mu
+        assert abs(Fraction(values[0]) - mu) <= bound, (cut, float(mu), values[0])
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("lam, dim", [(0.01, 600), (0.003, 2000)])
+def test_the_oscillator_free_eigenvalue_is_within_two_ulps(lam, dim, orientation):
+    """With main = 0 the oscillator's f is 0 and its pencil cancels nothing: at
+    every cut the free value lies within 2 ulps of the pencil's exact eigenvalue,
+    found with Fraction from the factor's stored floats."""
+    band = factor(replace(build_harmonic(lam, dim), boundary_window=0), orientation)
+    cuts = list(range(1, dim + 1))
+    for cut, (values, _, _) in zip(cuts, index_module._spectra(band, cuts)):
+        (p, _, u), (t, f, b) = _float_pencil(band, cut)
+        assert f == 0
+        mu = _square(u) / Fraction(b) if u != 0 else Fraction(p) / Fraction(t)
+        assert abs(Fraction(values[0]) - mu) <= 2 * Fraction(np.spacing(float(mu))), cut
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("scale", [1e-30, -1.0])
+def test_a_band_pencil_that_is_not_definite_is_refused(scale, orientation):
+    """A BandQ whose bottom pivots are scaled by 1e-30 makes a Schur complement of
+    some cut's S negative: b - |f|^2/t when u is not 0, t - |f|^2/b when it is.
+    Negated, they make b negative, where t - |f|^2/b stays positive."""
+    band = factor(BAND_PAIRS["a:diagonal_decay"], orientation)
+    broken = replace(band, bottom=scale * band.bottom)
+    with pytest.raises(ConvergenceFailure, match="not positive"):
+        certify(broken, [10, 20], gap_floor=0.0)
+    with pytest.raises(ConvergenceFailure, match="not positive"):
+        corner_eigenvalues(broken, 10)
+
+
 def test_band_corner_eigenvalues_validate_cut(harmonic400):
     band = factor(harmonic400, "conjugate")
     with pytest.raises(CutTooLarge):
@@ -1085,7 +1208,7 @@ def test_build_q_refuses_what_will_not_fit_before_it_allocates(monkeypatch):
     a factor that needs it are refused before d is formed or anything is
     allocated; the band path needs no such memory."""
     pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
-    footprint = index_module.BUILD_Q_ARRAYS * 16 * 300**2
+    footprint = index_module.BUILD_Q_ARRAYS * 16 * 300**2 + operators_module.BLAS_RESERVE_BYTES
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: footprint - 1.0)
     monkeypatch.setattr(index_module, "_graph_map", _refuse_to_factor)
     for run in (build_q, factor):
