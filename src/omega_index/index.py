@@ -33,19 +33,20 @@ gate is on the pair: Q itself is a projection for every C, and the measured
 A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
 and the commuting grid) needs none of that: :func:`factor` keeps only O(M)
-numbers (:class:`BandQ`): the off-diagonal of the tridiagonal G = I + d*d, its
-pivots in both directions and the two diagonals of d.  d is bidiagonal exactly
-when C is, which is exactly when the pair stores C by its diagonals, so the
-path is read from the pair's storage.  A measured epsilon is the norm of a
-Hermitian tridiagonal, found by Sturm-count bisection, so no M-by-M array is
-formed.  With k = N + 1 the corner's nonzero spectrum is that of the pencil
-(P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and S_k = W_kk^-* W_kk^-1;
-for a bidiagonal d both equal G on rows 0..N-2 and on their coupling to row
-N-1, so one Schur complement leaves a 2-by-2 pencil on rows N-1 and N.  One of
-its eigenvalues is exactly 0 or 1, so the 2N corner eigenvalues are N exact
-zeros and N - 1 exact ones, or N - 1 and N, beside one free eigenvalue, which
-:func:`_band_spectra` gives in closed form with no LAPACK call; :func:`build_q`
-is the dense path.
+numbers (:class:`BandQ`): the squared moduli of the off-diagonal of the
+tridiagonal G = I + d*d, its pivots in both directions and the diagonal and
+superdiagonal of d, padded once so that a cut reads them with no boundary case.
+d is bidiagonal exactly when C is, which is exactly when the pair stores C by
+its diagonals, so the path is read from the pair's storage.  A measured epsilon
+is the norm of a Hermitian tridiagonal, found by Sturm-count bisection, so no
+M-by-M array is formed.  With k = N + 1 the corner's nonzero spectrum is that of
+the pencil (P_N, S_k), P_N = diag(I_N, 0) + d[:N, :k]* d[:N, :k] and
+S_k = W_kk^-* W_kk^-1; for a bidiagonal d both equal G on rows 0..N-2 and on
+their coupling to row N-1, so one Schur complement leaves a 2-by-2 pencil on
+rows N-1 and N.  One of its eigenvalues is exactly 0 or 1, so the 2N corner
+eigenvalues are N exact zeros and N - 1 exact ones, or N - 1 and N, beside one
+free eigenvalue, which :func:`_band_spectra` gives in closed form with no
+LAPACK call; :func:`build_q` is the dense path.
 
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
@@ -94,9 +95,10 @@ SCALE_MARGIN = 0.05
 PIVOT_ROUNDING = 8.0
 
 #: bytes per row that :func:`factor` takes on the band path: its O(M) arrays and
-#: the float lists of both :func:`_pivots` passes (peaks of 113-114 bytes per row
-#: of virtual memory, which an address-space limit counts, at M = 10^6 and 4*10^6;
-#: tracemalloc sees 96.0-96.1 from M = 10^4 to 10^6, real or complex C)
+#: the float lists of both :func:`_pivots` passes (virtual-memory peaks, which an
+#: address-space limit counts, of 114.1 bytes per row above the size before the
+#: factor at M = 10^6 and 113.3 at 4*10^6; tracemalloc sees 96.0-96.2 from M = 10^4
+#: to 10^6; each in both orientations, with a real or a complex C)
 BAND_FACTOR_ROW_BYTES = 120
 
 #: bytes per row that measuring a band pair's commutator norm takes: the arrays of
@@ -171,14 +173,20 @@ class QBuild(FactorHeader):
 class BandQ(FactorHeader):
     """The factor of Q for a bidiagonal d, in O(M) numbers (see :func:`factor`).
 
-    With g the diagonal of the tridiagonal G = I + d*d, ``f`` is its
-    superdiagonal, ``top`` its top-down pivots ``top[i] = g[i] - |f[i-1]|^2 /
-    top[i-1]`` and ``bottom`` its bottom-up pivots ``bottom[i] = g[i] - |f[i]|^2 /
-    bottom[i+1]``, so G = U U* with U upper bidiagonal, ``U[i, i] =
-    sqrt(bottom[i])`` and ``U[i, i+1] = f[i] / sqrt(bottom[i+1])``.  ``main`` and
-    ``upper`` are the diagonal and superdiagonal of d (zero when d is lower
-    bidiagonal); the corners read them besides G, whose values alone do not fix
-    the spectrum (the oscillator and a diagonal pair can share one G).
+    With g the diagonal of the tridiagonal G = I + d*d, f_i = G[i, i+1] its
+    off-diagonal, t_i its top-down pivots ``t_i = g[i] - |f_(i-1)|^2 / t_(i-1)`` and
+    b_i its bottom-up pivots ``b_i = g[i] - |f_i|^2 / b_(i+1)``, G = U U* with U
+    upper bidiagonal, ``U[i, i] = sqrt(b_i)`` and ``U[i, i+1] = f_i / sqrt(b_(i+1))``.
+    ``main`` is the diagonal m_i of d and u_i = d[i, i+1] its superdiagonal (zero
+    when d is lower bidiagonal); the corners read them besides G, whose values
+    alone do not fix the spectrum (the oscillator and a diagonal pair can share
+    one G).  The other arrays have length M + 1, padded once with what a cut
+    past either end reads, so the cut N reads every array at N - 1 and N:
+    ``f2[i + 1] = |f_i|^2`` and ``upper[i + 1] = u_i`` with 0 at both ends,
+    ``top[i + 1] = t_i`` after a leading 1 and ``bottom[i] = b_i`` before a
+    trailing 1.  In the ``literal`` orientation ``main`` and ``upper`` hold the
+    conjugates of d's entries, C's own diagonals, which have the same moduli and
+    zeros: nothing else of them is read.
 
     Y is never formed, so its e is an a-priori spectral bound.  Forming G from d
     rounds each entry by at most 4u relatively (u the unit roundoff), and each
@@ -192,7 +200,7 @@ class BandQ(FactorHeader):
     same bound holds for the top-down pivots.
     """
 
-    f: np.ndarray
+    f2: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
     main: np.ndarray
@@ -514,7 +522,9 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     :class:`~omega_index.operators.OperatorPair`), so the path is read from the
     storage and a pair for the dense path reaches :func:`build_q` with no d formed.
     On the band path d's diagonals are C's (``conjugate``) or C's conjugated with
-    lower and upper swapped (``literal``).  ``epsilon`` is twice the analytic
+    lower and upper swapped (``literal``); the factor reads them only through
+    squared moduli and zero tests, which conjugation leaves exact, so ``literal``
+    swaps C's stored diagonals and copies none.  ``epsilon`` is twice the analytic
     commutator norm or else measured on the interior block of d*d - dd*, which is
     tridiagonal here; its norm is the upper end of a bisection bracket one ulp wide
     (:func:`~omega_index.linalg.tridiagonal_norm`), not the eigensolve
@@ -544,34 +554,35 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
         epsilon = 2.0 * pair.known_commutator_norm
     lower, main, upper = pair.diagonals
     if resolved == "literal":
-        lower, main, upper = np.conj(upper), np.conj(main), np.conj(lower)
+        lower, upper = upper, lower
     # column j of d holds upper[j-1], main[j] and lower[j]; f is one product
     with np.errstate(over="ignore"):
         g = 1.0 + _abs2(np.append(0.0, upper)) + _abs2(main) + _abs2(np.append(lower, 0.0))
     _refuse_overflow(g)
     f = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
     with np.errstate(over="ignore"):
-        a = _abs2(f)
-    if not np.all(np.isfinite(a)):
+        f2 = _abs2(f)
+    if not np.all(np.isfinite(f2)):
         # an infinite |f|^2 would reach the pivots as -inf
         raise ConvergenceFailure(
             "I + d*d overflows: its squared off-diagonal is not finite, so a pivot of "
             "I + d*d is not positive; the pair is too large to factor"
         )
-    top = _pivots(g, a)
-    bottom = _pivots(g[::-1], a[::-1])[::-1]
+    moduli = np.abs(f)
+    del f  # complex for a complex C, so not kept through the pivot passes
+    top = _pivots(g, f2)
+    bottom = _pivots(g[::-1], f2[::-1])[::-1]
     if not (np.all(top > 0) and np.all(bottom > 0)):
         raise ConvergenceFailure("a pivot of I + d*d is not positive")
-    moduli = np.abs(f)
     rows = g + np.append(0.0, moduli) + np.append(moduli, 0.0)
     x = PIVOT_ROUNDING * (np.finfo(np.float64).eps / 2) * float(np.max(rows))
     e = x / (1.0 - x) if x < 1.0 else np.inf
     return BandQ(
-        f=f,
-        top=top,
-        bottom=bottom,
+        f2=np.pad(f2, 1),
+        top=np.append(1.0, top),
+        bottom=np.append(bottom, 1.0),
         main=main,
-        upper=upper,
+        upper=np.pad(upper, 1),
         epsilon=epsilon,
         epsilon_rounding=0.0,
         defect=(1.0 + e) * e,
@@ -579,42 +590,33 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     )
 
 
-def _entries(x: np.ndarray, i: np.ndarray, edge: float) -> np.ndarray:
-    """``x[i]`` at each index of ``i``, and ``edge`` where it lies past either end."""
-    inside = (i >= 0) & (i < x.size)
-    out = np.full(i.shape, edge, dtype=x.dtype)
-    out[inside] = x[i[inside]]
-    return out
-
-
 def _band_spectra(bq: BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
     """:func:`_spectra` of a :class:`BandQ`: each cut's free eigenvalue in closed form.
 
-    With the head rows 0..N-2 eliminated (X = |f[N-2]|^2 / top[N-2]), the pencil
-    (P_N, S_{N+1}) leaves on rows N-1 and N
+    In the notation of :class:`BandQ`, with the head rows 0..N-2 eliminated
+    (X = |f_(N-2)|^2 / t_(N-2)), the pencil (P_N, S_{N+1}) leaves on rows N-1 and N
 
-        P = [[p,  conj(main[N-1]) u],      p = 1 + |upper[N-2]|^2 + |main[N-1]|^2 - X,
-             [.,  |u|^2            ]],     u = upper[N-1],
-        S = [[t,  f],                      t = top[N-1], f = f[N-1], b = bottom[N],
+        P = [[p,  conj(m_(N-1)) u],      p = 1 + |u_(N-2)|^2 + |m_(N-1)|^2 - X,
+             [.,  |u|^2          ]],     u = u_(N-1),
+        S = [[t,  f],                    t = t_(N-1), f = f_(N-1), b = b_N.
              [.,  b]],
 
-    with the entries at index -1 or M read as 0 (X = 0 at N = 1) and bottom[M] as
-    1.  When the entry u is not 0, d has no lower diagonal, so :func:`factor`
-    formed t = p by the same operations and f as the product conj(main[N-1]) u:
-    with that f read into P, P - S is zero but for its last entry, so 1 is an
-    exact eigenvalue and the other is (|u|^2 - |f|^2/t) / (b - |f|^2/t).  When u
-    is 0, P = diag(p, 0): 0 is exact and the other is p / (t - |f|^2/b).  u is
-    tested as an entry, since |u|^2 can underflow.  Both denominators are Schur
-    complements of S, itself one of G >= I, so at least 1 in exact arithmetic;
-    S is refused unless t, b and the denominator are all positive, which is when
-    it is positive definite.  No LAPACK routine is called.
+    The factor carries the entries past either end (0, and 1 for a pivot, so X = 0
+    at N = 1): u, |f|^2, t and b are its arrays at N, and p reads them and
+    ``main`` at N - 1.  When the entry u is not 0, d has no lower diagonal, so
+    :func:`factor` formed t = p by the same operations and f as the product
+    conj(m_(N-1)) u: with that f read into P, P - S is zero but for its last
+    entry, so 1 is an exact eigenvalue and the other is (|u|^2 - |f|^2/t) /
+    (b - |f|^2/t).  When u is 0, P = diag(p, 0): 0 is exact and the other is
+    p / (t - |f|^2/b).  u is tested as an entry, since |u|^2 can underflow.  Both
+    denominators are Schur complements of S, itself one of G >= I, so at least 1
+    in exact arithmetic; S is refused unless t, b and the denominator are all
+    positive, which is when it is positive definite; a hand-built factor can
+    carry one that is not.  No LAPACK routine is called.
     """
     n = np.asarray(cuts)
-    u = _entries(bq.upper, n - 1, 0.0)
-    a = _abs2(_entries(bq.f, n - 1, 0.0))
-    t, b = bq.top[n - 1], _entries(bq.bottom, n, 1.0)
-    p = (1.0 + _abs2(_entries(bq.upper, n - 2, 0.0)) + _abs2(bq.main[n - 1])
-         - _abs2(_entries(bq.f, n - 2, 0.0)) / _entries(bq.top, n - 2, 1.0))
+    u, a, t, b = bq.upper[n], bq.f2[n], bq.top[n], bq.bottom[n]
+    p = 1.0 + _abs2(bq.upper[n - 1]) + _abs2(bq.main[n - 1]) - bq.f2[n - 1] / bq.top[n - 1]
     exact_one = u != 0
     denominator = np.where(exact_one, b - a / t, t - a / b)
     if not np.all((t > 0) & (b > 0) & (denominator > 0)):

@@ -925,16 +925,15 @@ def test_the_band_path_calls_no_linalg_routine(name, orientation, monkeypatch):
 
 def _float_pencil(band, cut):
     """The 2-by-2 pencil (P, S) on rows N - 1 and N at cut N, assembled in float64
-    from the factor's stored floats (see index._band_spectra), with the entries
-    past either end padded in: ((p, r, u), (t, f, b)) for P = [[p, r], [r*, |u|^2]]
-    and S = [[t, f], [f*, b]]."""
-    f = np.concatenate([[0.0], band.f, [0.0]])  # f[i + 1] is f_i
-    upper = np.concatenate([[0.0], band.upper, [0.0]])
-    top = np.append(1.0, band.top)
-    bottom = np.append(band.bottom, 1.0)
-    main = band.main[cut - 1]
-    p = 1.0 + _abs2(upper[cut - 1]) + _abs2(main) - _abs2(f[cut - 1]) / top[cut - 1]
-    return (p, np.conj(main) * upper[cut], upper[cut]), (top[cut], f[cut], bottom[cut])
+    from the factor's stored floats (see index._band_spectra), whose padding
+    carries the entries past either end: ((p, r, u), (t, a, b)) for
+    P = [[p, r], [r*, |u|^2]] and S = [[t, f], [f*, b]] with |f|^2 = a.  r is
+    taken from one array product, as factor forms f: numpy's scalar product can
+    round differently."""
+    p = (1.0 + _abs2(band.upper[cut - 1]) + _abs2(band.main[cut - 1])
+         - band.f2[cut - 1] / band.top[cut - 1])
+    r = (np.conj(band.main) * band.upper[1:])[cut - 1]
+    return (p, r, band.upper[cut]), (band.top[cut], band.f2[cut], band.bottom[cut])
 
 
 def _square(z):
@@ -965,7 +964,7 @@ def test_each_band_cut_has_one_free_eigenvalue_in_closed_form(
     and denominator cancel, over the denominator."""
     band = factor(_bidiagonal_pair(dim, seed, complex_, lower, 10.0**exponent), orientation)
     for cut in range(1, dim + 1):
-        (p, r, u), (t, f, b) = _float_pencil(band, cut)
+        (p, r, u), (t, f2, b) = _float_pencil(band, cut)
         values, zeros, ones = next(index_module._spectra(band, [cut]))
         exact_one = u != 0
         assert values.shape == (1,)
@@ -973,10 +972,10 @@ def test_each_band_cut_has_one_free_eigenvalue_in_closed_form(
         spectrum = corner_eigenvalues(band, cut)
         assert np.count_nonzero(spectrum == 0.0) >= zeros
         assert np.count_nonzero(spectrum == 1.0) >= ones
-        t, b, a = Fraction(t), Fraction(b), _square(f)
+        t, b, a = Fraction(t), Fraction(b), Fraction(f2)
         if exact_one:
-            # p is top[N-1] bit for bit; r is f up to the rounding of its product
-            assert p == t and abs(r - f) <= 2.0**-51 * abs(f)
+            # p is t_(N-1) bit for bit, and r is the product factor squared into f2
+            assert p == t and _abs2(r) == f2
             schur = b - a / t
             mu = (_square(u) - a / t) / schur
             cancelled = _square(u) + a / t + mu * (b + a / t)
@@ -998,8 +997,8 @@ def test_the_oscillator_free_eigenvalue_is_within_two_ulps(lam, dim, orientation
     band = factor(replace(build_harmonic(lam, dim), boundary_window=0), orientation)
     cuts = list(range(1, dim + 1))
     for cut, (values, _, _) in zip(cuts, index_module._spectra(band, cuts)):
-        (p, _, u), (t, f, b) = _float_pencil(band, cut)
-        assert f == 0
+        (p, _, u), (t, f2, b) = _float_pencil(band, cut)
+        assert f2 == 0
         mu = _square(u) / Fraction(b) if u != 0 else Fraction(p) / Fraction(t)
         assert abs(Fraction(values[0]) - mu) <= 2 * Fraction(np.spacing(float(mu))), cut
 
@@ -1237,6 +1236,33 @@ def test_a_band_factor_is_charged_by_its_rows(monkeypatch):
     assert omega(pair, cuts=[300]).omega == 1
 
 
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_a_band_factor_peaks_within_its_charge(complex_, orientation):
+    """At M = 10^5 the factor's tracemalloc peak stays within BAND_FACTOR_ROW_BYTES
+    a row, for the oscillator's real C and its b:scalar_shift perturbation's complex
+    one; literal, which swaps C's diagonals and copies none, peaks no higher than
+    conjugate."""
+    dim = 100000
+    pair = build_harmonic(1e-4, dim)
+    if complex_:
+        pair = perturb(pair, "b", "scalar_shift", 0.01)
+    assert pair.diagonals[1].dtype == (np.complex128 if complex_ else np.float64)
+    for warm_up in ORIENTATIONS:  # so that no first-call allocation is traced
+        factor(pair, warm_up)
+    peak = _traced_peak(factor, pair, orientation)
+    assert peak <= index_module.BAND_FACTOR_ROW_BYTES * dim
+    assert peak <= _traced_peak(factor, pair, "conjugate")
+
+
+@pytest.mark.parametrize("name", ["harmonic", "b:scalar_shift"])
+def test_a_literal_band_factor_copies_no_diagonal(name):
+    """literal keeps C's stored diagonal as it is, for a real and a complex C: d's
+    diagonal is its conjugate, which has the same moduli."""
+    pair = BAND_PAIRS[name]
+    assert np.shares_memory(factor(pair, "literal").main, pair.diagonals[1])
+
+
 def test_a_measured_band_epsilon_is_charged_by_its_rows(monkeypatch):
     """Measuring the commutator of a dim-1000 band pair, for its factor or alone, is
     refused one byte below its charge, before its arrays or Sturm rows are made."""
@@ -1376,9 +1402,12 @@ def test_band_pivots_are_backward_stable(complex_, dim, seed, lower, exponent):
     band = factor(pair, "conjugate")
     d = pair.c.astype(np.clongdouble)
     exact = np.eye(dim, dtype=np.clongdouble) + d.conj().T @ d
-    f = band.f.astype(np.clongdouble)
+    # the off-diagonal of G as factor forms it from d = C
+    lower, main, upper = pair.diagonals
+    f_band = np.conj(lower) * main[1:] if np.any(lower) else np.conj(main[:-1]) * upper
+    f = f_band.astype(np.clongdouble)
     a = (f * f.conj()).real
-    top, bottom = band.top.astype(np.longdouble), band.bottom.astype(np.longdouble)
+    top, bottom = band.top[1:].astype(np.longdouble), band.bottom[:-1].astype(np.longdouble)
     for diagonal in (bottom + np.append(a / bottom[1:], 0.0), top + np.append(0.0, a / top[:-1])):
         factored = np.diag(diagonal).astype(np.clongdouble) + np.diag(f, 1) + np.diag(f.conj(), -1)
         residual = np.max(np.sum(np.abs(factored - exact), axis=1))
@@ -1389,7 +1418,7 @@ def test_band_pivots_are_backward_stable(complex_, dim, seed, lower, exponent):
     g = (1.0 + _abs2(np.append(0.0, np.diagonal(c, 1))) + _abs2(np.diagonal(c))
          + _abs2(np.append(np.diagonal(c, -1), 0.0)))
     x = PIVOT_ROUNDING * np.finfo(np.float64).eps / 2 * float(
-        np.max(g + np.append(0.0, np.abs(band.f)) + np.append(np.abs(band.f), 0.0)))
+        np.max(g + np.append(0.0, np.abs(f_band)) + np.append(np.abs(f_band), 0.0)))
     assert band.defect == (1 + x / (1 - x)) * (x / (1 - x))
 
 
