@@ -19,16 +19,21 @@ and the whole counting path runs in float64; a complex C runs in complex128.
 Compress Q to the corner spanned by the first N basis vectors of both copies,
 count the eigenvalues of that corner block above 1/2 (call the count M_N), and
 report the cut-independent integer ``omega = M_N - N``.  Only the eigenvalues
-that the structure does not fix are solved.  The corner at cut N is ``y_c y_c*``,
+that the structure does not fix are found.  The corner at cut N is ``y_c y_c*``,
 where the 2N-by-M matrix ``y_c`` holds the top N and bottom N rows of Y, so the
 corner has rank at most M: its nonzero eigenvalues are those of the M-by-M Gram
 ``y_c* y_c`` and the other 2N - M are exactly zero.  The smaller of the two is
-solved (the corner itself when 2N <= M; M alone fixes the choice) and counted
-with those zeros.  A count is certified only in the regime where the defect
-bound (4e - 2e^2)/(1 - e)^2 at the measured commutator size e stays below 1/4;
-outside it the pair must be rescaled first (:func:`scale_admissible`).  That
-gate is on the pair: Q itself is a projection for every C, and the measured
-``defect`` bounds how far the Q actually counted is from one.
+formed (the corner itself when 2N <= M; M alone fixes the choice) and counted
+with those zeros.  For an almost-commuting pair all but a few of its
+eigenvalues lie near 0 or 1, so :func:`_census` counts it from one short
+Lanczos pass: Ritz values give the eigenvalues near 1/2, and a trace identity
+proves where the others lie and how many lie near 1; the full eigensolve runs
+only where that certificate fails.  A count is certified only in the regime
+where the defect bound (4e - 2e^2)/(1 - e)^2 at the measured commutator size e
+stays below 1/4; outside it the pair must be rescaled first
+(:func:`scale_admissible`).  That gate is on the pair: Q itself is a projection
+for every C, and the measured ``defect`` bounds how far the Q actually counted
+is from one.
 
 A pair whose d is bidiagonal (nonzeros on the main diagonal and at most one
 adjacent diagonal, as for the oscillator, its shifts and diagonal perturbations,
@@ -120,10 +125,24 @@ CERTIFY_CUT_BYTES = 640
 DEFAULT_CUT_COUNT = 5
 
 #: M-by-M arrays of C's dtype alive at once in :func:`build_q` and the corner
-#: solves that follow it: d, the Gram with the epsilon measurement's products or
+#: counts that follow it: d, the Gram with the epsilon measurement's products or
 #: the Cholesky factor with LAPACK's copy, then W's inverse, the 2M-by-M basis y
-#: and a corner with its eigensolve copy
+#: and a corner, with an eigensolve copy only where :func:`_census` falls back
 BUILD_Q_ARRAYS = 6
+
+#: Lanczos steps of a dense cut's :func:`_census`.  On the dense-index pairs
+#: (dim 1200, ``a:random_hermitian:0.002``, seeds 0-2, cuts 160, 280 and 400)
+#: the residual of the census's Ritz pair was 1.2e-6 to 7.9e-6 after 2 steps,
+#: 1.5e-13 to 1.3e-12 after 3, and at rounding (below 4.5e-16) from 4 on; 8
+#: leaves that margin for pairs whose other eigenvalues lie farther from 0 and
+#: 1, at two products with the corner a step
+CENSUS_STEPS = 8
+
+#: residual norm below which the census's Ritz pair counts as converged: four
+#: decades below the residuals after 2 steps and two above those after 3, on
+#: the same pairs; a certified gap is then within this (plus rounding) of the
+#: true one, and within its square over the spectral gap in practice
+CENSUS_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -287,10 +306,13 @@ def _interior_self_commutator(gram: np.ndarray, rows: np.ndarray) -> tuple[float
     scale = float(np.trace(gram).real + np.trace(block).real)
     # in place, so that beside the eigensolve's copy no second k-by-k array is alive
     np.subtract(gram, block, out=block)
+    return linalg.hermitian_norm(block), 2.0 * _gamma(rows.shape[1] + 3) * scale
+
+
+def _gamma(terms: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u) for j = ``terms``, u the unit roundoff."""
     unit = np.finfo(np.float64).eps / 2.0
-    terms = rows.shape[1] + 3
-    gamma = terms * unit / (1.0 - terms * unit)
-    return linalg.hermitian_norm(block), 2.0 * gamma * scale
+    return terms * unit / (1.0 - terms * unit)
 
 
 def _band_self_commutator_norm(
@@ -643,45 +665,52 @@ def corner_eigenvalues(qb: QBuild | BandQ, cut: int) -> np.ndarray:
     """All 2*cut eigenvalues of the corner block at ``cut``, sorted ascending; the cut
     is checked by :func:`check_cuts`.
 
-    The values :func:`_spectra` gives, with its exact zeros and ones beside them:
-    the one place they are formed, as :func:`certify` counts without them.  On the
-    band path that is one free value beside N exact zeros and N - 1 exact ones,
-    or N - 1 and N.
+    Those the structure does not fix are solved in full, and its exact zeros and
+    ones put beside them: the one place the whole spectrum is formed, as
+    :func:`certify` counts without it.  On the band path that is one free value
+    beside N exact zeros and N - 1 exact ones, or N - 1 and N; on the dense path
+    :func:`_dense_spectrum`, never the census of :func:`_spectra`, whose zeros
+    and ones stand for eigenvalues near them.
     """
-    values, zeros, ones = next(_spectra(qb, check_cuts([cut], qb.dim, qb.boundary_window)))
+    (cut,) = check_cuts([cut], qb.dim, qb.boundary_window)
+    if isinstance(qb, BandQ):
+        values, zeros, ones = next(_band_spectra(qb, [cut]))
+    else:
+        values, zeros, ones = _dense_spectrum(qb, cut)
     return np.sort(np.concatenate([np.zeros(zeros), np.ones(ones), values]))
 
 
 def _spectra(qb: QBuild | BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
-    """``(values, zeros, ones)`` at each checked cut N, one cut at a time: the corner
-    eigenvalues that the structure does not fix, ascending, and the counts of exact
-    zeros and ones that complete them to 2N; the one place that tells the two
-    factors apart.
+    """``(values, zeros, ones)`` at each checked cut N, one cut at a time, for
+    :func:`certify` to count: corner eigenvalues, ascending, beside counts of
+    zeros and ones that complete them to 2N and count as eigenvalues 1/2 from
+    1/2; the one place that tells the two factors apart.
 
     For a :class:`BandQ` the value is the one free eigenvalue of a 2-by-2 pencil,
-    in closed form, beside N - 1 + [u = 0] zeros and N - 1 + [u != 0] ones, u the
-    entry ``upper[N-1]`` of d (see :func:`_band_spectra`).  For a :class:`QBuild`
-    the corner is ``yc yc*`` with ``yc`` the 2N corner rows of ``y``.  The top rows
-    are ``[w, 0]`` with w = W[:N, :N], as W is lower triangular; call the bottom
-    rows ``v``.  Its rank side is fixed by M: when 2N <= M the corner itself is
-    solved, and only the blocks ``w w*``, ``v[:, :N] w*`` and ``v v*`` of its
-    lower triangle are formed, the only part the eigensolver reads.  Otherwise the
-    M-by-M ``yc* yc = v* v + diag(w* w, 0)``, which has the same nonzero
-    eigenvalues, is solved beside 2N - M zeros.
+    in closed form, beside N - 1 + [u = 0] exact zeros and N - 1 + [u != 0] exact
+    ones, u the entry ``upper[N-1]`` of d (see :func:`_band_spectra`).  For a
+    :class:`QBuild` the corner formed by :func:`_dense_corner` is counted by
+    :func:`_census`: the certified Ritz values beside the eigenvalues it proves
+    to lie near 0 and 1, or all of its eigenvalues where the certificate fails.
     """
     if isinstance(qb, BandQ):
         return _band_spectra(qb, cuts)
-    return (_dense_spectrum(qb, cut) for cut in cuts)
+    return (_census(qb, *_dense_corner(qb, cut)) for cut in cuts)
 
 
-def _dense_spectrum(qb: QBuild, cut: int) -> tuple[np.ndarray, int, int]:
-    """One cut of :func:`_spectra` for a :class:`QBuild`.
+def _dense_corner(qb: QBuild, cut: int) -> tuple[np.ndarray, int]:
+    """The lower triangle of a :class:`QBuild`'s corner at ``cut``, or of its Gram,
+    and the number of exact zeros beside its eigenvalues.
 
-    The eigensolver reads the lower triangle, and only that is formed: the
-    blocks of ``w w*`` and ``v v*`` on and below their diagonals
+    The corner is ``yc yc*`` with ``yc`` the 2N corner rows of ``y``.  The top rows
+    are ``[w, 0]`` with w = W[:N, :N], as W is lower triangular; call the bottom
+    rows ``v``.  Its rank side is fixed by M: when 2N <= M the corner itself is
+    formed, and only the blocks ``w w*``, ``v[:, :N] w*`` and ``v v*`` of its
+    lower triangle: those of ``w w*`` and ``v v*`` on and below their diagonals
     (:func:`_lower_outer`), and ``v[:, :N] w*`` one column block at a time over
     only the columns of ``w`` left of the block's end, the rest being exactly
-    zero; or the M-by-M ``v* v`` and ``w* w`` by
+    zero.  Otherwise the M-by-M ``yc* yc = v* v + diag(w* w, 0)``, which has the
+    same nonzero eigenvalues beside 2N - M zeros, by
     :func:`~omega_index.linalg.lower_product`, skipping the rows of ``w`` above
     each block.
     """
@@ -695,13 +724,100 @@ def _dense_spectrum(qb: QBuild, cut: int) -> tuple[np.ndarray, int, int]:
         for start, end in linalg.product_blocks(cut):
             # the columns of w past end are exactly zero in these rows
             np.matmul(v[:, :end], linalg.adjoint(w[start:end, :end]), out=corner[cut:, start:end])
-        return linalg.hermitian_eigenvalues(corner), 0, 0
+        return corner, 0
     gram = np.zeros((m, m), dtype=qb.y.dtype)
     for _ in linalg.lower_product(v, v, gram):
         pass
     for start, end, block in linalg.lower_product(w, w, lower=True):
         gram[start:end, :end] += block
-    return linalg.hermitian_eigenvalues(gram), 2 * cut - m, 0
+    return gram, 2 * cut - m
+
+
+def _dense_spectrum(qb: QBuild, cut: int) -> tuple[np.ndarray, int, int]:
+    """Every eigenvalue of the :func:`_dense_corner` at ``cut``, beside its exact
+    zeros, from one eigensolve, which reads the lower triangle alone."""
+    corner, zeros = _dense_corner(qb, cut)
+    return linalg.hermitian_eigenvalues(corner), zeros, 0
+
+
+def _census(qb: QBuild, k: np.ndarray, zeros: int) -> tuple[np.ndarray, int, int]:
+    """One dense cut of :func:`_spectra`: the lower triangle ``k`` of a
+    :func:`_dense_corner`, beside ``zeros`` exact zeros, counted from one
+    certified Lanczos pass, or solved in full where the certificate fails.
+
+    Write n for the order of k, M for the pair's dimension, u for the unit
+    roundoff and gamma_j = j u / (1 - j u) (:func:`_gamma`).  The lower
+    triangle is mirrored in place, so k is the Hermitian matrix an eigensolver
+    reads.  At most
+    :data:`CENSUS_STEPS` steps of :func:`~omega_index.linalg.lanczos` run on
+    B = k - k^2, whose largest eigenvalue 1/4 - (mu - 1/2)^2 belongs to the
+    eigenvalue mu of k nearest 1/2, so its Ritz vector x
+    (:func:`~omega_index.linalg.extreme_ritz`) converges first.  Each step's
+    product k v is kept, so k x costs no further product with k; mu = x* k x
+    and r = |k x - mu x|.  Let
+
+        rho = 2 gamma_(n^2) (n + |k|_F^2),    e = r + rho.
+
+    rho bounds the rounding of each sum below, of which |k|_F^2 with its n^2
+    terms is the longest, and exceeds by far the O(CENSUS_STEPS u) by which x
+    misses being a unit vector.  In a basis [x, R], k = [[mu, E*], [E, k_R]]
+    with |E| <= e, so t = tr k - mu is the trace of k_R and
+    q = |k|_F^2 - mu^2 - 2 e^2 is at most |k_R|_F^2: s = t - q bounds
+    sum_j nu_j (1 - nu_j) over the eigenvalues nu_j of k_R, up to 2 rho.  Each
+    nu_j lies in [-eta, 1 + eta], eta = ``defect`` + 2 gamma_(M+3) tr k: Q is
+    within ``defect`` of a projection, and forming k from y rounds it by at most
+    the second term (as in :func:`_interior_self_commutator`).  Since
+    min(nu, 1 - nu) <= 2 nu (1 - nu) on [0, 1], and by at most 4 eta more
+    outside it,
+
+        tau = 2 s + 4 (n - 1) eta + 2 rho
+
+    bounds the sum of the nu_j's distances to {0, 1}, so |t - n_up| <= tau + rho
+    for the number n_up of nu_j above 1/2.  The count is certified when
+    r < :data:`CENSUS_RESIDUAL`, tau < 1/4 (so n_up = round(t)), and
+    e < |mu - 1/2| < 1/2 - tau - 2 e.  Then by Weyl's inequality no eigenvalue
+    of diag(mu, k_R) crosses 1/2 on the way to k's, so k has [mu > 1/2] + n_up
+    eigenvalues above 1/2, and the one nearest it lies within e of mu (within
+    r^2 over the distance to the next, by Kato-Temple, in practice).  mu is
+    returned beside n - 1 - n_up + ``zeros`` zeros and n_up ones, which stand
+    for the nu_j, each at least 1/2 - tau from 1/2 and so farther than mu.
+
+    Otherwise (a pair far from a band pair, or with two eigenvalues far from 0
+    and 1, an eigenvalue at 1/2, a k that is not finite, or steps that end
+    before the certificate holds) k is solved in full, as
+    :func:`_dense_spectrum` does.  One Ritz pair, from the Lanczos tridiagonal
+    by LU solves, needs no eigensolver: a LAPACK eigensolve of even a small
+    matrix leaves workspace resident for the rest of the process.
+    """
+    n = len(k)
+    for i in range(1, n):
+        k[:i, i] = np.conj(k[i, :i])
+    frobenius2 = np.vdot(k, k).real
+    if np.isfinite(frobenius2):
+        products = []
+
+        def apply(x):
+            products.append(k @ x)
+            return products[-1] - k @ products[-1]
+
+        basis, alpha, beta = linalg.lanczos(apply, n, k.dtype, CENSUS_STEPS)
+        theta, ritz = linalg.extreme_ritz(alpha, beta)
+        if theta > 0.0:
+            x, kx = ritz @ basis, ritz @ np.array(products)
+            mu = np.vdot(x, kx).real
+            r = float(np.linalg.norm(kx - mu * x))
+            trace = np.trace(k).real
+            rho = 2.0 * _gamma(n * n) * (n + frobenius2)
+            e = r + rho
+            eta = qb.defect + 2.0 * _gamma(qb.dim + 3) * trace
+            t = trace - mu
+            q = frobenius2 - mu * mu - 2.0 * e * e
+            tau = 2.0 * (t - q) + 4.0 * (n - 1) * eta + 2.0 * rho
+            distance = abs(mu - 0.5)
+            if r < CENSUS_RESIDUAL and tau < 0.25 and e < distance < 0.5 - tau - 2.0 * e:
+                ones = round(float(t))
+                return np.array([mu]), n - 1 - ones + zeros, ones
+    return linalg.hermitian_eigenvalues(k), zeros, 0
 
 
 def count_upper(eigenvalues) -> tuple[int, float, int, int]:
@@ -808,13 +924,13 @@ def omega(
 def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> OmegaResult:
     """Count the index of a factored Q over a sweep of cuts and require a stable answer.
 
-    For each cut N the corner eigenvalues the structure does not fix are solved
-    (see :func:`_spectra`), those above 1/2 are counted with its exact ones, and
-    ``omega_N = M_N - N``.  The result is accepted only if every cut agrees and
+    For each cut N the corner eigenvalues the structure does not fix are found
+    (see :func:`_spectra`), those above 1/2 are counted with the ones beside
+    them, and ``omega_N = M_N - N``.  The result is accepted only if every cut agrees and
     every corner eigenvalue keeps at least ``gap_floor`` distance from 1/2.  Cuts
     are counted one after another in the calling thread, each kept as its counts
-    alone; only the BLAS/LAPACK calls inside each dense eigensolve may run
-    threaded, and the band path makes none.
+    alone; only the BLAS/LAPACK calls inside each dense census or eigensolve
+    may run threaded, and the band path makes none.
     :data:`CERTIFY_CUT_BYTES` a cut are charged against
     :func:`~omega_index.linalg.require_memory` after the gates and before the
     first cut is solved.  The arguments are checked before the admissibility

@@ -4,8 +4,9 @@ Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
 positive-definite inversion (through a Cholesky factor where norm bounds prove
 the result, else through the eigendecomposition), a blocked triangular
 inverse, the blocks of a Hermitian product on and below its diagonal
-(:func:`lower_product`), the operator norm, a proved upper bound on a Hermitian
-matrix's norm
+(:func:`lower_product`), the operator norm, Lanczos steps on a Hermitian
+operator with the extreme Ritz pair they give (:func:`lanczos`,
+:func:`extreme_ritz`), a proved upper bound on a Hermitian matrix's norm
 that takes no eigensolve, the norm of a Hermitian tridiagonal by Sturm-count
 bisection, an O(n^2) hermiticity gate, the memory probe that
 every dense path consults before it allocates (:func:`require_memory`), and a
@@ -352,26 +353,27 @@ def hermitian_norm_bound(m: np.ndarray) -> float:
     return bound
 
 
-def _lanczos_estimate(m: np.ndarray, steps: int) -> tuple[float, float]:
-    """The norm of the Lanczos tridiagonal T of ``min(steps, n)`` steps on ``m``,
-    the largest modulus of a Ritz value, and the residual norm of that Ritz pair.
+def lanczos(apply, n: int, dtype, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(basis, alpha, beta)`` of ``min(steps, n)`` Lanczos steps on the Hermitian
+    operator ``apply``, which maps a vector of length n and the given dtype to its
+    image.
 
     The start vector is a fixed draw of independent normals.  Each new vector is
     orthogonalized against all earlier ones twice (classical Gram-Schmidt), so the
-    basis stays orthonormal to rounding and T holds the Rayleigh quotient of
-    ``m`` on it.  An exact breakdown ends the steps early.  A Ritz pair's residual
-    is the last coefficient beta times the last entry of the eigenvector of T
-    (:func:`_last_entry`).
+    rows of ``basis`` stay orthonormal to rounding, and the tridiagonal T with
+    diagonal ``alpha`` and off-diagonal ``beta[:-1]`` holds the operator's
+    Rayleigh quotient on them; ``beta[-1]`` is the norm of the last step's
+    residual.  An exact breakdown ends the steps early, with fewer rows.
+    ``apply`` is called once for each row of ``basis``, in order.
     """
-    n = m.shape[-1]
     k = min(steps, n)
     start = np.random.Generator(np.random.Philox([0])).standard_normal(n)
-    basis = np.zeros((k, n), dtype=m.dtype)
+    basis = np.zeros((k, n), dtype=dtype)
     basis[0] = start / np.linalg.norm(start)
     alpha = np.zeros(k)
     beta = np.zeros(k)
     for j in range(k):
-        w = m @ basis[j]
+        w = apply(basis[j])
         alpha[j] = np.vdot(basis[j], w).real
         for _ in range(2):
             # the coefficients basis* w, conjugated twice so no copy of the basis is made
@@ -380,34 +382,47 @@ def _lanczos_estimate(m: np.ndarray, steps: int) -> tuple[float, float]:
         if j + 1 == k or beta[j] == 0.0:
             break
         basis[j + 1] = w / beta[j]
-    theta = tridiagonal_norm(alpha[: j + 1], beta[:j] ** 2)
+    return basis[: j + 1], alpha[: j + 1], beta[: j + 1]
+
+
+def _lanczos_estimate(m: np.ndarray, steps: int) -> tuple[float, float]:
+    """The norm of the tridiagonal T of :func:`lanczos` on ``m``, the largest
+    modulus of a Ritz value, and the residual norm of that Ritz pair: the last
+    coefficient beta times the last entry of its vector (:func:`extreme_ritz`)."""
+    _, alpha, beta = lanczos(lambda x: m @ x, m.shape[-1], m.dtype, steps)
+    theta, vector = extreme_ritz(alpha, beta)
     if theta == 0.0:
-        return 0.0, float(beta[j])
-    t = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-    return theta, float(beta[j]) * _last_entry(t, theta)
+        return 0.0, float(beta[-1])
+    return theta, float(beta[-1]) * float(abs(vector[-1]))
 
 
-def _last_entry(t: np.ndarray, theta: float) -> float:
-    """The modulus of the last entry of the unit eigenvector of the real symmetric
-    ``t`` for its eigenvalue of modulus ``theta``, its norm.
+def extreme_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """theta, the largest modulus of an eigenvalue of the real symmetric tridiagonal
+    T with diagonal ``alpha`` and off-diagonal ``beta[:-1]`` (as :func:`lanczos`
+    returns them), which is its norm, and the unit eigenvector of T for it
+    (None when theta is 0).
 
     Three steps of inverse iteration from the first unit vector run at each shift
-    +-theta (1 + 2^-40), just outside the spectrum, where ``t - shift I`` is
+    +-theta (1 + 2^-40), just outside the spectrum, where ``T - shift I`` is
     nonsingular; the vector whose Rayleigh quotient is the larger in modulus is
     that eigenvalue's.  Each step gains the ratio of the spectral gap to the
     shift's distance, about 2^40 times the gap over theta, so even a last entry
     near 1e-20 is resolved.  LU solves, not an eigensolver: LAPACK's symmetric
     eigensolvers leave workspace resident for the rest of the process.
     """
-    nearest = (-1.0, 0.0)
+    theta = tridiagonal_norm(alpha, beta[:-1] ** 2)
+    if theta == 0.0:
+        return 0.0, None
+    t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    nearest = (-1.0, 0.0, None)
     for shift in (theta, -theta):
         shifted = t - shift * (1.0 + 2.0**-40) * np.eye(len(t))
         v = np.eye(len(t))[0]
         for _ in range(3):
             v = np.linalg.solve(shifted, v)
             v /= np.linalg.norm(v)
-        nearest = max(nearest, (abs(v @ t @ v), float(abs(v[-1]))))
-    return nearest[1]
+        nearest = max(nearest, (abs(v @ t @ v), float(abs(v[-1])), v), key=lambda c: c[:2])
+    return theta, nearest[2]
 
 
 def tridiagonal_norm(diagonal: np.ndarray, off2: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import omega_index.calibration as calibration
@@ -1329,13 +1329,19 @@ def test_counting_the_solved_values_matches_counting_the_full_spectrum(
     """Each cut's (m_n, gap, nearest), counted from the solved values and the
     exact zeros and ones beside them, is count_upper and the first argmin of
     |mu - 1/2| over all 2N sorted values, bit for bit; the dense cuts lie on
-    both rank sides of 2N = M = 200."""
+    both rank sides of 2N = M = 200.  On the dense path that holds for the full
+    solve; certify counts the census, which keeps each m_n and puts the gap and
+    nearest value within 1e-13, as a Ritz value's."""
     qb = factor(make(), orientation)
     for cut in cuts:
         (report,) = certify(qb, [cut], gap_floor=0.0).reports
         values = corner_eigenvalues(qb, cut)
         m_n, gap, _, _ = count_upper(values)
         nearest = float(values[np.argmin(np.abs(values - 0.5))])
+        if isinstance(qb, QBuild):
+            assert report.m_n == m_n
+            assert abs(report.gap - gap) <= 1e-13 and abs(report.nearest - nearest) <= 1e-13
+            report = index_module._spectral_report(cut, *index_module._dense_spectrum(qb, cut))
         assert (report.m_n, report.gap, report.nearest) == (m_n, gap, nearest)
         assert np.signbit(report.nearest) == np.signbit(nearest)
 
@@ -1347,6 +1353,150 @@ def test_a_gap_of_one_half_names_the_exact_zero():
         omega(build_commuting_grid(10), cuts=[40, 80, 120], gap_floor=0.6)
     assert info.value.detail["gaps"] == [0.5, 0.5, 0.5]
     assert info.value.detail["nearest"] == [0.0, 0.0, 0.0]
+
+
+def _census_matches_the_full_solve(qb, cut):
+    """Whether the census certified the dense corner at ``cut`` with no eigensolve,
+    after checking that what certify counts there has the m_n of the full solve
+    (:func:`index._dense_spectrum`) and its gap within 1e-13, either way."""
+    with mock.patch.object(
+        linalg_module, "hermitian_eigenvalues", wraps=linalg_module.hermitian_eigenvalues
+    ) as solve:
+        counted = index_module._spectral_report(cut, *next(index_module._spectra(qb, [cut])))
+    full = index_module._spectral_report(cut, *index_module._dense_spectrum(qb, cut))
+    assert counted.m_n == full.m_n
+    assert abs(counted.gap - full.gap) <= 1e-13
+    return solve.call_count == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(60, 300),
+    magnitude=st.floats(0.0, 0.01),
+    target=st.sampled_from(["a", "b"]),
+    orientation=st.sampled_from(ORIENTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_census_counts_perturbed_oscillators_as_the_full_solve(
+    dim, magnitude, target, orientation, seed, data
+):
+    """On random_hermitian perturbations of the oscillator, at drawn cuts on both
+    rank sides, the census and its fallback count as the full solve does."""
+    pair = perturb(build_harmonic(0.01, dim), target, "random_hermitian", magnitude, seed)
+    qb = build_q(pair, orientation)
+    cuts = data.draw(st.lists(st.integers(1, dim - pair.boundary_window), min_size=1, max_size=4))
+    for cut in cuts:
+        event("census" if _census_matches_the_full_solve(qb, cut) else "fallback")
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("kind", sorted(BANDS64))
+def test_census_counts_every_cut_of_the_pairs64_as_the_full_solve(pairs64_q, kind, orientation):
+    """Every cut of every dim-64 pair, with no collar: the harmonic pair's cut 50,
+    where the free eigenvalue is exactly 1/2, falls back; a perturbed pair's
+    interior cuts are certified."""
+    qb = pairs64_q[kind, orientation]
+    certified = [cut for cut in range(1, 65) if _census_matches_the_full_solve(qb, cut)]
+    if kind == "harmonic":
+        assert 50 not in certified
+    if kind in ("random_hermitian", "pentadiagonal"):
+        assert set(range(8, 60)) <= set(certified)
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_a_dense_index_pair_is_counted_with_no_corner_eigensolve(orientation, monkeypatch):
+    """The benchmark's dense pair at a fifth of its size: dim 240 and five corners
+    of order at most M, as at dim 1200 with cuts 160:400:60, from cut 64, where
+    the gap first clears its floor.  certify solves no corner, and counts as the
+    full solve does."""
+    qb = factor(perturb(build_harmonic(0.01, 240), "a", "random_hermitian", 0.002, 3), orientation)
+    cuts = list(range(64, 113, 12))
+    full = [index_module._spectral_report(c, *index_module._dense_spectrum(qb, c)) for c in cuts]
+
+    def solve(m):
+        raise AssertionError(f"an eigensolve of order {len(m)}")
+
+    monkeypatch.setattr(linalg_module, "hermitian_eigenvalues", solve)
+    result = certify(qb, cuts)
+    assert result.omega == (1 if orientation == "conjugate" else -1)
+    assert [r.m_n for r in result.reports] == [r.m_n for r in full]
+    assert max(abs(r.gap - f.gap) for r, f in zip(result.reports, full)) <= 1e-13
+
+
+def test_the_census_allocates_less_than_a_copy_of_its_corner(monkeypatch):
+    """The census mirrors the corner in place and keeps O(n) vectors a step, where
+    the eigensolve it replaces copies the whole corner."""
+    qb = factor(perturb(build_harmonic(0.01, 400), "a", "random_hermitian", 0.002, 3))
+    corner, zeros = index_module._dense_corner(qb, 130)
+    monkeypatch.setattr(linalg_module, "hermitian_eigenvalues", None)
+    assert _traced_peak(index_module._census, qb, corner, zeros) < corner.nbytes / 4
+
+
+def test_the_census_falls_back_where_its_certificate_fails(harmonic400_q, monkeypatch):
+    """At cut 50 of the dim-400 oscillator the free eigenvalue is exactly 1/2,
+    closer than the census's residual bound, so the corner is solved in full and
+    the report is the full solve's; a y with a NaN is solved in full too, and
+    refused."""
+    solved = []
+    solve = linalg_module.hermitian_eigenvalues
+    monkeypatch.setattr(
+        linalg_module, "hermitian_eigenvalues", lambda m: solved.append(len(m)) or solve(m)
+    )
+    (report,) = certify(harmonic400_q, [50], gap_floor=0.0).reports
+    assert solved == [100]
+    assert report == index_module._spectral_report(
+        50, *index_module._dense_spectrum(harmonic400_q, 50)
+    )
+    assert report.m_n == 50 and report.gap < 1e-15
+    y = harmonic400_q.y.copy()
+    y[410, 20] = np.nan
+    solved.clear()
+    with pytest.raises(ConvergenceFailure):
+        certify(replace(harmonic400_q, y=y), [50], gap_floor=0.0)
+    assert solved == [100]
+
+
+def localized_index(c, cut, threshold):
+    """ind_N = |P_N V_c|_F^2 - |P_N V_c*|_F^2, the Fredholm index of ``c``
+    localized at the cut, from one SVD of c: V_c holds the right and V_c* the
+    left singular vectors whose singular value lies below ``threshold``, and P_N
+    keeps the first ``cut`` rows.  It never forms Q."""
+    left, sigma, right = np.linalg.svd(c)
+    near = sigma < threshold
+    return float(np.sum(np.abs(right[near, :cut]) ** 2) - np.sum(np.abs(left[:cut, near]) ** 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    builder=st.sampled_from(["harmonic", "commuting"]),
+    kind=st.sampled_from([None, *operators_module.PERTURB_KINDS]),
+    target=st.sampled_from(["a", "b"]),
+    magnitude=st.floats(1e-4, 1e-3),
+    orientation=st.sampled_from(ORIENTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_localized_fredholm_index_is_the_certified_omega(
+    builder, kind, target, magnitude, orientation, seed
+):
+    """A second oracle for the integer: the index of d (C in ``conjugate``, C* in
+    ``literal``) localized at each cut is within 1e-6 of an integer, and that
+    integer is the certified omega.  The threshold is half the base pair's
+    smallest nonzero singular value: sqrt(2 lam) for the oscillator, 1 for the
+    grid.  A random_hermitian perturbation moves ind_N from the integer by
+    about (magnitude)^2 / 4 (1.1e-6 at 0.002, dim 240), hence the magnitudes."""
+    if builder == "harmonic":
+        base, threshold = build_harmonic(0.01, 240), np.sqrt(0.02) / 2
+    else:
+        base, threshold = build_commuting_grid(8), 0.5
+    pair = base if kind is None else perturb(base, target, kind, magnitude, seed)
+    cuts = [80, 120]
+    certified = omega(pair, cuts=cuts, orientation=orientation).omega
+    d = index_module._graph_map(pair.c, orientation)
+    for cut in cuts:
+        ind = localized_index(d, cut, threshold)
+        assert abs(ind - round(ind)) <= 1e-6
+        assert round(ind) == certified
 
 
 def _traced_peak(fn, *args) -> int:

@@ -1,5 +1,6 @@
 import contextlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -530,6 +531,62 @@ def test_hermitian_norm_bound_is_a_tight_upper_bound(n, complex_, kind, log_scal
     assert norm <= bound <= (1.0 + NORM_BOUND_MAX_SLACK) * norm
     if n <= NORM_BOUND_STEPS:
         assert bound <= norm * (1.0 + 16 * n * (n + 1) * np.finfo(float).eps)
+
+
+def _unshared_lanczos_estimate(m, steps):
+    """``linalg._lanczos_estimate`` with its own Lanczos loop and inverse
+    iteration, as it was before they moved into ``linalg.lanczos`` and
+    ``linalg.extreme_ritz``: the reference for its bits."""
+    n = m.shape[-1]
+    k = min(steps, n)
+    start = np.random.Generator(np.random.Philox([0])).standard_normal(n)
+    basis = np.zeros((k, n), dtype=m.dtype)
+    basis[0] = start / np.linalg.norm(start)
+    alpha = np.zeros(k)
+    beta = np.zeros(k)
+    for j in range(k):
+        w = m @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            w -= basis[: j + 1].T @ np.conj(basis[: j + 1] @ np.conj(w))
+        beta[j] = np.linalg.norm(w)
+        if j + 1 == k or beta[j] == 0.0:
+            break
+        basis[j + 1] = w / beta[j]
+    theta = linalg_module.tridiagonal_norm(alpha[: j + 1], beta[:j] ** 2)
+    if theta == 0.0:
+        return 0.0, float(beta[j])
+    t = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+    nearest = (-1.0, 0.0)
+    for shift in (theta, -theta):
+        shifted = t - shift * (1.0 + 2.0**-40) * np.eye(len(t))
+        v = np.eye(len(t))[0]
+        for _ in range(3):
+            v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v)
+        nearest = max(nearest, (abs(v @ t @ v), float(abs(v[-1]))))
+    return theta, float(beta[j]) * nearest[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    complex_=st.booleans(),
+    kind=st.sampled_from(["zero", "rank_one", "tied", "negative", "random"]),
+    log_scale=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_norm_bound_keeps_its_bits_on_the_shared_lanczos_kernel(
+    n, complex_, kind, log_scale, seed
+):
+    """The estimate, and so the bound, has the bits of its own loop's."""
+    m = _norm_bound_case(np.random.default_rng(seed), n, complex_, kind, log_scale)
+    shared = linalg_module._lanczos_estimate(m, NORM_BOUND_STEPS)
+    unshared = _unshared_lanczos_estimate(m, NORM_BOUND_STEPS)
+    assert [float(x).hex() for x in shared] == [float(x).hex() for x in unshared]
+    bound = hermitian_norm_bound(m)
+    with mock.patch.object(linalg_module, "_lanczos_estimate", _unshared_lanczos_estimate):
+        assert hermitian_norm_bound(m).hex() == bound.hex()
 
 
 def test_hermitian_norm_bound_restores_m_when_it_refuses(monkeypatch):
