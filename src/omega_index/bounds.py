@@ -209,11 +209,8 @@ def check_resolvent_bound(c: np.ndarray, lam: float | np.ndarray) -> BoundCheckR
     c = _stack(c)
     if lam.ndim and lam.shape != c.shape[:1]:
         raise InvalidParameter(f"lam must be one value or one per matrix, got shape {lam.shape}")
-    eye = np.eye(c.shape[-1], dtype=np.complex128)
-    cs = linalg.adjoint(c)
-    shift = lam[..., np.newaxis, np.newaxis] * eye
-    lhs_right = linalg.operator_norm(c @ linalg.hpd_inverse(shift + cs @ c))
-    lhs_left = linalg.operator_norm(linalg.hpd_inverse(shift + c @ cs) @ c)
+    lhs_right = linalg.operator_norm(c @ linalg.hpd_inverse(c, lam))
+    lhs_left = linalg.operator_norm(linalg.hpd_inverse(linalg.adjoint(c), lam) @ c)
     lhs = np.maximum(lhs_right, lhs_left)
     bound = 1.0 / np.sqrt(lam)
     return _result(
@@ -228,10 +225,8 @@ def check_resolvent_bound(c: np.ndarray, lam: float | np.ndarray) -> BoundCheckR
 def check_intertwine(c: np.ndarray) -> BoundCheckResult:
     """Exact finite-dimensional identity ``C (I + C*C)^-1 = (I + CC*)^-1 C``."""
     c = _stack(c)
-    eye = np.eye(c.shape[-1], dtype=np.complex128)
-    cs = linalg.adjoint(c)
-    left = c @ linalg.hpd_inverse(eye + cs @ c)
-    right = linalg.hpd_inverse(eye + c @ cs) @ c
+    left = c @ linalg.hpd_inverse(c, 1.0)
+    right = linalg.hpd_inverse(linalg.adjoint(c), 1.0) @ c
     residual = linalg.operator_norm(left - right)
     tol = 1e-10 * (1.0 + linalg.operator_norm(c))
     return _result("intertwine_identity", residual, tol - residual, residual > tol)
@@ -247,10 +242,8 @@ def check_resolvent_difference(c: np.ndarray) -> BoundCheckResult:
     epsilon = _epsilon_of(c)
     if np.any(epsilon >= 1.0):
         raise InvalidParameter(f"epsilon must be < 1, got {epsilon[epsilon >= 1.0][0]:.6g}")
-    eye = np.eye(c.shape[-1], dtype=np.complex128)
-    cs = linalg.adjoint(c)
-    gamma_inv = linalg.hpd_inverse(eye + cs @ c)
-    delta_inv = linalg.hpd_inverse(eye + c @ cs)
+    gamma_inv = linalg.hpd_inverse(c, 1.0)
+    delta_inv = linalg.hpd_inverse(linalg.adjoint(c), 1.0)
     diff = gamma_inv - delta_inv
     lhs = np.maximum(
         linalg.operator_norm(diff @ c),

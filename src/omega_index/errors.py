@@ -27,10 +27,6 @@ class ConvergenceFailure(OmegaIndexError):
     """An eigensolver or inverse failed to meet its accuracy contract."""
 
 
-class NotPositiveDefinite(OmegaIndexError):
-    """Matrix passed to the HPD inverse is not positive definite."""
-
-
 class InvalidParameter(OmegaIndexError):
     """A scalar argument is outside its documented domain."""
 

@@ -377,12 +377,10 @@ def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = c.shape[-1]
     eye = np.eye(m, dtype=np.complex128)
     cs = linalg.adjoint(c)
-    gamma = eye + cs @ c
-    delta = eye + c @ cs
-    gamma_inv = linalg.hpd_inverse(gamma)
-    delta_inv = linalg.hpd_inverse(delta)
+    gamma_inv = linalg.hpd_inverse(c, 1.0)
+    delta_inv = linalg.hpd_inverse(cs, 1.0)
     q = np.block([[delta_inv, c @ gamma_inv], [gamma_inv @ cs, eye - gamma_inv]])
-    return q, gamma, delta
+    return q, eye + cs @ c, eye + c @ cs
 
 
 def resolve_orientation(orientation: str) -> str:

@@ -1,29 +1,24 @@
 """Dense matrix algebra over the complex or the real field.
 
-Thin wrappers around numpy: adjoints, Hermitian eigendecomposition,
-positive-definite inversion (through a Cholesky factor where norm bounds prove
-the result, else through the eigendecomposition), a blocked triangular
-inverse, the blocks of a Hermitian product on and below its diagonal
-(:func:`lower_product`), the operator norm, Lanczos steps on a Hermitian
-operator with the extreme Ritz pair they give (:func:`lanczos`,
-:func:`extreme_ritz`), a proved upper bound on a Hermitian matrix's norm
-that takes no eigensolve, the norm of a Hermitian tridiagonal by Sturm-count
-bisection, an O(n^2) hermiticity gate, the memory probe that
+Thin wrappers around numpy: adjoints, Hermitian eigendecomposition, the
+inverse of a shifted Gram ``shift I + X* X`` through its Cholesky factor
+(:func:`hpd_inverse`), a blocked triangular inverse, the blocks of a Hermitian
+product on and below its diagonal (:func:`lower_product`), the operator norm,
+Lanczos steps on a Hermitian operator with the extreme Ritz pair they give
+(:func:`lanczos`, :func:`extreme_ritz`), a proved upper bound on a Hermitian
+matrix's norm that takes no eigensolve, the norm of a Hermitian tridiagonal by
+Sturm-count bisection, an O(n^2) hermiticity gate, the memory probe that
 every dense path consults before it allocates (:func:`require_memory`), and a
 scope that runs a block on one BLAS thread (:func:`serial_blas`).
 Matrices are plain ``numpy.ndarray`` objects.  :func:`adjoint`,
-:func:`operator_norm`, :func:`hermitian_eigen`, :func:`hpd_inverse`,
-:func:`is_hermitian` and :func:`hermiticity_defect` also take a stack
-``(..., n, n)`` of matrices and solve it in one numpy call per step, with every
-gate applied to each matrix on its own; a norm, verdict or defect is then an
-array with one entry per matrix.  :func:`hpd_inverse` reaches the
-eigendecomposition by two routes: a stack whose Cholesky factor or triangular
-inverse LAPACK refuses goes there whole, and each matrix that fails the
-hermiticity gate or that its Cholesky proof leaves undecided goes there alone,
-a single matrix as a stack of one.  The other kernels keep a single matrix's
-two-dimensional arithmetic and give it a float or a bool, because the
-full-array Frobenius norm of their pre-tests allocates nothing, where the
-per-matrix one allocates two n-by-n temporaries.
+:func:`operator_norm`, :func:`hermitian_eigen`, :func:`is_hermitian` and
+:func:`hermiticity_defect` also take a stack ``(..., n, n)`` of matrices and
+solve it in one numpy call per step, with every gate applied to each matrix on
+its own; a norm, verdict or defect is then an array with one entry per matrix.
+For a single matrix they keep its two-dimensional arithmetic and give it a
+float or a bool, because the full-array Frobenius norm of their pre-tests
+allocates nothing, where the per-matrix one allocates two n-by-n temporaries.
+:func:`hpd_inverse` takes a stack too, with one shift or one per matrix.
 Input from outside the program is coerced to ``complex128`` (:func:`as_matrix`),
 while a real C and its factor stay ``float64``; :func:`adjoint`,
 :func:`hermitian_eigenvalues` and :func:`hermitian_norm` work in the dtype they
@@ -32,7 +27,8 @@ matrices from outside the program validate the shape and hermiticity assumptions
 the rest of the package relies on; :func:`hermitian_eigenvalues` and
 :func:`hermitian_norm` take matrices that are Hermitian by construction, such as
 the Gram products the certifier forms itself, and check nothing; so does
-:func:`hermitian_norm_bound`.
+:func:`hermitian_norm_bound`.  :func:`hpd_inverse` forms a matrix that is
+positive definite by construction and checks only that it is finite.
 """
 
 from __future__ import annotations
@@ -46,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    InsufficientMemory,
-    NonHermitianInput,
-    NotPositiveDefinite,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, InsufficientMemory, NonHermitianInput
 
 #: relative tolerance for "is this matrix Hermitian" gates
 HERMITIAN_TOL = 1e-10
@@ -61,12 +51,6 @@ HERMITIAN_TOL = 1e-10
 #: :func:`is_hermitian`; it is far above the rounding error of either norm, so
 #: the pre-test never decides a case that rounding could flip
 FROBENIUS_MARGIN = 1e-9
-
-#: relative floor on the smallest eigenvalue for positive-definite inversion
-PD_FLOOR = 1e-12
-
-#: relative residual allowed on ``m @ hpd_inverse(m) - I``
-INV_TOL = 1e-9
 
 #: order below which :func:`lower_triangular_inverse` hands a block to ``np.linalg.inv``
 TRIANGULAR_BASE = 128
@@ -138,12 +122,6 @@ class HermitianEigen:
 def _frobenius(m: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a stack."""
     return np.linalg.norm(m, axis=None if m.ndim == 2 else (-2, -1))
-
-
-def _first(flags, *values) -> list[float]:
-    """The entries of ``values`` at the first matrix for which ``flags`` holds."""
-    i = int(np.argmax(flags))
-    return [float(np.ravel(v)[i]) for v in values]
 
 
 def hermiticity_defect(m: np.ndarray):
@@ -529,111 +507,39 @@ def _invert_lower_into(lower: np.ndarray, out: np.ndarray) -> None:
     scratch[...] = 0
 
 
-def hpd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, or of each matrix of a stack.
+def hpd_inverse(x: np.ndarray, shift) -> np.ndarray:
+    """``(shift I + X* X)^-1``, or that inverse for each matrix of a stack, with
+    ``shift`` one positive value or one per matrix.
 
-    The inverse of h = ``(m + adjoint(m)) / 2`` is formed as ``X* X``, X the
-    inverse of h's lower Cholesky factor L, in one numpy call per step.  A
-    matrix gets it only when its contract is proved from Frobenius norms the
-    path already has, each trusted up to :data:`FROBENIUS_MARGIN` as in
-    :func:`is_hermitian`.  Write n for the order, ``|.|`` for the Frobenius
-    norm, r = ``|m @ inv - I|`` and r_h = r + ``|m - adjoint(m)| |inv| / 2``,
-    which bounds ``norm(h @ inv - I)``.  For r_h <= 1/2:
-
-    - ``inv(h) = inv (I + E)^-1`` with ``norm(E) <= r_h``, so every eigenvalue
-      of h is at least d = (1 - r_h) / ``|inv|`` away from zero;
-    - LL* = h + D with ``norm(D) <= 2(n + 1) eps |L|^2``
-      (:func:`_cholesky_rounding`), so no eigenvalue of h lies below minus that
-      bound; when the bound is below d, h is positive definite and its lowest
-      eigenvalue is >= d;
-    - its largest eigenvalue is at most ``|h|``, so d > ``PD_FLOOR * |h|``
-      proves the floor below;
-    - the largest is also at least ``|h| / sqrt(n)``, and ``inv = inv(h)(I + E)``
-      gives 1/lowest >= ``|inv| / (sqrt(n)(1 + r_h))``, so cond >=
-      ``|h| |inv| / (n(1 + r_h))``; r within ``INV_TOL`` times the larger of 1
-      and that bound proves the residual tolerance below.
-
-    Other inputs are inverted through their eigendecomposition instead, as
-    ``(v / w) @ adjoint(v)``, by one of two routes, and that path alone raises.
-    A stack whose Cholesky factor or triangular inverse LAPACK refuses goes there
-    whole.  Otherwise each matrix that fails the hermiticity gate, or whose proofs
-    are undecided, goes there alone (a single matrix as a stack of one), and the
-    proved ones keep their Cholesky bits.  So a stack LAPACK refuses returns only
-    if the eigendecomposition accepts every matrix in it, and then with each
-    matrix's eigendecomposition bits, where alone some would have kept Cholesky
-    ones; that needs a matrix above the ``PD_FLOOR`` floor that LAPACK cannot
-    factor, which floating-point Cholesky refuses only near a scaled condition of
-    1/(n u), u the unit roundoff.  The result is Hermitian only up to rounding on
-    either path.
+    The matrix ``m = shift I + X* X`` is positive definite by construction: X* X
+    is positive semidefinite, so by Weyl's inequality every eigenvalue of m is at
+    least ``shift``, and its condition number is at most
+    ``(shift + norm(X)^2) / shift``.  So no hermiticity, floor or residual is
+    checked, only that m is finite.  m is formed in ``complex128``, symmetrized
+    as ``(m + adjoint(m)) / 2``, factored as L L* by Cholesky, and the inverse is
+    returned as ``Y* Y`` with Y = ``np.linalg.inv(L)``, in one numpy call per
+    step.  Cholesky is backward stable (:func:`_cholesky_rounding`), so the
+    residual ``norm(m @ inv - I)`` is of the order of n eps times that condition
+    number.  The result is Hermitian only up to rounding.
 
     Raises
     ------
-    NonHermitianInput
-        If the input fails the Hermiticity gate.
-    NotPositiveDefinite
-        If the eigendecomposition's smallest eigenvalue is at or below
-        ``PD_FLOOR`` times its largest.
     ConvergenceFailure
-        If the eigendecomposition's inverse misses the residual contract
-        ``norm(m @ inv - I) <= INV_TOL * max(1, cond)``, in the operator norm.
-        Each matrix of a stack is held to its own floor and residual; the
-        message names the first that misses.
+        If m is not finite, because X* X overflows: LAPACK factors such an m
+        without complaint, into non-finite entries.  Or if LAPACK refuses the
+        factor, which the floor rules out for a finite m unless its condition
+        bound nears 1/(n eps) (Demmel, *Applied Numerical Linear Algebra*,
+        ch. 2).
     """
-    require_square(m)
-    h = (m + adjoint(m)) / 2.0
+    eye = np.eye(x.shape[-1], dtype=np.complex128)
+    m = np.asarray(shift)[..., np.newaxis, np.newaxis] * eye + adjoint(x) @ x
+    if not np.all(np.isfinite(m)):
+        raise ConvergenceFailure("shift I + X* X overflows")
     try:
-        lower = np.linalg.cholesky(h)
-        x = np.linalg.inv(lower)
-    except np.linalg.LinAlgError:
-        return _eigen_inverse(m)
-    inv = adjoint(x) @ x
-    n = m.shape[-1]
-    residual = _frobenius(m @ inv - np.eye(n))
-    inv_norm = _frobenius(inv)
-    h_norm = _frobenius(h)
-    r_h = residual + _frobenius(m - adjoint(m)) / 2.0 * inv_norm
-    # where r_h <= 1/2, 1 - r_h suffers no cancellation the margin cannot cover
-    low = (1.0 - r_h) / inv_norm * (1.0 - FROBENIUS_MARGIN)
-    rounding = _cholesky_rounding(lower)
-    cond = h_norm * inv_norm / (n * (1.0 + r_h))
-    proved = (
-        is_hermitian(m)
-        & (r_h <= 0.5)
-        & (rounding < low)
-        & (PD_FLOOR * h_norm < low)
-        & (residual <= INV_TOL * np.maximum(1.0, cond) * (1.0 - FROBENIUS_MARGIN))
-    )
-    if np.all(proved):
-        return inv
-    inv[~proved] = _eigen_inverse(m[~proved])
-    return inv
-
-
-def _eigen_inverse(m: np.ndarray) -> np.ndarray:
-    """:func:`hpd_inverse` through :func:`hermitian_eigen`, with every gate of its
-    contract."""
-    eig = hermitian_eigen(m)
-    w, v = eig.values, eig.vectors
-    lowest, highest = w[..., 0], w[..., -1]
-    floor = PD_FLOOR * np.maximum(abs(lowest), abs(highest))
-    singular = lowest <= floor
-    if np.any(singular):
-        low, bar = _first(singular, lowest, floor)
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {low:.3e} is not above the floor {bar:.3e}"
-        )
-    inv = (v / w[..., np.newaxis, :]) @ adjoint(v)
-    # allow the residual to grow with the condition number, as any backward-stable
-    # inverse does
-    cond = highest / lowest
-    residual = operator_norm(m @ inv - np.eye(m.shape[-1]))
-    missed = residual > INV_TOL * np.maximum(1.0, cond)
-    if np.any(missed):
-        res, con = _first(missed, residual, cond)
-        raise ConvergenceFailure(
-            f"inverse residual {res:.3e} exceeds tolerance for condition {con:.3e}"
-        )
-    return inv
+        y = np.linalg.inv(np.linalg.cholesky((m + adjoint(m)) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"no Cholesky factor of shift I + X* X: {exc}") from exc
+    return adjoint(y) @ y
 
 
 def memory_headroom() -> float:

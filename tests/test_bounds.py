@@ -10,6 +10,7 @@ import omega_index.bounds as bounds_module
 import omega_index.linalg as linalg_module
 from omega_index import (
     BoundCheckResult,
+    ConvergenceFailure,
     DimensionMismatch,
     InsufficientMemory,
     InvalidParameter,
@@ -19,6 +20,7 @@ from omega_index import (
     check_resolvent_difference,
     check_theorem_defect,
     operator_norm,
+    q_blocks_from_c,
     random_near_normal,
     run_suite,
 )
@@ -115,6 +117,21 @@ def test_resolvent_difference_records_stated_bound_excess():
 def test_resolvent_difference_rejects_large_epsilon():
     with pytest.raises(InvalidParameter):
         check_resolvent_difference(nilpotent(2.0))
+
+
+@pytest.mark.parametrize(
+    "c", [np.full((3, 3), 1e160, dtype=complex), np.diag([1e160, 1.0, 1.0]).astype(complex)]
+)
+@pytest.mark.parametrize(
+    "check",
+    [check_intertwine, functools.partial(check_resolvent_bound, lam=1.0),
+     check_resolvent_difference, q_blocks_from_c],
+)
+def test_a_gram_that_overflows_is_refused(c, check):
+    """A finite C whose C*C overflows has no finite resolvent; each family, and
+    the reference Q, refuses it rather than passing or returning nan."""
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure):
+        check(c)
 
 
 def test_resolvent_difference_near_normal_ensemble():

@@ -4,13 +4,17 @@ import inspect
 import omega_index
 import omega_index.calibration as calibration
 import omega_index.cli as cli_module
+import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
 from omega_index import BoundCheckResult, OmegaResult, QBuild
 from omega_index.cli import main
 
-#: the sphere-coordinate API, which plays no part in the index, and the declarative
-#: pair description, which only the command line filled in; both were removed
-REMOVED_NAMES = ("SphereMap", "bott_point", "sphere_map", "PairSpec", "build_pair")
+#: the sphere-coordinate API, which plays no part in the index, the declarative
+#: pair description, which only the command line filled in, and the refusal of the
+#: positive-definite inverse's eigendecomposition route; all were removed
+REMOVED_NAMES = (
+    "SphereMap", "bott_point", "sphere_map", "PairSpec", "build_pair", "NotPositiveDefinite",
+)
 
 
 def test_every_exported_name_resolves():
@@ -27,6 +31,8 @@ def test_removed_names_are_gone():
     for name in ("cmd_sphere", "SPHERE_SCHEMA", "_pair_spec_from_args", "_BUILDER_NAMES",
                  "_sweep_point"):
         assert not hasattr(cli_module, name)
+    for name in ("_eigen_inverse", "PD_FLOOR", "INV_TOL", "_first"):
+        assert not hasattr(linalg_module, name)
 
 
 def test_removed_fields_are_gone():
