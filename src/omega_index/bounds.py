@@ -311,7 +311,7 @@ def check_theorem_defect(c: np.ndarray) -> BoundCheckResult:
     """
     c = _stack(c)
     epsilon = _epsilon_of(c)
-    q = q_blocks_from_c(c)[0]
+    q = q_blocks_from_c(c)
     defect = linalg.operator_norm(q @ q - q)
     bound = _each(theorem_bound, epsilon)
     return _result(

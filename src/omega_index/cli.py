@@ -181,7 +181,7 @@ def _build_pair(args, perturbations, lam=None) -> OperatorPair:
     return pair
 
 
-def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
+def _omega_doc(result, scale=1.0) -> dict:
     return {
         "schema_version": OMEGA_SCHEMA,
         "omega": int(result.omega),
@@ -194,8 +194,8 @@ def _omega_doc(result, scaling=(1.0, 1.0)) -> dict:
         "theorem_bound": float(theorem_bound(result.epsilon)),
         "orientation": result.orientation,
         "scaling": {
-            "lambda_a": float(scaling[0]),
-            "mu_b": float(scaling[1]),
+            "lambda_a": float(scale),
+            "mu_b": float(scale),
         },
         "warnings": list(result.warnings),
     }
@@ -262,10 +262,9 @@ def cmd_omega(args) -> int:
     perturbations = _perturbations(args)
     cuts = None if args.cuts is None else _parse_values(args.cuts, int)
     pair = _build_pair(args, perturbations)
-    scaling = (1.0, 1.0)
+    scale = 1.0
     if args.auto_scale:
-        pair, sa, sb = scale_admissible(pair, args.target_commutator)
-        scaling = (sa, sb)
+        pair, scale = scale_admissible(pair, args.target_commutator)
     result = omega(pair, cuts=cuts, orientation=args.orientation, gap_floor=args.gap_floor)
     # charged only now: before omega() the band factor is not yet allocated, so a
     # charge there passes where the report then fails
@@ -273,7 +272,7 @@ def cmd_omega(args) -> int:
         SWEEP_POINT_BYTES + SWEEP_CUT_BYTES * len(result.reports),
         f"a report of {len(result.reports)} cuts",
     )
-    doc = _omega_doc(result, scaling)
+    doc = _omega_doc(result, scale)
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":

@@ -43,11 +43,14 @@ class CutTooLarge(OmegaIndexError):
 class InadmissibleCommutator(OmegaIndexError):
     """The pair's commutator is too large for the count to be certified.
 
-    Raised when epsilon >= 1 or the defect bound (4e-2e^2)/(1-e)^2 evaluated at the
-    measured epsilon is >= 1/4: the gate keeps the count in the regime where that
-    bound is below 1/4.  It gates the pair, not the idempotency of the Q counted,
-    which is a projection for every pair and whose measured ``defect`` bounds how
-    far it is from one.  Rescale the pair (see ``scale_admissible``).
+    Raised unless upper = epsilon + epsilon_rounding, the measured epsilon as
+    large as rounding lets it be, is below 1 and the defect bound
+    (4e-2e^2)/(1-e)^2 at e = upper is below 1/4: the gate keeps the count in the
+    regime where that bound is below 1/4.  Its detail is always ``epsilon``,
+    ``rounding`` and ``bound``, the last None where upper is not below 1.  It
+    gates the pair, not the idempotency of the Q counted, which is a projection
+    for every pair and whose measured ``defect`` bounds how far it is from one.
+    Rescale the pair (see ``scale_admissible``).
     """
 
 

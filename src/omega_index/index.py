@@ -371,16 +371,14 @@ def masked_commutator_norm(pair: OperatorPair) -> float:
     return 0.5 * sum(_interior_self_commutator(gram, c[:k]))
 
 
-def q_blocks_from_c(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (Q, gamma, delta) from a square matrix C, or from each of a stack."""
+def q_blocks_from_c(c: np.ndarray) -> np.ndarray:
+    """Assemble Q from a square matrix C, or from each of a stack."""
     c = linalg.require_square(c)
-    m = c.shape[-1]
-    eye = np.eye(m, dtype=np.complex128)
     cs = linalg.adjoint(c)
     gamma_inv = linalg.hpd_inverse(c, 1.0)
     delta_inv = linalg.hpd_inverse(cs, 1.0)
-    q = np.block([[delta_inv, c @ gamma_inv], [gamma_inv @ cs, eye - gamma_inv]])
-    return q, eye + cs @ c, eye + c @ cs
+    eye = np.eye(c.shape[-1], dtype=np.complex128)
+    return np.block([[delta_inv, c @ gamma_inv], [gamma_inv @ cs, eye - gamma_inv]])
 
 
 def resolve_orientation(orientation: str) -> str:
@@ -929,59 +927,56 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     are counted one after another in the calling thread, each kept as its counts
     alone; only the BLAS/LAPACK calls inside each dense census or eigensolve
     may run threaded, and the band path makes none.
-    :data:`CERTIFY_CUT_BYTES` a cut are charged against
-    :func:`~omega_index.linalg.require_memory` after the gates and before the
-    first cut is solved.  The arguments are checked before the admissibility
-    gates, so a malformed request is refused as such whatever the pair.
+    The arguments are checked first, so a malformed request is refused as such
+    whatever the pair; then the pair's admissibility and the factor's ``defect``,
+    and only then are :data:`CERTIFY_CUT_BYTES` a cut charged against
+    :func:`~omega_index.linalg.require_memory` and the first cut solved.
 
     Raises
     ------
     InvalidParameter, CutTooLarge
-        As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not finite.
+        As raised by :func:`check_cuts`, or if ``gap_floor`` is negative or not
+        finite, or if the factor's ``epsilon`` is negative.
     InadmissibleCommutator
-        If epsilon >= 1 or the defect bound at epsilon, :func:`theorem_bound`, is
-        >= 1/4: the pair's commutator lies outside the regime the count is
-        certified in.  The same holds at ``epsilon + epsilon_rounding``, so an
-        epsilon that rounding may have shrunk certifies nothing.  This gates the
-        pair, not the idempotency of the Q counted, which ``defect`` measures.
-        Rescale with :func:`scale_admissible` first.
+        Unless ``upper = epsilon + epsilon_rounding`` is below 1 and the defect
+        bound there, :func:`theorem_bound`, is below 1/4: the pair's commutator,
+        as large as rounding lets it be, lies outside the regime the count is
+        certified in (a nan epsilon is refused too).  The detail names
+        ``epsilon``, ``rounding`` and ``bound``, the last None where upper is not
+        below 1.  This gates the pair, not the idempotency of the Q counted,
+        which ``defect`` measures.  Rescale with :func:`scale_admissible` first.
     GapViolation
         If some corner eigenvalue sits within ``gap_floor`` of 1/2.
     UnstableCount
         If different cuts disagree on ``M_N - N``.
     ConvergenceFailure
-        If a corner eigensolve fails, a band cut's pencil has a pivot or Schur
-        complement that is not positive, or a corner eigenvalue is not finite,
-        or, once every other gate has passed, if ``defect`` is not finite: a
-        count whose Q has no bound on its idempotency certifies nothing.
+        If ``defect`` is not finite: a count whose Q has no bound on its
+        idempotency certifies nothing.  Also if a corner eigensolve fails, a band
+        cut's pencil has a pivot or Schur complement that is not positive, or a
+        corner eigenvalue is not finite.
     InsufficientMemory
         If the cuts would not fit, at :data:`CERTIFY_CUT_BYTES` a cut.
     """
     cuts = check_cuts(cuts, qb.dim, qb.boundary_window)
     check_gap_floor(gap_floor)
-    if qb.epsilon >= 1.0:
-        raise InadmissibleCommutator(
-            f"epsilon = {qb.epsilon:.6g} >= 1: counting undefined; "
-            "rescale the pair with scale_admissible",
-            epsilon=qb.epsilon,
-        )
-    bound = theorem_bound(qb.epsilon)
-    if bound >= ADMISSIBLE_BOUND:
-        raise InadmissibleCommutator(
-            f"defect bound {bound:.6g} at epsilon = {qb.epsilon:.6g} is >= 1/4: "
-            "rescale the pair with scale_admissible",
-            epsilon=qb.epsilon,
-            bound=bound,
-        )
+    if qb.epsilon < 0:
+        raise InvalidParameter(f"epsilon must lie in [0, 1), got {qb.epsilon}")
     upper = qb.epsilon + qb.epsilon_rounding
-    if upper >= 1.0 or theorem_bound(upper) >= ADMISSIBLE_BOUND:
+    bound = theorem_bound(upper) if upper < 1.0 else None
+    if bound is None or bound >= ADMISSIBLE_BOUND:
+        where = "is not below 1" if bound is None else f"gives the defect bound {bound:.6g} >= 1/4"
         raise InadmissibleCommutator(
-            f"epsilon = {qb.epsilon:.6g} is not proved admissible: with the rounding "
-            f"bound {qb.epsilon_rounding:.6g} of its interior block, epsilon may be as "
-            f"large as {upper:.6g}, where the defect bound is not below 1/4; rescale "
-            "the pair with scale_admissible",
+            f"epsilon = {qb.epsilon:.6g} plus its rounding bound {qb.epsilon_rounding:.6g} "
+            f"is {upper:.6g}, which {where}: the count is not certified; rescale the pair "
+            "with scale_admissible",
             epsilon=qb.epsilon,
             rounding=qb.epsilon_rounding,
+            bound=bound,
+        )
+    if not np.isfinite(qb.defect):
+        raise ConvergenceFailure(
+            f"the defect bound is not finite ({qb.defect}): the pair is too large "
+            "for the factor's rounding bound; rescale the pair"
         )
     linalg.require_memory(CERTIFY_CUT_BYTES * len(cuts), f"certifying {len(cuts)} cuts")
 
@@ -1005,11 +1000,6 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
             cuts=[r.cut for r in reports],
             counts=per_cut,
         )
-    if not np.isfinite(qb.defect):
-        raise ConvergenceFailure(
-            f"the defect bound is not finite ({qb.defect}): the pair is too large "
-            "for the factor's rounding bound; rescale the pair"
-        )
 
     warnings = []
     if qb.epsilon_measured:
@@ -1026,7 +1016,7 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
 
 def scale_admissible(
     pair: OperatorPair, target: float = DEFAULT_SCALE_TARGET
-) -> tuple[OperatorPair, float, float]:
+) -> tuple[OperatorPair, float]:
     """Rescale a pair so its masked commutator norm is at most ``target``.
 
     Scaling C by s scales the commutator by s^2, and the index is invariant
@@ -1035,9 +1025,9 @@ def scale_admissible(
     otherwise ``s = (1 - margin) * sqrt(target / kappa)`` with a 5% margin, where
     kappa is the known commutator norm or, failing that, the masked measurement.
 
-    Returns ``(scaled_pair, s_a, s_b)``; both factors are equal.  The scaled pair
-    is stored as the given one is, so a pair stored by its diagonals is scaled in
-    O(M).
+    Returns ``(scaled_pair, s)``: C, and so both A and B, is scaled by s.  The
+    scaled pair is stored as the given one is, so a pair stored by its diagonals
+    is scaled in O(M).
     """
     if not (np.isfinite(target) and target > 0):
         raise InvalidParameter(f"target must be positive, got {target}")
@@ -1045,10 +1035,10 @@ def scale_admissible(
     if kappa is None:
         kappa = masked_commutator_norm(pair)
     if kappa <= target:
-        return pair, 1.0, 1.0
+        return pair, 1.0
     s = (1.0 - SCALE_MARGIN) * float(np.sqrt(target / kappa))
     known = None
     if pair.known_commutator_norm is not None:
         known = pair.known_commutator_norm * s * s
     stored = s * pair.stored if pair.diagonals is None else tuple(s * x for x in pair.diagonals)
-    return replace(pair, stored=stored, known_commutator_norm=known), s, s
+    return replace(pair, stored=stored, known_commutator_norm=known), s

@@ -17,8 +17,10 @@ import omega_index.linalg as linalg_module
 import omega_index.operators as operators_module
 from omega_index import (
     GapViolation,
+    InadmissibleCommutator,
     InsufficientMemory,
     build_harmonic,
+    certify,
     corner_eigenvalues,
     count_upper,
     factor,
@@ -387,6 +389,42 @@ def test_a_dense_epsilon_that_rounding_decided_exits_2(capsys):
     assert error["type"] == "InadmissibleCommutator"
     assert "rounding bound" in error["message"]
     assert error["detail"]["epsilon"] < 1e-6 < 1e180 < error["detail"]["rounding"]
+
+
+@pytest.mark.parametrize(
+    "pair, argv, bound",
+    [
+        # epsilon = 1.2 >= 1
+        (lambda: build_harmonic(0.6, 16), ("--lambda", "0.6", "--dim", "16", "--cuts", "4"),
+         None),
+        # epsilon = 0.2, where the defect bound is 1.125 >= 1/4
+        (lambda: build_harmonic(0.1, 64), ("--lambda", "0.1", "--dim", "64", "--cuts", "20"),
+         1.125),
+        # epsilon cancels to rounding, its rounding bound is ~4.5e187
+        (lambda: perturb(build_harmonic(0.01, 64), "a", "random_hermitian", 1e100, 0),
+         ("--dim", "64", "--perturb", "a:random_hermitian:1e100", "--cuts", "20"), None),
+    ],
+    ids=["epsilon-at-least-one", "bound-at-least-a-quarter", "rounding-decided"],
+)
+def test_every_inadmissible_pair_gets_one_refusal(capsys, pair, argv, bound):
+    """An epsilon >= 1, a defect bound >= 1/4 and an epsilon that only its rounding
+    bound makes inadmissible are refused by one gate, with one detail shape:
+    epsilon, rounding and bound, the last null where epsilon plus its rounding
+    bound is not below 1.  The command line prints that detail as strict JSON."""
+    with pytest.raises(InadmissibleCommutator) as caught:
+        certify(factor(pair()), [int(argv[-1])])
+    detail = caught.value.detail
+    assert set(detail) == {"epsilon", "rounding", "bound"}
+    if bound is None:
+        assert detail["bound"] is None and detail["epsilon"] + detail["rounding"] >= 1.0
+    else:
+        assert detail["bound"] == pytest.approx(bound, rel=1e-12)
+    code, out, err = run_cli(capsys, "omega", *argv)
+    assert code == 2 and err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "InadmissibleCommutator"
+    assert error["detail"] == {k: None if v is None else float(v) for k, v in detail.items()}
+    assert "rounding bound" in error["message"] and "scale_admissible" in error["message"]
 
 
 def test_auto_scale_rescales_by_the_rounding_bound_too(capsys):

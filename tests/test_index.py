@@ -54,6 +54,7 @@ from omega_index import (
     theorem_bound,
 )
 from omega_index.index import (
+    ADMISSIBLE_BOUND,
     DEFAULT_ORIENTATION,
     ORIENTATIONS,
     PIVOT_ROUNDING,
@@ -95,9 +96,7 @@ def harmonic200_q_literal(harmonic200):
 
 def test_q_blocks_hand_example():
     c = np.array([[0, 1], [0, 0]], dtype=complex)
-    q, gamma, delta = q_blocks_from_c(c)
-    assert np.allclose(gamma, np.diag([1.0, 2.0]), atol=1e-15)
-    assert np.allclose(delta, np.diag([2.0, 1.0]), atol=1e-15)
+    q = q_blocks_from_c(c)
     expected = np.array(
         [
             [0.5, 0, 0, 0.5],
@@ -198,7 +197,7 @@ def test_corners_match_assembled_q_dense(dense200, orientation):
     c = dense200.a + 1j * dense200.b
     if orientation == "conjugate":
         c = c.conj().T
-    q, _, _ = q_blocks_from_c(c)
+    q = q_blocks_from_c(c)
     qb = build_q(dense200, orientation)
     for cut in (1, 40, 100, dense200.interior):
         err = np.max(np.abs(extract_q11(qb, cut) - _dual_corner(q, 200, cut)))
@@ -206,7 +205,7 @@ def test_corners_match_assembled_q_dense(dense200, orientation):
 
 
 def test_corners_match_assembled_q_grid(grid10, grid10_q):
-    q, _, _ = q_blocks_from_c(grid10.a - 1j * grid10.b)  # default is conjugate
+    q = q_blocks_from_c(grid10.a - 1j * grid10.b)  # default is conjugate
     assert grid10_q.orientation == "conjugate"
     for cut in (40, 80, grid10.interior):
         err = np.max(np.abs(extract_q11(grid10_q, cut) - _dual_corner(q, grid10.dim, cut)))
@@ -768,7 +767,7 @@ def test_real_c_counts_as_the_complex_reference(dim, band, seed):
     for orientation, d in (("literal", c), ("conjugate", c.T)):
         qb = build_q(pair, orientation)
         assert qb.y.dtype == np.float64
-        q, _, _ = q_blocks_from_c(d.astype(np.complex128))
+        q = q_blocks_from_c(d.astype(np.complex128))
         for cut in range(1, dim + 1):
             values = corner_eigenvalues(qb, cut)
             reference = np.linalg.eigvalsh(_dual_corner(q, dim, cut))
@@ -1730,7 +1729,81 @@ def test_a_dense_epsilon_that_rounding_decided_is_refused():
     assert qb.epsilon_rounding > 1e180
     with pytest.raises(InadmissibleCommutator, match="rounding bound") as exc:
         certify(qb, [20])
-    assert exc.value.detail == {"epsilon": qb.epsilon, "rounding": qb.epsilon_rounding}
+    assert exc.value.detail == {
+        "epsilon": qb.epsilon, "rounding": qb.epsilon_rounding, "bound": None
+    }
+
+
+def _three_gates(epsilon, rounding):
+    """The admissibility gates as three checks, as they stood before they were made
+    one: epsilon >= 1, then the defect bound at epsilon, then both at epsilon plus
+    its rounding bound.  The type of the error they raise, or None where they admit."""
+    if epsilon >= 1.0:
+        return InadmissibleCommutator
+    try:
+        if theorem_bound(epsilon) >= ADMISSIBLE_BOUND:
+            return InadmissibleCommutator
+        upper = epsilon + rounding
+        if upper >= 1.0 or theorem_bound(upper) >= ADMISSIBLE_BOUND:
+            return InadmissibleCommutator
+    except InvalidParameter:
+        return InvalidParameter
+    return None
+
+
+#: where the defect bound crosses 1/4
+_CROSSING = 0.0571909584179366
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon=st.floats(-1.0, 1.5) | st.just(float("nan")),
+    rounding=st.just(0.0) | st.floats(-17.0, 3.0).map(lambda x: 10.0**x),
+)
+@example(epsilon=float("nan"), rounding=0.0)
+@example(epsilon=-np.inf, rounding=0.0)
+@example(epsilon=-0.01, rounding=0.02)
+@example(epsilon=-0.01, rounding=1.0)
+@example(epsilon=-5e-324, rounding=0.0)
+@example(epsilon=_CROSSING, rounding=0.0)
+@example(epsilon=np.nextafter(_CROSSING, 0.0), rounding=0.0)
+@example(epsilon=np.nextafter(_CROSSING, 0.0), rounding=1e-17)
+@example(epsilon=0.05, rounding=0.01)
+@example(epsilon=0.0, rounding=1.0)
+def test_one_gate_refuses_where_the_three_did(harmonic200, epsilon, rounding):
+    """The gate at epsilon + epsilon_rounding alone refuses exactly where the three
+    checks did (the defect bound rises on [0, 1), and rounding is never negative),
+    a negative epsilon is a bad argument whatever its rounding bound, and a nan
+    epsilon, which theorem_bound refused as a bad argument, is refused as
+    inadmissible; every other factor is counted."""
+    expected = InadmissibleCommutator if np.isnan(epsilon) else _three_gates(epsilon, rounding)
+    qb = replace(factor(harmonic200), epsilon=epsilon, epsilon_rounding=rounding)
+    try:
+        assert certify(qb, [80]).omega == 1
+        raised = None
+    except (InadmissibleCommutator, InvalidParameter) as exc:
+        raised = type(exc)
+        if raised is InadmissibleCommutator:
+            assert set(exc.detail) == {"epsilon", "rounding", "bound"}
+    assert raised is expected
+
+
+def test_a_defect_that_is_not_finite_is_refused_before_any_cut(harmonic200, monkeypatch):
+    """Cut 60 is a gap violation, but with no bound on the idempotency of Q nothing
+    is certified, so the factor is refused before any cut is solved."""
+    with pytest.raises(GapViolation):
+        certify(factor(harmonic200), [60])
+    solved = []
+    spectra = index_module._spectra
+
+    def record(qb, cuts):
+        solved.append(list(cuts))
+        return spectra(qb, cuts)
+
+    monkeypatch.setattr(index_module, "_spectra", record)
+    with pytest.raises(ConvergenceFailure, match=re.escape("not finite (inf)")):
+        certify(replace(factor(harmonic200), defect=np.inf), [60])
+    assert solved == []
 
 
 def test_the_epsilon_rounding_bound_is_small_where_epsilon_is_trusted(harmonic200):
@@ -1770,17 +1843,17 @@ def test_omega_argument_validation(harmonic200):
 
 
 def test_scale_admissible_leaves_small_pairs_alone(harmonic200, grid10):
-    pair, sa, sb = scale_admissible(harmonic200)
+    pair, s = scale_admissible(harmonic200)
     assert pair is harmonic200
-    assert (sa, sb) == (1.0, 1.0)
-    pair, sa, sb = scale_admissible(grid10)
+    assert s == 1.0
+    pair, s = scale_admissible(grid10)
     assert pair is grid10
 
 
 def test_scale_admissible_known_commutator():
     pair = build_harmonic(1.0, 64)
-    scaled, sa, sb = scale_admissible(pair, target=0.02)
-    assert sa == sb == pytest.approx(0.13435028842544403, rel=1e-12)
+    scaled, s = scale_admissible(pair, target=0.02)
+    assert s == pytest.approx(0.13435028842544403, rel=1e-12)
     assert scaled.known_commutator_norm == pytest.approx(0.01805, rel=1e-12)
     assert masked_commutator_norm(scaled) <= 0.02
     assert omega(scaled, cuts=[40, 50]).omega == 1
@@ -1796,8 +1869,8 @@ def test_scale_admissible_measured_commutator():
         known_commutator_norm=None,
         boundary_window=8,
     )
-    scaled, sa, sb = scale_admissible(anon, target=0.02)
-    assert 0 < sa < 1
+    scaled, s = scale_admissible(anon, target=0.02)
+    assert 0 < s < 1
     assert scaled.known_commutator_norm is None
     assert masked_commutator_norm(scaled) <= 0.02
 

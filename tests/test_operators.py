@@ -257,7 +257,7 @@ def test_builders_neither_gate_nor_form_a_and_b(monkeypatch):
     for target in ("a", "b"):
         for kind in ("scalar_shift", "diagonal_decay", "random_hermitian"):
             pair = perturb(pair, target, kind, 0.01, 3)
-    scaled, s, _ = scale_admissible(pair, 0.02)
+    scaled, s = scale_admissible(pair, 0.02)
     assert s < 1 and np.array_equal(scaled.c, s * pair.c)
     assert build_commuting_grid(3, 0.5).c.dtype == np.complex128
 
@@ -357,7 +357,7 @@ def test_scale_admissible_keeps_diagonal_storage():
     commutator norm alike, and never forms C."""
     for pair in (build_harmonic(0.5, 64), perturb(build_harmonic(0.5, 64), "a", "diagonal_decay", 0.2)):
         dense = pair.c
-        scaled, s, _ = scale_admissible(pair, 0.02)
+        scaled, s = scale_admissible(pair, 0.02)
         assert s < 1 and scaled.diagonals is not None
         for x, y in zip(scaled.diagonals, pair.diagonals):
             assert np.array_equal(x, s * y)

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import inspect
+import pathlib
 
 import omega_index
 import omega_index.calibration as calibration
@@ -58,3 +60,37 @@ def test_sphere_subcommand_is_a_usage_error(capsys):
 def test_load_pair_takes_only_the_two_paths():
     params = inspect.signature(omega_index.load_pair).parameters
     assert list(params) == ["path_a", "path_b"]
+
+
+def test_code_lines_counts_no_docstring_comment_or_blank(tmp_path, capsys, monkeypatch):
+    """The code-line counter of ``tools/code_lines.py``: a multi-line string that
+    is not a docstring counts, line by line, and ``__init__.py`` is left out."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = (
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "# a comment alone\n"
+        "class K:\n"
+        '    """A class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """A function\n'
+        '        docstring."""\n'
+        '        text = """a string\n'
+        '        that is code"""\n'
+        "        return (text,\n"
+        "                os.sep)\n"
+    )
+    assert tool.code_lines(source) == 7
+    (tmp_path / "k.py").write_text(source)
+    (tmp_path / "__init__.py").write_text("from .k import K\n")
+    monkeypatch.setattr(tool, "PACKAGE", tmp_path)
+    assert tool.main() == 0
+    assert capsys.readouterr().out.split() == ["k.py", "7", "total", "7"]
