@@ -53,6 +53,19 @@ eigenvalues are N exact zeros and N - 1 exact ones, or N - 1 and N, beside one
 free eigenvalue, which :func:`_band_spectra` gives in closed form with no
 LAPACK call; :func:`build_q` is the dense path.
 
+A pair made by one ``random_hermitian`` perturbation of a pair stored by its
+diagonals is dense, but :func:`omega` certifies it without :func:`build_q`
+(:func:`_split`): as C = C_b + E, with C_b that band pair, counted on the band
+path, and E the remainder, whose norm follows from the perturbation's proved
+normalization.  The graph projection is 1-Lipschitz in C (Kato, Thm IV.2.14),
+so by Weyl's inequality every corner eigenvalue of C lies within norm(E) of
+C_b's: each cut reports C_b's count, and C_b's gap less norm(E), a proved lower
+bound on C's.  epsilon is a proved upper bound, C_b's plus a bound on the
+norm of the cross terms, formed in O(M^2) from C_b's diagonals.  Where some
+gap so reduced is below the floor, or the bound fails the admissibility gate,
+:func:`omega` falls back to :func:`build_q`, so the split changes no count and
+no refusal.
+
 Two orientations are supported: ``literal`` substitutes C, ``conjugate``
 substitutes C* (equivalently, the pair (A, -B)); reversal negates the index.  The
 ``default`` orientation is :data:`DEFAULT_ORIENTATION`, the one that gives the
@@ -68,7 +81,7 @@ from collections.abc import Iterator
 
 # imported only for perfbench/test_perfbench.py::test_tracer_patches_every_binding
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,9 +92,10 @@ from .errors import (
     GapViolation,
     InadmissibleCommutator,
     InvalidParameter,
+    OmegaIndexError,
     UnstableCount,
 )
-from .operators import BLAS_RESERVE_BYTES, OperatorPair
+from .operators import BLAS_RESERVE_BYTES, COMPLEX_BYTES, OperatorPair
 
 ORIENTATIONS = ("literal", "conjugate")
 #: the orientation that gives the oscillator reference pair omega = +1, checked by
@@ -124,6 +138,13 @@ CERTIFY_CUT_BYTES = 640
 #: cuts that :func:`default_cuts` spreads over the interior
 DEFAULT_CUT_COUNT = 5
 
+#: complex arrays of order k + 2, k the pair's interior, alive at once while
+#: :func:`_split` bounds epsilon: the padded remainder F, the cross term X and one
+#: product of them while X is formed, then X with LAPACK's copy of a shift of it
+#: and its Cholesky factor while :func:`~omega_index.linalg.hermitian_norm_bound`
+#: proves its norm
+SPLIT_ARRAYS = 3
+
 #: M-by-M arrays of C's dtype alive at once in :func:`build_q` and the corner
 #: counts that follow it: d, the Gram with the epsilon measurement's products or
 #: the Cholesky factor with LAPACK's copy, then W's inverse, the 2M-by-M basis y
@@ -164,6 +185,11 @@ class FactorHeader:
     :func:`_interior_self_commutator` on the dense path's measured epsilon, and 0
     for an analytic epsilon or the band path's bisection, whose value is already
     an upper end.  :func:`certify` gates on ``epsilon + epsilon_rounding``.
+
+    ``remainder`` is 0 when the factor is the pair's own.  :func:`_split` sets it
+    to a proved bound on ``norm(C - C_b)`` when it factors a band pair C_b in place
+    of C; then ``epsilon`` and ``epsilon_rounding`` bound C's epsilon, ``defect``
+    is C_b's, and :func:`certify` reports each of C_b's gaps less ``remainder``.
     """
 
     orientation: str
@@ -173,6 +199,7 @@ class FactorHeader:
     dim: int
     boundary_window: int
     epsilon_measured: bool
+    remainder: float = field(default=0.0, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -608,6 +635,164 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     )
 
 
+def _split(
+    pair: OperatorPair, cuts: list[int], orientation: str, gap_floor: float
+) -> BandQ | None:
+    """The band factor of ``pair.base``'s pair C_b, certified for the dense C of
+    ``pair`` itself, or None where some gap of C_b less ``norm(C - C_b)`` is below
+    ``gap_floor``.
+
+    ``pair`` is C = C_b + D rounded: :func:`~omega_index.operators.perturb` added
+    the stored perturbation D = delta R (target ``a``, exactly Hermitian) or
+    i delta R (``b``, exactly skew-Hermitian) to C_b's dense view.  Write u for
+    the unit roundoff, gamma_j = j u / (1 - j u) (:func:`_gamma`), M for the
+    dimension and k for the interior.
+
+    **The remainder.**  R is the draw's Hermitian part H divided by a proved
+    bound on its norm, and D is that times delta: at most three roundings of
+    each component (numpy divides by a real as a product with its reciprocal),
+    so ``|D - delta H / bound| <= gamma_3 delta |H / bound|`` entrywise, and in
+    norm at most ``gamma_3 delta sqrt(M)``, as the Frobenius norm of H / bound is
+    at most sqrt(M) times its norm, which is at most 1.  So ``norm(D) <= nu =
+    delta (1 + gamma_3 sqrt(M))``.  Each entry of C is the rounded sum of C_b's
+    and D's, exact where C_b's is 0, so E = C - C_b is D + rho, where rho lies on
+    C_b's diagonals with ``|rho_ij| <= u |C_ij|``: ``norm(rho) <= kappa``, u times
+    the largest modulus of C on C_b's main diagonal plus that on its stored
+    off-diagonal.  The remainder r = (nu + kappa)(1 + 8u), the last factor for
+    the roundings of evaluating it, bounds ``norm(E)``: delta + 5.7e-16 for the
+    dim-1200 oscillator at lambda = 0.01 and delta = 0.002.
+
+    **Counts and gaps.**  The graph projection is 1-Lipschitz in C (Kato,
+    *Perturbation Theory for Linear Operators*, Thm IV.2.14), in either
+    orientation, and a corner is a compression of it, so by Weyl's inequality
+    no corner eigenvalue of C lies further than r from C_b's.  A cut whose C_b
+    gap exceeds r therefore has C_b's count, and no eigenvalue of C's corner
+    within that gap less r of 1/2.  These gaps are checked first, in O(M).
+
+    **Epsilon.**  C*C - CC* is C_b's self-commutator plus X = C_b*E + E*C_b -
+    C_b E* - E C_b* + E*E - EE*, so C's epsilon is at most C_b's (the analytic
+    value or the band bisection, as :func:`factor` finds it) plus the norm of
+    X's interior block.  F is E with its entries on C_b's diagonals made those
+    of a normal matrix: off C_b's diagonals C is D exactly; C_b's stored
+    off-diagonal is set to the mirror of the other one (conjugated, and negated
+    for ``b``), which is D's own entry there; the main diagonal is C's less
+    C_b's, whose dropped part (imaginary for ``a``, real for ``b``) is exactly 0.
+    So F is exactly Hermitian or skew-Hermitian, F*F - FF* = 0, and
+    ``norm(F - E) <= eta = u (r + `` the largest modulus of C on C_b's stored
+    off-diagonal ``)``.  For such an F the cross terms are the commutator
+    [T, F] with the tridiagonal T = C_b* - C_b (``a``) or C_b* + C_b (``b``), so
+    X is [T, F] plus terms of norm at most ``4 (norm(C_b) + norm(F)) eta +
+    eta^2``, norm(F) <= r + eta.  [T, F] on rows and columns 0..k-1 reads F on
+    0..k only; it is formed from T's diagonals, six scaled shifts of F, in
+    O(k^2), and its norm is bounded by
+    :func:`~omega_index.linalg.hermitian_norm_bound`, whose factors read only
+    its lower triangle.  Each entry sums six products, so rounding moves the
+    Hermitian matrix that triangle defines by at most 2 gamma_9 times
+    ``|T| |F| + |F| |T|``, in norm at most ``4 gamma_9 norm(|T|) sqrt(k + 1)
+    norm(F)``.  ``epsilon`` is C_b's plus the proved bound, and
+    ``epsilon_rounding`` the sum of these a-priori terms.  norm(C_b) and
+    norm(|T|) are bounded by the sums of their diagonals' largest moduli.
+
+    :data:`SPLIT_ARRAYS` arrays of order k + 2 and
+    :data:`~omega_index.operators.BLAS_RESERVE_BYTES` are charged against
+    :func:`~omega_index.linalg.require_memory` once the gaps pass, before F is
+    made.  Raises as :func:`factor` and
+    :func:`~omega_index.linalg.hermitian_norm_bound` do; :func:`omega` counts
+    such a pair densely then.
+    """
+    band, spec = pair.base
+    base = factor(band, orientation)
+    lower, main, upper = band.diagonals
+    c, m, k = pair.stored, pair.dim, pair.interior
+    unit = np.finfo(np.float64).eps / 2.0
+    # the diagonal of C_b stored beside its main one, if any: 1 upper, -1 lower
+    side = 1 if np.any(upper) else -1 if np.any(lower) else 0
+    c_side = float(np.max(np.abs(np.diagonal(c, side)))) if side else 0.0
+    nu = spec.magnitude * (1.0 + _gamma(3) * np.sqrt(m))
+    kappa = unit * (float(np.max(np.abs(np.diagonal(c)))) + c_side)
+    remainder = (nu + kappa) * (1.0 + 8.0 * unit)
+    spectra = zip(cuts, _band_spectra(base, cuts))
+    if any(_spectral_report(n, *s, remainder).gap < gap_floor for n, s in spectra):
+        return None
+    linalg.require_memory(
+        SPLIT_ARRAYS * COMPLEX_BYTES * (k + 2) ** 2 + BLAS_RESERVE_BYTES,
+        f"the remainder of a dim-{m} perturbed band pair",
+    )
+    hermitian = spec.target == "a"
+    # T = C_b* - C_b for a, C_b* + C_b for b, by its diagonals, each of length M:
+    # T[M-1, M] and T[M, M-1] are 0, for an interior that is all of C
+    t_sign = -1.0 if hermitian else 1.0
+    t = (np.append(np.conj(upper) + t_sign * lower, 0.0), np.conj(main) + t_sign * main,
+         np.append(np.conj(lower) + t_sign * upper, 0.0))
+    # F is freed when X is formed, so the norm bound's two arrays are X's only company
+    x = _tridiagonal_commutator(t, _normal_remainder(c, main, side, hermitian, k))
+    eta = unit * (remainder + c_side)
+    norm_f = remainder + eta
+    norm_t = sum(float(np.max(np.abs(d), initial=0.0)) for d in t)
+    norm_base = sum(float(np.max(np.abs(d), initial=0.0)) for d in band.diagonals)
+    rounding = (
+        4.0 * _gamma(9) * norm_t * np.sqrt(k + 1.0) * norm_f
+        + 4.0 * (norm_base + norm_f) * eta
+        + eta * eta
+    )
+    return replace(
+        base,
+        epsilon=base.epsilon + linalg.hermitian_norm_bound(x),
+        epsilon_rounding=base.epsilon_rounding + rounding,
+        remainder=remainder,
+        **_header(pair, base.orientation),
+    )
+
+
+def _normal_remainder(
+    c: np.ndarray, main: np.ndarray, side: int, hermitian: bool, k: int
+) -> np.ndarray:
+    """The F of :func:`_split` on rows and columns 0..k, padded with a zero row and
+    column in front, so that F[i, j] is ``f[i+1, j+1]``: C there, less C_b's
+    ``main`` diagonal, with the diagonal ``side`` (1 upper, -1 lower, 0 none) set
+    to the mirror of the other, conjugated for a Hermitian F and negated too for
+    a skew-Hermitian one; the main diagonal keeps only its real or its imaginary
+    part, which for :func:`_split`'s pairs drops an exact 0."""
+    f = np.zeros((k + 2, k + 2), dtype=np.complex128)
+    n = min(k + 1, len(c))  # C has no row k when the interior is all of it: F's is 0
+    f[1 : n + 1, 1 : n + 1] = c[:n, :n]
+    i = np.arange(1, n + 1)
+    diagonal = f[i, i] - main[:n]
+    f[i, i] = diagonal.real if hermitian else 1j * diagonal.imag
+    if side:
+        rows, cols = (i[:-1], i[1:]) if side == 1 else (i[1:], i[:-1])
+        f[rows, cols] = (1.0 if hermitian else -1.0) * np.conj(f[cols, rows])
+    return f
+
+
+def _tridiagonal_commutator(t: tuple[np.ndarray, np.ndarray, np.ndarray], f: np.ndarray):
+    """TF - FT on rows and columns 0..k-1, for the tridiagonal T with diagonals
+    ``t`` = (lower, main, upper) and F as :func:`_normal_remainder` pads it.
+
+    Entry (i, j) is the sum over s = -1, 0, 1 of T[i, i+s] F[i+s, j] less
+    F[i, j+s] T[j+s, j]: six scaled shifts of F, the terms with a zero scale
+    left out, each added in place as it is formed, so that beside the result one
+    k-by-k product is alive."""
+    lower, main, upper = t
+    k = len(f) - 2
+    zero = np.zeros(1, dtype=main.dtype)
+    inner = f[1:-1, 1:-1]
+    terms = (
+        (np.concatenate([zero, lower[: k - 1]])[:, None], f[:-2, 1:-1]),
+        (main[:k, None], inner),
+        (upper[:k, None], f[2:, 1:-1]),
+        (-np.concatenate([zero, upper[: k - 1]]), f[1:-1, :-2]),
+        (-main[:k], inner),
+        (-lower[:k], f[1:-1, 2:]),
+    )
+    x = np.zeros((k, k), dtype=np.complex128)
+    product = np.empty_like(x)
+    for scale, shifted in terms:
+        if np.any(scale):
+            x += np.multiply(scale, shifted, out=product)
+    return x
+
+
 def _band_spectra(bq: BandQ, cuts: list[int]) -> Iterator[tuple[np.ndarray, int, int]]:
     """:func:`_spectra` of a :class:`BandQ`: each cut's free eigenvalue in closed form.
 
@@ -835,13 +1020,19 @@ def count_upper(eigenvalues) -> tuple[int, float, int, int]:
     return s1, gap, s0, s1
 
 
-def _spectral_report(cut: int, values: np.ndarray, zeros: int, ones: int) -> SpectralReport:
+def _spectral_report(
+    cut: int, values: np.ndarray, zeros: int, ones: int, remainder: float = 0.0
+) -> SpectralReport:
     """The census of ``values`` beside ``zeros`` exact zeros and ``ones`` exact ones,
-    with one of each standing for all: each lies 1/2 from 1/2."""
+    with one of each standing for all: each lies 1/2 from 1/2.  Its gap is less
+    ``remainder``, the bound by which a corner eigenvalue of the counted pair may
+    lie closer to 1/2 (see :attr:`FactorHeader.remainder`)."""
     some = np.sort(np.concatenate([values, np.zeros(min(zeros, 1)), np.ones(min(ones, 1))]))
     m_n, gap, _, _ = count_upper(some)
     nearest = float(some[np.argmin(np.abs(some - 0.5))])
-    return SpectralReport(cut=cut, m_n=m_n + ones - min(ones, 1), gap=gap, nearest=nearest)
+    return SpectralReport(
+        cut=cut, m_n=m_n + ones - min(ones, 1), gap=gap - remainder, nearest=nearest
+    )
 
 
 def default_cuts(dim: int) -> list[int]:
@@ -898,6 +1089,15 @@ def omega(
     :func:`build_q` otherwise; ``cuts`` defaults to :func:`default_cuts`.  To count
     many cut lists of one pair, factor it once and call :func:`certify` for each.
 
+    A pair with a :attr:`~omega_index.operators.OperatorPair.base`, one
+    ``random_hermitian`` perturbation of a band pair, is first certified from
+    that band pair's factor and a proved bound on the remainder
+    (:func:`_split`): each cut's ``m_n`` is the band pair's, its ``gap`` a proved
+    lower bound, ``epsilon`` a proved upper bound and ``defect`` the band
+    factor's.  That path never refuses: where a gap so reduced is below
+    ``gap_floor``, the bound fails the admissibility gate, or any step raises,
+    the pair is counted through :func:`factor` as any dense pair is.
+
     Raises
     ------
     InvalidParameter, CutTooLarge
@@ -914,6 +1114,13 @@ def omega(
         default_cuts(pair.dim) if cuts is None else cuts, pair.dim, pair.boundary_window
     )
     check_gap_floor(gap_floor)
+    if pair.base is not None:
+        try:
+            split = _split(pair, cuts, orientation, gap_floor)
+            if split is not None:
+                return certify(split, cuts, gap_floor)
+        except OmegaIndexError:
+            pass  # the split never refuses: the dense factor decides
     return certify(factor(pair, orientation), cuts, gap_floor)
 
 
@@ -930,7 +1137,9 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
     The arguments are checked first, so a malformed request is refused as such
     whatever the pair; then the pair's admissibility and the factor's ``defect``,
     and only then are :data:`CERTIFY_CUT_BYTES` a cut charged against
-    :func:`~omega_index.linalg.require_memory` and the first cut solved.
+    :func:`~omega_index.linalg.require_memory` and the first cut solved.  Each
+    reported gap is the corner's less the factor's ``remainder`` (0 but for a
+    factor of :func:`_split`), and the gap floor is checked on that.
 
     Raises
     ------
@@ -980,7 +1189,9 @@ def certify(qb: QBuild | BandQ, cuts, gap_floor: float = DEFAULT_GAP_FLOOR) -> O
         )
     linalg.require_memory(CERTIFY_CUT_BYTES * len(cuts), f"certifying {len(cuts)} cuts")
 
-    reports = [_spectral_report(c, *solved) for c, solved in zip(cuts, _spectra(qb, cuts))]
+    reports = [
+        _spectral_report(c, *solved, qb.remainder) for c, solved in zip(cuts, _spectra(qb, cuts))
+    ]
 
     violating = [r for r in reports if r.gap < gap_floor]
     if violating:

@@ -24,7 +24,7 @@ built pair at each value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,12 @@ class OperatorPair:
     boundary_window : int
         Number of trailing truncation-corrupted indices; all norm measurements
         mask indices ``>= dim - boundary_window``.
+    base : tuple of (OperatorPair, PerturbationSpec) or None
+        For a pair that :func:`perturb` made by one ``random_hermitian``
+        perturbation of a pair stored by its diagonals, that pair and the
+        perturbation; else None.  It is not an argument of
+        :func:`dataclasses.replace`, so every replaced pair, and so every scaled
+        or further perturbed one, has None.
     """
 
     stored: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -123,9 +129,12 @@ class OperatorPair:
     basis_label: str
     known_commutator_norm: float | None
     boundary_window: int
+    base: tuple[OperatorPair, PerturbationSpec] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, a=None, b=None, *, dim, basis_label, known_commutator_norm,
-                 boundary_window, stored=None):
+                 boundary_window, stored=None, base=None):
         if (a is None) != (b is None) or (a is None) == (stored is None):
             raise InvalidParameter("a pair takes either stored or both a and b")
         if a is not None:
@@ -158,7 +167,7 @@ class OperatorPair:
         # a frozen dataclass: its fields are written here only
         vars(self).update(stored=stored, dim=dim, basis_label=basis_label,
                           boundary_window=boundary_window,
-                          known_commutator_norm=known_commutator_norm)
+                          known_commutator_norm=known_commutator_norm, base=base)
 
     @property
     def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -402,7 +411,13 @@ def perturb(
     The two diagonal kinds add to C's main diagonal, in O(M) for a pair stored by
     its diagonals, which the result is too.  ``random_hermitian`` makes the pair
     dense; its footprint is checked against
-    :func:`~omega_index.linalg.require_memory` before anything is drawn.
+    :func:`~omega_index.linalg.require_memory` before anything is drawn.  When the
+    given pair is stored by its diagonals, the result keeps it and the spec as
+    :attr:`OperatorPair.base`, from which :func:`~omega_index.index.omega`
+    certifies it as that band pair plus a remainder of proved norm.  The stored
+    perturbation is exactly Hermitian (target ``a``) or exactly skew-Hermitian
+    (``b``): every step from the draw's Hermitian part on rounds an entry and its
+    mirror alike.
     """
     spec = PerturbationSpec(target=target, kind=kind, magnitude=magnitude, seed=seed)
     if spec.magnitude == 0.0:
@@ -418,7 +433,14 @@ def perturb(
         if spec.target == "b":
             delta *= 1j
         # in place: the sum is the one new M-by-M array
-        return replace(pair, stored=np.add(pair.c, delta, out=delta), known_commutator_norm=None)
+        return OperatorPair(
+            stored=np.add(pair.c, delta, out=delta),
+            dim=dim,
+            basis_label=pair.basis_label,
+            known_commutator_norm=None,
+            boundary_window=pair.boundary_window,
+            base=None if pair.diagonals is None else (pair, spec),
+        )
     if spec.kind == "scalar_shift":
         values = spec.magnitude * np.ones(dim)
         known = pair.known_commutator_norm

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -851,6 +852,63 @@ def test_omega_applies_perturbations_in_order(capsys, monkeypatch):
     assert [x.tobytes() for x in counted[0].diagonals] == [x.tobytes() for x in twice.diagonals]
     once = perturb(base, "a", "scalar_shift", 0.3)
     assert counted[0].diagonals[1].tobytes() != once.diagonals[1].tobytes()
+
+
+# ---------------------------------------------------------------- the band split
+
+
+def _dense_index(seed, dim="1200", cuts=("--cuts", "160:400:60")):
+    return ("omega", "--dim", dim, "--lambda", "0.01",
+            "--perturb", f"a:random_hermitian:0.002:{seed}", *cuts)
+
+
+@pytest.mark.parametrize("argv", [_dense_index(s) for s in range(5)]
+                         + [_dense_index(3, "2000", ())], ids=lambda argv: f"{argv[2]}-{argv[6]}")
+def test_a_perturbed_band_pair_is_certified_with_no_dense_factor(capsys, monkeypatch, argv):
+    """dense-index's invocation at seeds 0-4, and the dim-2000 row, certify omega = 1
+    from the oscillator's band factor and the remainder: build_q never runs."""
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["omega"] == 1 and all(e["m_n"] == e["n"] + 1 for e in doc["cuts"])
+
+
+@pytest.mark.parametrize("magnitude, cuts, exit_code", [
+    ("0.004", "62,100", 0),  # base gap 0.0536 less 0.004 is below the floor 0.05
+    ("0.3", "100,150", 2),  # the remainder exceeds the base gaps
+    ("0.01", "150,200", 2),  # the gaps pass, the epsilon bound does not
+])
+def test_a_split_that_cannot_accept_prints_the_dense_report(
+    capsys, monkeypatch, magnitude, cuts, exit_code
+):
+    """Where the split cannot accept, omega prints the bytes and exit code of the
+    dense factor alone, as when the split is skipped."""
+    argv = ("omega", "--dim", "400", "--lambda", "0.01",
+            "--perturb", f"a:random_hermitian:{magnitude}:3", "--cuts", cuts)
+    split = index_module._split
+    tried = []
+    monkeypatch.setattr(index_module, "_split", lambda *args: tried.append(1) or split(*args))
+    fallen_back = run_cli(capsys, *argv)
+    monkeypatch.setattr(index_module, "_split", lambda *args: None)
+    dense = run_cli(capsys, *argv)
+    assert tried == [1] and fallen_back == dense and dense[0] == exit_code
+
+
+def test_the_benchmark_checker_accepts_every_dense_index_report(capsys, monkeypatch):
+    """perfbench's own checker, imported by path, accepts the in-process report of
+    dense-index at seeds 0 and 1 and of its tiny form, so a report it would
+    reject as incorrect fails here first."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for invocation in (workloads.make("dense-index", 0), workloads.make("dense-index", 1),
+                       workloads.make("dense-index", 0, tiny=True)):
+        code, out, _ = run_cli(capsys, *invocation.argv)
+        assert workloads.check(invocation, code, out) == []
 
 
 # ---------------------------------------------------------------- spectrum

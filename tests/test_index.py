@@ -1241,7 +1241,7 @@ def test_a_band_factor_peaks_within_its_charge(complex_, orientation):
     """At M = 10^5 the factor's tracemalloc peak stays within BAND_FACTOR_ROW_BYTES
     a row, for the oscillator's real C and its b:scalar_shift perturbation's complex
     one; literal, which swaps C's diagonals and copies none, peaks no higher than
-    conjugate."""
+    conjugate (compared for literal only: conjugate against itself checks nothing)."""
     dim = 100000
     pair = build_harmonic(1e-4, dim)
     if complex_:
@@ -1251,7 +1251,8 @@ def test_a_band_factor_peaks_within_its_charge(complex_, orientation):
         factor(pair, warm_up)
     peak = _traced_peak(factor, pair, orientation)
     assert peak <= index_module.BAND_FACTOR_ROW_BYTES * dim
-    assert peak <= _traced_peak(factor, pair, "conjugate")
+    if orientation == "literal":
+        assert peak <= _traced_peak(factor, pair, "conjugate")
 
 
 @pytest.mark.parametrize("name", ["harmonic", "b:scalar_shift"])
@@ -1692,6 +1693,140 @@ def test_a_random_hermitian_perturbation_moves_each_gap_by_at_most_its_magnitude
         assert report.m_n == report.cut + 1
         x = 2.0 * report.cut * lam
         assert abs(report.gap - (x / (x + 1.0) - 0.5)) <= magnitude + 1e-9
+
+
+def _run_outcome(run, *args):
+    """``(omega, m_n per cut)`` of a certified run, or the type of its refusal."""
+    try:
+        result = run(*args)
+    except OmegaIndexError as exc:
+        return type(exc)
+    return result.omega, [r.m_n for r in result.reports]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lam=st.floats(0.005, 0.02),
+    dim=st.integers(64, 300),
+    target=st.sampled_from(["a", "b"]),
+    orientation=st.sampled_from(ORIENTATIONS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_split_counts_as_the_dense_factor(lam, dim, target, orientation, seed, data):
+    """A random_hermitian perturbation of the oscillator, at magnitudes up to half
+    the smallest base gap at cuts drawn on one side of the crossover: omega counts
+    as certify(build_q) does or refuses as it does; where the split certifies,
+    every m_n is the dense one, each gap is at most the dense gap and at least the
+    closed form less the magnitude, and epsilon is at least the dense one."""
+    band = build_harmonic(lam, dim)
+
+    def closed_form(n):
+        x = 2.0 * n * lam
+        return abs(x / (x + 1.0) - 0.5)
+
+    candidates = [n for n in range(1, band.interior + 1) if closed_form(n) >= 0.02]
+    sides = [s for s in ([n for n in candidates if 2 * n * lam > 1],
+                         [n for n in candidates if 2 * n * lam < 1]) if s]
+    side = data.draw(st.sampled_from(sides))
+    cuts = sorted(data.draw(st.lists(st.sampled_from(side), min_size=1, max_size=4, unique=True)))
+    smallest = min(r.gap for r in certify(factor(band, orientation), cuts, 0.0).reports)
+    magnitude = data.draw(st.floats(1e-4, smallest / 2))
+    pair = perturb(band, target, "random_hermitian", magnitude, seed)
+    dense_q = build_q(pair, orientation)
+    assert _run_outcome(omega, pair, cuts, orientation, 0.0) == _run_outcome(
+        certify, dense_q, cuts, 0.0
+    )
+    split = index_module._split(pair, cuts, orientation, 0.0)
+    assert split.epsilon >= dense_q.epsilon
+    try:
+        result = certify(split, cuts, 0.0)
+    except InadmissibleCommutator:
+        event("the split's epsilon is refused, so the dense factor decides")
+        return
+    event("split")
+    dense = certify(dense_q, cuts, 0.0)
+    assert result.omega == dense.omega
+    for r, d in zip(result.reports, dense.reports):
+        assert r.m_n == d.m_n
+        assert closed_form(r.cut) - magnitude - 1e-12 <= r.gap <= d.gap + 1e-12
+
+
+def test_the_split_counts_a_pair_with_no_collar():
+    """With no boundary collar the interior is all of C, and the row k that the
+    cross term reads lies past C's end: the split reads it as 0 and counts as
+    build_q does, with an epsilon bound at least the dense one."""
+    grid = replace(build_commuting_grid(3), boundary_window=0)
+    pair = perturb(grid, "b", "random_hermitian", 0.002, 5)
+    cuts = [5, 13, 21]
+    dense_q = build_q(pair)
+    assert _run_outcome(omega, pair, cuts, "default", 0.0) == _run_outcome(
+        certify, dense_q, cuts, 0.0
+    )
+    split = index_module._split(pair, cuts, "default", 0.0)
+    assert split.epsilon >= dense_q.epsilon > 0
+
+
+def test_the_split_is_charged_before_its_arrays(monkeypatch):
+    """Once the gaps pass, the split is refused one byte below SPLIT_ARRAYS arrays
+    of order k + 2 and the BLAS reserve, before F is formed, and runs at that
+    charge; tracemalloc sees it peak within its arrays, numpy's ufunc buffers
+    (np.getbufsize() complex entries for each of the two operands of a product)
+    and the base factor's own charge of BAND_FACTOR_ROW_BYTES a row."""
+    pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
+    cuts = [100, 150, 200]
+    k = pair.interior
+    arrays = index_module.SPLIT_ARRAYS * operators_module.COMPLEX_BYTES * (k + 2) ** 2
+    charge = arrays + operators_module.BLAS_RESERVE_BYTES
+    index_module._split(pair, cuts, "default", 0.05)  # so that no first-call allocation is traced
+    beside = 2 * np.getbufsize() * operators_module.COMPLEX_BYTES
+    beside += index_module.BAND_FACTOR_ROW_BYTES * 300
+    peak = _traced_peak(index_module._split, pair, cuts, "default", 0.05)
+    assert arrays < peak + beside and peak <= arrays + beside
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: charge - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(index_module, "_normal_remainder", _refuse_to_factor)
+        with pytest.raises(InsufficientMemory, match="remainder of a dim-300 perturbed band"):
+            index_module._split(pair, cuts, "default", 0.05)
+    monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(charge))
+    assert index_module._split(pair, cuts, "default", 0.05).remainder > 0.002
+
+
+def test_only_one_random_perturbation_of_a_band_pair_keeps_its_base():
+    """perturb keeps the band pair and the spec; a replaced pair, and so a scaled,
+    twice perturbed or diagonally perturbed one, drops them, and so does a
+    perturbation of a dense pair."""
+    band = build_harmonic(0.1, 200)
+    pair = perturb(band, "a", "random_hermitian", 0.002, 3)
+    assert pair.base[0] is band and pair.base[1].magnitude == 0.002
+    scaled, s = scale_admissible(pair)
+    assert s < 1.0 and scaled.base is None
+    small = perturb(build_harmonic(0.001, 200), "a", "random_hermitian", 0.002, 3)
+    unscaled, s = scale_admissible(small)
+    assert unscaled is small and s == 1.0  # C unchanged, so its base still holds
+    dense = OperatorPair(stored=pair.c.copy(), dim=200, basis_label="dense",
+                         known_commutator_norm=None, boundary_window=25)
+    for other in (
+        replace(pair, boundary_window=30),
+        perturb(pair, "b", "random_hermitian", 0.002, 4),
+        perturb(pair, "a", "diagonal_decay", 0.01),
+        perturb(dense, "a", "random_hermitian", 0.002),
+    ):
+        assert other.base is None
+
+
+def test_an_auto_scaled_perturbed_pair_never_reaches_the_split(capsys, monkeypatch):
+    """--auto-scale rescales a perturbed pair with no base, so the split is never
+    asked to count it from its unscaled base: the dense factor counts it."""
+
+    def split(*args):
+        raise AssertionError("a scaled pair reached the split")
+
+    monkeypatch.setattr(index_module, "_split", split)
+    code = cli_module.main(["omega", "--dim", "400", "--auto-scale", "--lambda", "0.1",
+                            "--perturb", "a:random_hermitian:0.002"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["omega"] == 1 and doc["scaling"]["lambda_a"] < 1.0
 
 
 # ---------------------------------------------------------------- omega failures
