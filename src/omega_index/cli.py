@@ -9,8 +9,13 @@ Subcommands
 ``verify``
     Run the randomized inequality suites with a fixed seed.
 ``spectrum``
-    Dump the corner-block eigenvalues at one cut as CSV (``index,eigenvalue``):
-    exactly the values ``omega`` counts at that cut.
+    Dump all corner-block eigenvalues of the pair's own factor at one cut as CSV
+    (``index,eigenvalue``), exact zeros and ones included.  On the band path
+    they are the values ``omega`` counts; on the dense path they are the
+    corner's full eigensolve, where ``omega`` counts a Ritz value beside zeros
+    and ones that stand for eigenvalues near them; for a pair ``omega``
+    certifies by the band split they are C's dense corner, where ``omega``
+    counts the band pair's closed form less the remainder.
 ``sweep``
     Re-run the index across a parameter axis (lambda, cut, or perturbation
     magnitude) and report whether it stayed constant.  The cut and perturbation

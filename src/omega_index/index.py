@@ -635,12 +635,9 @@ def factor(pair: OperatorPair, orientation: str = "default") -> QBuild | BandQ:
     )
 
 
-def _split(
-    pair: OperatorPair, cuts: list[int], orientation: str, gap_floor: float
-) -> BandQ | None:
-    """The band factor of ``pair.base``'s pair C_b, certified for the dense C of
-    ``pair`` itself, or None where some gap of C_b less ``norm(C - C_b)`` is below
-    ``gap_floor``.
+def _split(pair: OperatorPair, orientation: str) -> BandQ:
+    """The band factor of ``pair.base``'s pair C_b, made a factor of the dense C
+    of ``pair`` itself by proved bounds on ``norm(C - C_b)`` and on C's epsilon.
 
     ``pair`` is C = C_b + D rounded: :func:`~omega_index.operators.perturb` added
     the stored perturbation D = delta R (target ``a``, exactly Hermitian) or
@@ -667,7 +664,11 @@ def _split(
     orientation, and a corner is a compression of it, so by Weyl's inequality
     no corner eigenvalue of C lies further than r from C_b's.  A cut whose C_b
     gap exceeds r therefore has C_b's count, and no eigenvalue of C's corner
-    within that gap less r of 1/2.  These gaps are checked first, in O(M).
+    within that gap less r of 1/2.  r is the factor's ``remainder``, which
+    :func:`certify` takes off each gap as it counts the cut.  A corner's
+    eigenvalues lie in [0, 1], so no gap exceeds 1/2: where r does, every cut's
+    gap less r is negative, and the split raises :class:`GapViolation` before it
+    bounds epsilon, whose terms would overflow for a large enough r.
 
     **Epsilon.**  C*C - CC* is C_b's self-commutator plus X = C_b*E + E*C_b -
     C_b E* - E C_b* + E*E - EE*, so C's epsilon is at most C_b's (the analytic
@@ -695,10 +696,10 @@ def _split(
 
     :data:`SPLIT_ARRAYS` arrays of order k + 2 and
     :data:`~omega_index.operators.BLAS_RESERVE_BYTES` are charged against
-    :func:`~omega_index.linalg.require_memory` once the gaps pass, before F is
+    :func:`~omega_index.linalg.require_memory` once C_b is factored, before F is
     made.  Raises as :func:`factor` and
-    :func:`~omega_index.linalg.hermitian_norm_bound` do; :func:`omega` counts
-    such a pair densely then.
+    :func:`~omega_index.linalg.hermitian_norm_bound` do, and as above; :func:`omega`
+    counts such a pair densely then.
     """
     band, spec = pair.base
     base = factor(band, orientation)
@@ -711,9 +712,8 @@ def _split(
     nu = spec.magnitude * (1.0 + _gamma(3) * np.sqrt(m))
     kappa = unit * (float(np.max(np.abs(np.diagonal(c)))) + c_side)
     remainder = (nu + kappa) * (1.0 + 8.0 * unit)
-    spectra = zip(cuts, _band_spectra(base, cuts))
-    if any(_spectral_report(n, *s, remainder).gap < gap_floor for n, s in spectra):
-        return None
+    if remainder > 0.5:
+        raise GapViolation(f"a remainder of {remainder:.6g} leaves no corner gap")
     linalg.require_memory(
         SPLIT_ARRAYS * COMPLEX_BYTES * (k + 2) ** 2 + BLAS_RESERVE_BYTES,
         f"the remainder of a dim-{m} perturbed band pair",
@@ -1094,9 +1094,10 @@ def omega(
     that band pair's factor and a proved bound on the remainder
     (:func:`_split`): each cut's ``m_n`` is the band pair's, its ``gap`` a proved
     lower bound, ``epsilon`` a proved upper bound and ``defect`` the band
-    factor's.  That path never refuses: where a gap so reduced is below
-    ``gap_floor``, the bound fails the admissibility gate, or any step raises,
-    the pair is counted through :func:`factor` as any dense pair is.
+    factor's.  That path never refuses: where the bound fails the admissibility
+    gate, a gap so reduced is below ``gap_floor``, or any other step of the split
+    or of :func:`certify` raises, the pair is counted through :func:`factor` as
+    any dense pair is.
 
     Raises
     ------
@@ -1116,9 +1117,7 @@ def omega(
     check_gap_floor(gap_floor)
     if pair.base is not None:
         try:
-            split = _split(pair, cuts, orientation, gap_floor)
-            if split is not None:
-                return certify(split, cuts, gap_floor)
+            return certify(_split(pair, orientation), cuts, gap_floor)
         except OmegaIndexError:
             pass  # the split never refuses: the dense factor decides
     return certify(factor(pair, orientation), cuts, gap_floor)

@@ -20,6 +20,7 @@ from omega_index import (
     GapViolation,
     InadmissibleCommutator,
     InsufficientMemory,
+    OmegaIndexError,
     build_harmonic,
     certify,
     corner_eigenvalues,
@@ -186,6 +187,15 @@ def test_omega_text(capsys):
     assert code == 0
     assert "omega = 1" in out
     assert "orientation conjugate" in out
+
+
+def test_omega_text_prints_a_measured_epsilon_warning(capsys):
+    code, out, _ = run_cli(
+        capsys, "omega", "--format", "text", "--dim", "400", "--perturb",
+        "a:diagonal_decay:0.01", "--cuts", "100,150"
+    )
+    assert code == 0
+    assert out.endswith("\nwarning: epsilon measured with boundary masking (no analytic value)\n")
 
 
 def test_omega_output_file(capsys, tmp_path):
@@ -874,6 +884,10 @@ def test_a_perturbed_band_pair_is_certified_with_no_dense_factor(capsys, monkeyp
     assert doc["omega"] == 1 and all(e["m_n"] == e["n"] + 1 for e in doc["cuts"])
 
 
+def _refuse_to_split(*args):
+    raise OmegaIndexError("the split is skipped")
+
+
 @pytest.mark.parametrize("magnitude, cuts, exit_code", [
     ("0.004", "62,100", 0),  # base gap 0.0536 less 0.004 is below the floor 0.05
     ("0.3", "100,150", 2),  # the remainder exceeds the base gaps
@@ -890,7 +904,7 @@ def test_a_split_that_cannot_accept_prints_the_dense_report(
     tried = []
     monkeypatch.setattr(index_module, "_split", lambda *args: tried.append(1) or split(*args))
     fallen_back = run_cli(capsys, *argv)
-    monkeypatch.setattr(index_module, "_split", lambda *args: None)
+    monkeypatch.setattr(index_module, "_split", _refuse_to_split)
     dense = run_cli(capsys, *argv)
     assert tried == [1] and fallen_back == dense and dense[0] == exit_code
 
@@ -1263,6 +1277,13 @@ def test_sweep_text_format(capsys):
     )
     assert code == 0
     assert "omega_constant = True" in out
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "cut", "--format", "text", "--values", "70,5000",
+        "--dim", "240"
+    )
+    assert code == 0
+    assert "  value 5000: CutTooLarge: cut 5000 reaches into the boundary collar (dim 240, " \
+        "window 30)\n" in out
 
 
 def test_sweep_empty_values_exits_1(capsys):
@@ -1271,6 +1292,16 @@ def test_sweep_empty_values_exits_1(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ConfigParse"
+
+
+def test_a_float_range_with_too_many_values_exits_1(capsys, monkeypatch):
+    _patch_every_factor(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "perturbation", "--values", "0:1e308:1e-300"
+    )
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigParse" and "has too many values" in error["message"]
 
 
 # ---------------------------------------------------------------- verify

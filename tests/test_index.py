@@ -1046,6 +1046,26 @@ def test_factor_refuses_a_pivot_that_overflows(orientation):
             factor(pair, orientation)
 
 
+def test_factor_refuses_a_pivot_that_rounds_to_zero():
+    """d = [[1e8, 1e8], [0, 0]] in conjugate: 1 + 1e16 rounds to 1e16, so the second
+    pivot of I + d*d is exactly 0 and the band factor refuses it.  In literal d has
+    no off-diagonal product, so the same pair factors, with a defect bound that
+    is not finite, and certify refuses it."""
+    pair = OperatorPair(
+        stored=(np.zeros(1), np.array([1e8, 0.0]), np.array([1e8])),
+        dim=2,
+        basis_label="round",
+        known_commutator_norm=0.0,
+        boundary_window=0,
+    )
+    with pytest.raises(ConvergenceFailure, match=r"^a pivot of I \+ d\*d is not positive$"):
+        factor(pair, "conjugate")
+    band = factor(pair, "literal")
+    assert band.defect == np.inf
+    with pytest.raises(ConvergenceFailure, match="the defect bound is not finite"):
+        certify(band, [1], 0.05)
+
+
 def test_reference_pair_at_dim_3000_never_takes_the_dense_path(monkeypatch):
     """The oscillator at lam = 0.002, dim 3000, default cuts: omega = 1 and every gap is
     2N lam / (2N lam + 1) - 1/2, counted from O(M) numbers."""
@@ -1737,7 +1757,7 @@ def test_the_split_counts_as_the_dense_factor(lam, dim, target, orientation, see
     assert _run_outcome(omega, pair, cuts, orientation, 0.0) == _run_outcome(
         certify, dense_q, cuts, 0.0
     )
-    split = index_module._split(pair, cuts, orientation, 0.0)
+    split = index_module._split(pair, orientation)
     assert split.epsilon >= dense_q.epsilon
     try:
         result = certify(split, cuts, 0.0)
@@ -1763,33 +1783,44 @@ def test_the_split_counts_a_pair_with_no_collar():
     assert _run_outcome(omega, pair, cuts, "default", 0.0) == _run_outcome(
         certify, dense_q, cuts, 0.0
     )
-    split = index_module._split(pair, cuts, "default", 0.0)
+    split = index_module._split(pair, "default")
     assert split.epsilon >= dense_q.epsilon > 0
 
 
 def test_the_split_is_charged_before_its_arrays(monkeypatch):
-    """Once the gaps pass, the split is refused one byte below SPLIT_ARRAYS arrays
+    """Once C_b is factored, the split is refused one byte below SPLIT_ARRAYS arrays
     of order k + 2 and the BLAS reserve, before F is formed, and runs at that
     charge; tracemalloc sees it peak within its arrays, numpy's ufunc buffers
     (np.getbufsize() complex entries for each of the two operands of a product)
     and the base factor's own charge of BAND_FACTOR_ROW_BYTES a row."""
     pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
-    cuts = [100, 150, 200]
     k = pair.interior
     arrays = index_module.SPLIT_ARRAYS * operators_module.COMPLEX_BYTES * (k + 2) ** 2
     charge = arrays + operators_module.BLAS_RESERVE_BYTES
-    index_module._split(pair, cuts, "default", 0.05)  # so that no first-call allocation is traced
+    index_module._split(pair, "default")  # so that no first-call allocation is traced
     beside = 2 * np.getbufsize() * operators_module.COMPLEX_BYTES
     beside += index_module.BAND_FACTOR_ROW_BYTES * 300
-    peak = _traced_peak(index_module._split, pair, cuts, "default", 0.05)
+    peak = _traced_peak(index_module._split, pair, "default")
     assert arrays < peak + beside and peak <= arrays + beside
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: charge - 1.0)
     with monkeypatch.context() as patch:
         patch.setattr(index_module, "_normal_remainder", _refuse_to_factor)
         with pytest.raises(InsufficientMemory, match="remainder of a dim-300 perturbed band"):
-            index_module._split(pair, cuts, "default", 0.05)
+            index_module._split(pair, "default")
     monkeypatch.setattr(linalg_module, "memory_headroom", lambda: float(charge))
-    assert index_module._split(pair, cuts, "default", 0.05).remainder > 0.002
+    assert index_module._split(pair, "default").remainder > 0.002
+
+
+def test_the_split_counts_each_cut_once(monkeypatch):
+    """omega counts each cut of a perturbed band pair once, in certify, which takes
+    the remainder off each gap: the split factors the pair and counts nothing."""
+    pair = perturb(build_harmonic(0.01, 300), "a", "random_hermitian", 0.002, 7)
+    count = index_module.count_upper
+    counted = []
+    monkeypatch.setattr(index_module, "count_upper", lambda v: counted.append(1) or count(v))
+    monkeypatch.setattr(index_module, "build_q", _refuse_to_factor)
+    assert omega(pair, cuts=[100, 150, 200]).omega == 1
+    assert len(counted) == 3
 
 
 def test_only_one_random_perturbation_of_a_band_pair_keeps_its_base():

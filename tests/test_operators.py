@@ -155,6 +155,11 @@ def test_grid_rejects_radius_zero():
         build_commuting_grid(0)
 
 
+def test_grid_rejects_a_nan_scale():
+    with pytest.raises(InvalidParameter, match="scale must be finite"):
+        build_commuting_grid(4, float("nan"))
+
+
 # ---------------------------------------------------------------- analytic q
 
 
@@ -438,6 +443,18 @@ def test_operator_pair_rejects_wide_window():
         )
 
 
+def test_operator_pair_rejects_a_negative_commutator_norm():
+    with pytest.raises(InvalidParameter, match="known_commutator_norm must be finite and >= 0"):
+        OperatorPair(
+            a=np.zeros((4, 4), dtype=complex),
+            b=np.zeros((4, 4), dtype=complex),
+            dim=4,
+            basis_label="bad",
+            known_commutator_norm=-1.0,
+            boundary_window=0,
+        )
+
+
 # ---------------------------------------------------------------- perturbations
 
 
@@ -561,6 +578,12 @@ def test_load_matrix_rejects_bad_documents(tmp_path):
         load_matrix(path)
     path.write_text('{"format": "other", "entries": [[[1, 0]]]}')
     with pytest.raises(ConfigParse):
+        load_matrix(path)
+    path.write_text('{"format": "dense-complex-v1", "entries": [[1, 2]]}')
+    with pytest.raises(ConfigParse, match=r"must be a nested \[rows\]\[cols\]\[re, im\] array"):
+        load_matrix(path)
+    path.write_text('{"format": "dense-complex-v1", "entries": [[["a", 0]]]}')
+    with pytest.raises(ConfigParse, match="has malformed entries"):
         load_matrix(path)
     path.write_text('{"format": "dense-complex-v1", "entries": [[[1, 0], [0, 0]]]}')
     with pytest.raises(DimensionMismatch):
